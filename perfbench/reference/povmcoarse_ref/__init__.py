@@ -1,0 +1,120 @@
+"""Tools for comparing quantum measurements by coarse-graining.
+
+The package decides whether one POVM is a stochastic coarse-graining of
+another (globally or restricted to a subspace) through linear-feasibility
+certificates, computes observational entropy and related information
+measures, and ships randomized suites that verify the monotonicity
+properties tying the two together.
+"""
+
+from .coarseness import (
+    CoarsenessCertificate,
+    check_coarser,
+    check_coarser_classical,
+    check_coarser_in_subspace,
+    check_coarser_projective,
+    coarsen,
+    mixture_residual,
+    possible_outcomes,
+    preserves_observational_entropy,
+    restrict_transition_matrix,
+)
+from .distributions import (
+    JointDistribution,
+    StochasticMatrix,
+    WeightedDistribution,
+    push_forward,
+)
+from .entropy import (
+    EntropyReport,
+    kl_divergence,
+    measurement_state_joint,
+    mutual_information,
+    observational_entropy,
+    s_obs_classical,
+    von_neumann_entropy,
+)
+from .measurements import (
+    GeneralizedMeasurement,
+    compose_measurements,
+    measurement_from_state,
+    outcome_probabilities,
+    post_measurement_state,
+    projective_measurement,
+    trace_pairing,
+    validate_measurement,
+)
+from .operators import (
+    DensityMatrix,
+    Projector,
+    Subspace,
+    eigendecompose,
+    phase_fixed_eigh,
+)
+from .randomgen import (
+    random_density_matrix,
+    random_left_stochastic,
+    random_povm,
+    random_projective,
+    random_state_in_subspace,
+    random_subspace,
+    random_subspace_of,
+    random_unitary,
+    random_weighted_distribution,
+)
+from .simplex import FeasibilityResult, lp_feasible
+from .suites import SuiteReport, counterexample_registry, run_all, run_suite
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "CoarsenessCertificate",
+    "DensityMatrix",
+    "EntropyReport",
+    "FeasibilityResult",
+    "GeneralizedMeasurement",
+    "JointDistribution",
+    "Projector",
+    "StochasticMatrix",
+    "SuiteReport",
+    "Subspace",
+    "WeightedDistribution",
+    "check_coarser",
+    "check_coarser_classical",
+    "check_coarser_in_subspace",
+    "check_coarser_projective",
+    "coarsen",
+    "compose_measurements",
+    "counterexample_registry",
+    "eigendecompose",
+    "kl_divergence",
+    "lp_feasible",
+    "measurement_from_state",
+    "measurement_state_joint",
+    "mixture_residual",
+    "mutual_information",
+    "observational_entropy",
+    "outcome_probabilities",
+    "phase_fixed_eigh",
+    "possible_outcomes",
+    "post_measurement_state",
+    "preserves_observational_entropy",
+    "projective_measurement",
+    "push_forward",
+    "random_density_matrix",
+    "random_left_stochastic",
+    "random_povm",
+    "random_projective",
+    "random_state_in_subspace",
+    "random_subspace",
+    "random_subspace_of",
+    "random_unitary",
+    "random_weighted_distribution",
+    "restrict_transition_matrix",
+    "run_all",
+    "run_suite",
+    "s_obs_classical",
+    "trace_pairing",
+    "validate_measurement",
+    "von_neumann_entropy",
+]

@@ -1,0 +1,279 @@
+"""Finite-dimensional complex operator algebra.
+
+Operators are dense ``numpy`` arrays of ``complex128``. The classes here
+(:class:`Projector`, :class:`DensityMatrix`, :class:`Subspace`) validate their
+defining invariants on construction and expose read-only matrices; free
+functions provide the Hermitian/PSD checks and eigendecompositions everything
+else is built on.
+
+Default tolerances: structural checks (Hermiticity, positivity, idempotency,
+traces) use ``DEFAULT_ATOL = 1e-10``; eigenvalue grouping uses
+``DEFAULT_DEGENERACY_TOL = 1e-8`` relative to the spectral scale.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .errors import (
+    DimensionMismatchError,
+    NonHermitianError,
+    NotPSDError,
+    NotProjectiveError,
+    ValidationError,
+)
+
+DEFAULT_ATOL = 1e-10
+DEFAULT_DEGENERACY_TOL = 1e-8
+
+# Components smaller than this are treated as exactly zero when fixing
+# eigenvector phases. Unit vectors always have a component >= 1/sqrt(d).
+_PHASE_TOL = 1e-12
+
+
+def as_square_matrix(a, *, name: str = "operator") -> np.ndarray:
+    """Coerce ``a`` to a finite square complex matrix."""
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return arr
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(a).conj().T
+
+
+def frobenius(a: np.ndarray) -> float:
+    """Frobenius norm."""
+    return float(np.linalg.norm(a))
+
+
+def hermiticity_defect(a: np.ndarray) -> float:
+    """``‖A − A†‖_F``."""
+    a = np.asarray(a, dtype=complex)
+    return frobenius(a - dagger(a))
+
+
+def require_hermitian(a, *, atol: float = DEFAULT_ATOL, name: str = "operator") -> np.ndarray:
+    """Validate Hermiticity and return the symmetrized matrix ``(A + A†)/2``."""
+    arr = as_square_matrix(a, name=name)
+    defect = hermiticity_defect(arr)
+    if defect > atol:
+        raise NonHermitianError(
+            f"{name}: ||A - A^dagger||_F = {defect:.3e} exceeds tolerance {atol:.1e}"
+        )
+    return 0.5 * (arr + dagger(arr))
+
+
+def min_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(np.linalg.eigvalsh(a)[0])
+
+
+def require_psd(a, *, atol: float = DEFAULT_ATOL, name: str = "operator") -> np.ndarray:
+    """Validate Hermiticity and positive semidefiniteness within ``atol``."""
+    arr = require_hermitian(a, atol=atol, name=name)
+    low = min_eigenvalue(arr)
+    if low < -atol:
+        raise NotPSDError(f"{name}: minimum eigenvalue {low:.3e} below -{atol:.1e}")
+    return arr
+
+
+def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix (tiny negative eigenvalues clipped)."""
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ dagger(v)
+
+
+def phase_fixed_eigh(a, *, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition with a deterministic output convention.
+
+    Eigenvalues are sorted in descending order; each eigenvector is rotated by
+    a global phase so that its first component above ``1e-12`` in magnitude is
+    real and positive. For a fixed input this makes the output reproducible,
+    which keeps golden files stable.
+    """
+    arr = require_hermitian(a, atol=atol)
+    w, v = np.linalg.eigh(arr)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > _PHASE_TOL)
+        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
+        phase = col[pivot] / abs(col[pivot])
+        v[:, k] = col * np.conj(phase)
+    return w, v
+
+
+class Projector:
+    """Orthogonal projector with its rank.
+
+    Invariants: Hermitian, ``‖P² − P‖_F`` within tolerance, trace equal to the
+    rank within tolerance.
+    """
+
+    __slots__ = ("matrix", "rank")
+
+    def __init__(self, matrix, rank: int | None = None, *, atol: float = DEFAULT_ATOL):
+        arr = require_hermitian(matrix, atol=atol, name="projector")
+        defect = frobenius(arr @ arr - arr)
+        if defect > atol:
+            raise NotProjectiveError(
+                f"projector: ||P^2 - P||_F = {defect:.3e} exceeds tolerance {atol:.1e}"
+            )
+        trace = float(np.trace(arr).real)
+        inferred = int(round(trace))
+        if rank is None:
+            rank = inferred
+        if abs(trace - rank) > max(atol, 1e-8):
+            raise ValidationError(f"projector trace {trace!r} does not match rank {rank}")
+        arr.setflags(write=False)
+        self.matrix = arr
+        self.rank = rank
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Projector(dim={self.dim}, rank={self.rank})"
+
+
+class DensityMatrix:
+    """Unit-trace PSD operator describing a quantum state."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix, *, atol: float = DEFAULT_ATOL, trace_tol: float | None = None):
+        arr = require_psd(matrix, atol=atol, name="density matrix")
+        trace = float(np.trace(arr).real)
+        if abs(trace - 1.0) > (trace_tol if trace_tol is not None else atol):
+            raise ValidationError(f"density matrix trace {trace!r} differs from 1")
+        arr.setflags(write=False)
+        self.matrix = arr
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def pure(cls, ket) -> "DensityMatrix":
+        """``|ψ⟩⟨ψ|`` for a (re-normalized) state vector."""
+        vec = np.asarray(ket, dtype=complex).reshape(-1)
+        norm = np.linalg.norm(vec)
+        if norm <= 0:
+            raise ValidationError("cannot build a pure state from the zero vector")
+        vec = vec / norm
+        return cls(np.outer(vec, vec.conj()))
+
+    @classmethod
+    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        """The no-knowledge reference state ``identity / dim``."""
+        if dim < 1:
+            raise ValidationError("dimension must be positive")
+        return cls(np.eye(dim, dtype=complex) / dim)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues in descending order."""
+        return np.linalg.eigvalsh(self.matrix)[::-1]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"DensityMatrix(dim={self.dim})"
+
+
+class Subspace:
+    """Subspace given by an orthonormal basis, with its derived projector."""
+
+    __slots__ = ("basis", "projector")
+
+    def __init__(self, basis, *, atol: float = DEFAULT_ATOL):
+        arr = np.asarray(basis, dtype=complex)
+        if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
+            raise DimensionMismatchError(
+                f"subspace basis must be a d x r matrix with 1 <= r <= d, got {arr.shape}"
+            )
+        gram = dagger(arr) @ arr
+        defect = frobenius(gram - np.eye(arr.shape[1]))
+        if defect > max(atol, 1e-9):
+            raise ValidationError(
+                f"subspace basis is not orthonormal: ||G - I||_F = {defect:.3e}"
+            )
+        arr.setflags(write=False)
+        self.basis = arr
+        self.projector = Projector(arr @ dagger(arr), rank=arr.shape[1], atol=max(atol, 1e-9))
+
+    @property
+    def dim(self) -> int:
+        """Ambient Hilbert-space dimension."""
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @classmethod
+    def span(cls, vectors: Sequence, *, atol: float = DEFAULT_ATOL) -> "Subspace":
+        """Subspace spanned by linearly independent vectors (orthonormalized)."""
+        cols = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors], axis=1)
+        q, r = np.linalg.qr(cols)
+        diag = np.diag(r)
+        if np.any(np.abs(diag) < 1e-10):
+            raise ValidationError("span vectors are numerically linearly dependent")
+        # make the QR phases deterministic
+        q = q * (diag.conj() / np.abs(diag))
+        return cls(q, atol=atol)
+
+    @classmethod
+    def full(cls, dim: int) -> "Subspace":
+        return cls(np.eye(dim, dtype=complex))
+
+    def embed(self, small: np.ndarray) -> np.ndarray:
+        """Lift an r x r operator on the subspace into the ambient space."""
+        small = np.asarray(small, dtype=complex)
+        if small.shape != (self.rank, self.rank):
+            raise DimensionMismatchError(
+                f"expected a {self.rank} x {self.rank} block, got {small.shape}"
+            )
+        return self.basis @ small @ dagger(self.basis)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Subspace(dim={self.dim}, rank={self.rank})"
+
+
+def eigendecompose(
+    a,
+    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+    *,
+    atol: float = DEFAULT_ATOL,
+) -> list[tuple[float, Projector]]:
+    """Spectral decomposition into eigenvalue/eigenprojector pairs.
+
+    Eigenvalues closer than ``degeneracy_tol`` times the spectral scale
+    (max of spectral range and largest magnitude) are merged into a single
+    eigenspace projector; the reported eigenvalue is the group mean. Pairs are
+    returned in descending eigenvalue order and their projectors sum to the
+    identity.
+    """
+    w, v = phase_fixed_eigh(a, atol=atol)
+    scale = max(float(w[0] - w[-1]), float(np.max(np.abs(w))) if w.size else 0.0)
+    threshold = degeneracy_tol * scale
+    groups: list[list[int]] = [[0]]
+    for k in range(1, w.size):
+        if w[k - 1] - w[k] > threshold:
+            groups.append([k])
+        else:
+            groups[-1].append(k)
+    pairs = []
+    for idx in groups:
+        block = v[:, idx]
+        proj = Projector(block @ dagger(block), rank=len(idx), atol=max(atol, 1e-9))
+        pairs.append((float(np.mean(w[idx])), proj))
+    return pairs

@@ -1,0 +1,180 @@
+"""JSON (de)serialization for operators, measurements, states and certificates.
+
+Complex entries are two-element ``[re, im]`` arrays; matrices are arrays of
+rows. Floats rely on Python's shortest-repr JSON encoding, which round-trips
+``float64`` exactly.
+
+File schemas:
+
+* measurement: ``{"dim": d, "elements": [matrix, ...], "kraus": [[matrix, ...], ...]?}``
+* state: ``{"dim": d, "rho": matrix}``
+* subspace: ``{"dim": d, "basis": [vector, ...]}``
+* distribution: ``{"probs": [...], "volumes": [...]}``
+* joint: ``{"matrix": [[...]]}``
+* certificate: ``{"feasible": bool, "P": [[...]] | null, "residual": r,
+  "phase1_optimum": v, "volume_slack": [...] | null, ...}``
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any
+
+import numpy as np
+
+from .coarseness import CoarsenessCertificate
+from .distributions import JointDistribution, WeightedDistribution
+from .errors import ValidationError
+from .measurements import GeneralizedMeasurement, validate_measurement
+from .operators import DensityMatrix, Subspace
+
+
+def complex_matrix_to_json(mat) -> list[list[list[float]]]:
+    arr = np.asarray(mat, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+
+
+def complex_matrix_from_json(rows, *, name: str = "matrix") -> np.ndarray:
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: malformed complex matrix") from exc
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise ValidationError(f"{name}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def complex_vector_to_json(vec) -> list[list[float]]:
+    arr = np.asarray(vec, dtype=complex).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in arr]
+
+
+def complex_vector_from_json(entries, *, name: str = "vector") -> np.ndarray:
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: malformed complex vector") from exc
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
+    return arr[:, 0] + 1j * arr[:, 1]
+
+
+def measurement_to_dict(measurement: GeneralizedMeasurement) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "dim": measurement.dim,
+        "elements": [complex_matrix_to_json(e) for e in measurement.elements],
+    }
+    if measurement.kraus is not None:
+        payload["kraus"] = [
+            [complex_matrix_to_json(k) for k in group] for group in measurement.kraus
+        ]
+    return payload
+
+
+def measurement_from_dict(payload: dict, *, atol: float = 1e-9) -> GeneralizedMeasurement:
+    if not isinstance(payload, dict) or "elements" not in payload:
+        raise ValidationError("measurement file needs an 'elements' array")
+    elements = [
+        complex_matrix_from_json(e, name=f"element {k}") for k, e in enumerate(payload["elements"])
+    ]
+    kraus = None
+    if payload.get("kraus") is not None:
+        kraus = [
+            [complex_matrix_from_json(k, name=f"Kraus {i}.{m}") for m, k in enumerate(group)]
+            for i, group in enumerate(payload["kraus"])
+        ]
+    declared = payload.get("dim")
+    if declared is not None and elements and elements[0].shape[0] != declared:
+        raise ValidationError(
+            f"declared dim {declared} does not match element dimension {elements[0].shape[0]}"
+        )
+    return validate_measurement(elements, kraus, atol=atol)
+
+
+def state_to_dict(rho: DensityMatrix) -> dict[str, Any]:
+    return {"dim": rho.dim, "rho": complex_matrix_to_json(rho.matrix)}
+
+
+def state_from_dict(payload: dict, *, atol: float = 1e-9) -> DensityMatrix:
+    if not isinstance(payload, dict) or "rho" not in payload:
+        raise ValidationError("state file needs a 'rho' matrix")
+    mat = complex_matrix_from_json(payload["rho"], name="rho")
+    declared = payload.get("dim")
+    if declared is not None and mat.shape[0] != declared:
+        raise ValidationError(f"declared dim {declared} does not match matrix {mat.shape[0]}")
+    return DensityMatrix(mat, atol=atol)
+
+
+def subspace_to_dict(subspace: Subspace) -> dict[str, Any]:
+    return {
+        "dim": subspace.dim,
+        "basis": [complex_vector_to_json(subspace.basis[:, k]) for k in range(subspace.rank)],
+    }
+
+
+def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
+    if not isinstance(payload, dict) or "basis" not in payload:
+        raise ValidationError("subspace file needs a 'basis' array")
+    vectors = [
+        complex_vector_from_json(v, name=f"basis vector {k}")
+        for k, v in enumerate(payload["basis"])
+    ]
+    basis = np.stack(vectors, axis=1)
+    declared = payload.get("dim")
+    if declared is not None and basis.shape[0] != declared:
+        raise ValidationError(f"declared dim {declared} does not match vectors of length {basis.shape[0]}")
+    return Subspace(basis, atol=atol)
+
+
+def distribution_to_dict(w: WeightedDistribution) -> dict[str, Any]:
+    return {"probs": [float(x) for x in w.probs], "volumes": [float(x) for x in w.volumes]}
+
+
+def distribution_from_dict(payload: dict) -> WeightedDistribution:
+    if not isinstance(payload, dict) or "probs" not in payload or "volumes" not in payload:
+        raise ValidationError("distribution file needs 'probs' and 'volumes'")
+    return WeightedDistribution(payload["probs"], payload["volumes"])
+
+
+def joint_to_dict(joint: JointDistribution) -> dict[str, Any]:
+    return {"matrix": [[float(x) for x in row] for row in joint.matrix]}
+
+
+def joint_from_dict(payload: dict) -> JointDistribution:
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise ValidationError("joint file needs a 'matrix'")
+    return JointDistribution(payload["matrix"])
+
+
+def _jsonable_float(x: float) -> float | None:
+    return float(x) if np.isfinite(x) else None
+
+
+def certificate_to_dict(cert: CoarsenessCertificate) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "feasible": cert.feasible,
+        "verdict": cert.verdict,
+        "P": None if cert.witness is None else [[float(x) for x in row] for row in cert.witness.matrix],
+        "residual": _jsonable_float(cert.residual),
+        "phase1_optimum": _jsonable_float(cert.phase1_optimum),
+        "volume_slack": None if cert.volume_slack is None else [float(x) for x in cert.volume_slack],
+    }
+    if cert.coarse_outcomes is not None:
+        payload["coarse_outcomes"] = list(cert.coarse_outcomes)
+        payload["fine_outcomes"] = list(cert.fine_outcomes)
+    if cert.extension is not None:
+        payload["extension"] = [[float(x) for x in row] for row in cert.extension.matrix]
+    return payload
+
+
+def load_json(path) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def dump_json(obj: Any, path=None) -> str:
+    text = json.dumps(obj, indent=2)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text

@@ -1,0 +1,246 @@
+"""Phase-1 simplex feasibility solver for ``x >= 0`` with ``Ax = b``, ``Gx <= h``.
+
+The solver minimizes the sum of artificial variables on a dense tableau.
+Pivoting uses the largest-improvement rule and switches to Bland's rule
+permanently once the objective stalls, which guarantees termination on the
+degenerate systems that projected subspace constraints produce.
+
+Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
+``tol``, ``infeasible`` when it exceeds ``ambiguous_factor * tol``, and
+``ambiguous`` in the band between, so borderline systems are reported instead
+of guessed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import IterationLimitError, ShapeMismatchError
+
+_ENTER_TOL = 1e-9
+# entries below this never serve as pivots: dividing a tableau by a tiny pivot
+# amplifies accumulated round-off enough to corrupt later verdicts (the
+# constraint matrices handled here are O(1)-scaled, so 1e-7 loses nothing)
+_PIVOT_TOL = 1e-7
+_STALL_LIMIT = 200
+
+
+@dataclass(frozen=True)
+class FeasibilityResult:
+    """Outcome of a feasibility solve."""
+
+    verdict: str  # "feasible" | "infeasible" | "ambiguous"
+    x: np.ndarray | None
+    residual: float
+    phase1_optimum: float
+    iterations: int
+
+    @property
+    def feasible(self) -> bool:
+        return self.verdict == "feasible"
+
+
+def _as_system(a, b, n_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if a is None or b is None:
+        if (a is None) != (b is None):
+            raise ShapeMismatchError(f"{what}: matrix and vector must be given together")
+        return np.zeros((0, n_vars)), np.zeros(0)
+    mat = np.asarray(a, dtype=float)
+    vec = np.asarray(b, dtype=float).reshape(-1)
+    if mat.ndim != 2 or mat.shape[1] != n_vars:
+        raise ShapeMismatchError(f"{what}: expected shape (*, {n_vars}), got {mat.shape}")
+    if mat.shape[0] != vec.size:
+        raise ShapeMismatchError(f"{what}: {mat.shape[0]} rows vs {vec.size} right-hand sides")
+    return mat, vec
+
+
+def _residual(x, a_eq, b_eq, a_ub, b_ub) -> float:
+    res = 0.0
+    if a_eq.shape[0]:
+        res = max(res, float(np.max(np.abs(a_eq @ x - b_eq))))
+    if a_ub.shape[0]:
+        res = max(res, max(0.0, float(np.max(a_ub @ x - b_ub))))
+    return res
+
+
+def lp_feasible(
+    a_eq=None,
+    b_eq=None,
+    a_ub=None,
+    b_ub=None,
+    *,
+    n_vars: int,
+    tol: float = 1e-8,
+    ambiguous_factor: float = 10.0,
+    max_iter: int | None = None,
+) -> FeasibilityResult:
+    """Decide whether ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}`` is non-empty.
+
+    Returns a witness and its constraint residual when feasible; the reported
+    ``phase1_optimum`` is the minimized total constraint violation either way.
+    """
+    a_eq, b_eq = _as_system(a_eq, b_eq, n_vars, "equalities")
+    a_ub, b_ub = _as_system(a_ub, b_ub, n_vars, "inequalities")
+    me, mu = a_eq.shape[0], a_ub.shape[0]
+    m = me + mu
+    if m == 0:
+        return FeasibilityResult("feasible", np.zeros(n_vars), 0.0, 0.0, 0)
+
+    # canonical form with slack variables on the inequality rows
+    canon = np.zeros((m, n_vars + mu))
+    canon[:me, :n_vars] = a_eq
+    if mu:
+        canon[me:, :n_vars] = a_ub
+        canon[me:, n_vars:] = np.eye(mu)
+    rhs = np.concatenate([b_eq, b_ub]).astype(float)
+    flipped = rhs < 0
+    canon[flipped] *= -1.0
+    rhs = np.where(flipped, -rhs, rhs)
+
+    # initial basis: slack where its coefficient stayed +1, artificial elsewhere
+    art_rows = [r for r in range(m) if r < me or flipped[r]]
+    n_struct = n_vars + mu
+    n_art = len(art_rows)
+    total = n_struct + n_art
+
+    T = np.zeros((m, total))
+    T[:, :n_struct] = canon
+    basis = np.empty(m, dtype=int)
+    for r in range(me, m):
+        basis[r] = n_vars + (r - me)
+    for k, r in enumerate(art_rows):
+        T[r, n_struct + k] = 1.0
+        basis[r] = n_struct + k
+    col_id = np.arange(total)
+
+    obj = np.zeros(total)
+    obj[n_struct:] = 1.0
+    if art_rows:
+        obj -= T[art_rows].sum(axis=0)
+
+    rhs = rhs.copy()
+    active = total
+    is_art = lambda pos: col_id[pos] >= n_struct  # noqa: E731 - tiny predicate
+
+    if max_iter is None:
+        max_iter = 10 * (m + total) ** 2
+
+    bland = False
+    stall = 0
+    best_value = float(rhs[art_rows].sum()) if art_rows else 0.0
+    iterations = 0
+    barred = np.zeros(total, dtype=bool)  # columns without a usable pivot entry
+
+    def swap_positions(p: int, q: int) -> None:
+        if p == q:
+            return
+        T[:, [p, q]] = T[:, [q, p]]
+        obj[[p, q]] = obj[[q, p]]
+        col_id[[p, q]] = col_id[[q, p]]
+        barred[[p, q]] = barred[[q, p]]
+        sel_p = basis == p
+        sel_q = basis == q
+        basis[sel_p] = q
+        basis[sel_q] = p
+
+    while True:
+        window = np.where(barred[:active], 0.0, obj[:active])
+        if bland:
+            eligible = np.flatnonzero(window < -_ENTER_TOL)
+            if eligible.size == 0:
+                break
+            j = int(eligible[np.argmin(col_id[eligible])])
+        else:
+            j = int(np.argmin(window))
+            if window[j] >= -_ENTER_TOL:
+                break
+
+        col = T[:, j]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            # phase-1 is bounded below, so a negative reduced cost without a
+            # usable pivot entry is numerical; bar the column and try others
+            barred[j] = True
+            continue
+        ratios = rhs[rows] / col[rows]
+        rmin = float(ratios.min())
+        tie = rows[ratios <= rmin + 1e-12 + 1e-9 * abs(rmin)]
+        if bland:
+            r = int(tie[np.argmin(col_id[basis[tie]])])
+        else:
+            r = int(tie[np.argmax(col[tie])])
+
+        iterations += 1
+        if iterations > max_iter:
+            raise IterationLimitError(iterations)
+
+        piv = T[r, j]
+        T[r, :active] /= piv
+        rhs[r] /= piv
+        other = col.copy()
+        other[r] = 0.0
+        nz = np.flatnonzero(np.abs(other) > 0)
+        if nz.size:
+            T[nz, :active] -= np.outer(other[nz], T[r, :active])
+            rhs[nz] -= other[nz] * rhs[r]
+        coeff = obj[j]
+        if coeff != 0.0:
+            obj[:active] -= coeff * T[r, :active]
+
+        leaving = int(basis[r])
+        basis[r] = j
+        if is_art(leaving):
+            swap_positions(leaving, active - 1)
+            active -= 1
+        barred[:] = False  # the pivot changed every reduced cost
+
+        art_basic = col_id[basis] >= n_struct
+        value = float(rhs[art_basic].sum()) if np.any(art_basic) else 0.0
+        if value < best_value - 1e-12:
+            best_value = value
+            stall = 0
+        else:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+
+    art_basic = col_id[basis] >= n_struct
+    optimum = float(np.clip(rhs[art_basic], 0.0, None).sum()) if np.any(art_basic) else 0.0
+
+    # read the structural solution off the tableau
+    x_struct = np.zeros(n_struct)
+    for r in range(m):
+        cid = int(col_id[basis[r]])
+        if cid < n_struct:
+            x_struct[cid] = max(float(rhs[r]), 0.0)
+    x = x_struct[:n_vars]
+    residual = _residual(x, a_eq, b_eq, a_ub, b_ub)
+
+    if optimum <= tol:
+        verdict = "feasible"
+    elif optimum > ambiguous_factor * tol:
+        verdict = "infeasible"
+    else:
+        verdict = "ambiguous"
+
+    if verdict == "feasible":
+        # refine the basic solution against the original system; tableau round-off
+        # accumulates over pivots while a direct least-squares solve does not
+        cols = sorted({int(col_id[b]) for b in basis if int(col_id[b]) < n_struct})
+        if cols:
+            # canon rows were already sign-flipped; flip the target the same way
+            target = np.concatenate([b_eq, b_ub])
+            target = np.where(flipped, -target, target)
+            sol, *_ = np.linalg.lstsq(canon[:, cols], target, rcond=None)
+            if sol.size and float(sol.min()) > -1e-9:
+                refined = np.zeros(n_struct)
+                refined[cols] = np.clip(sol, 0.0, None)
+                cand = refined[:n_vars]
+                cand_res = _residual(cand, a_eq, b_eq, a_ub, b_ub)
+                if cand_res < residual:
+                    x, residual = cand, cand_res
+        return FeasibilityResult("feasible", x, residual, optimum, iterations)
+
+    return FeasibilityResult(verdict, None, residual, optimum, iterations)
