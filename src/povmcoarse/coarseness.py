@@ -5,19 +5,27 @@ fixed stochastic mixture of ``C1``'s elements: ``Π^(2)_j = sum_i P_ji Π^(1)_i`
 for some left stochastic ``P``. The same relation restricted to a subspace
 ``G`` projects both sides with ``P_G``, quantifies only over the outcomes
 possible in ``G``, and adds the volume inequality
-``V^(2)_j >= sum_i P_ji V^(1)_i``.
+``V^(2)_j >= sum_i P_ji V^(1)_i``. On bare ``(p, V)`` data the elements are
+the pairs ``(p_i, V_i)``.
 
-Both checks reduce to linear feasibility over the entries of ``P`` and return
-a :class:`CoarsenessCertificate` carrying the verdict, the witness matrix, and
-the residual of the defining equalities. Hermitian operator equalities are
-encoded as ``d^2`` real equations each: the diagonal plus real and imaginary
-parts of the strict upper triangle, which drops the redundant conjugate
-constraints.
+All three checks solve one linear feasibility problem over the entries of
+``P``, laid out by :func:`_processing_system`: ``P_ji`` is variable
+``j * n + i``; the equalities are one block of ``D`` rows per coarse outcome
+(the ``D`` real components of its element), then one column sum per fine
+outcome; the subspace check appends one volume inequality per coarse outcome.
+Hermitian operators contribute ``d^2`` real components each: the diagonal plus
+real and imaginary parts of the strict upper triangle, which drops the
+redundant conjugate constraints.
+
+One verdict rule turns the solve into a :class:`CoarsenessCertificate`: the
+phase-1 solution, clipped at zero, must be left stochastic, and its residual
+(the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``) must be at
+most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,10 +54,12 @@ class CoarsenessCertificate:
     """Feasibility verdict for a coarse-graining relation.
 
     ``witness`` is present exactly when the verdict is ``feasible``;
-    ``residual`` is then the largest Frobenius violation of the defining
-    equalities recomputed from the witness. ``volume_slack`` and the outcome
-    sets are populated by the subspace variant; ``extension`` is the witness
-    padded to the full outcome sets (left stochastic by construction).
+    ``residual`` is then the largest per-outcome violation of the defining
+    equalities recomputed from the witness: the Frobenius norm on operators,
+    the Euclidean norm over the ``(p_j, V_j)`` pairs for the classical check.
+    ``volume_slack`` and the outcome sets are populated by the subspace
+    variant; ``extension`` is the witness padded to the full outcome sets (left
+    stochastic by construction).
     """
 
     verdict: str  # "feasible" | "infeasible" | "ambiguous"
@@ -66,33 +76,84 @@ class CoarsenessCertificate:
         return self.verdict == "feasible"
 
 
-def _hermitian_components(mat: np.ndarray) -> np.ndarray:
-    """Flatten a Hermitian matrix into its d^2 independent real components."""
-    d = mat.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([np.diag(mat).real, mat[iu].real, mat[iu].imag])
-
-
 def _component_rows(mats) -> np.ndarray:
-    return np.stack([_hermitian_components(m) for m in mats])
+    """Flatten a stack of ``n`` Hermitian matrices into ``(n, d^2)`` real components."""
+    stack = np.asarray(mats)
+    iu = np.triu_indices(stack.shape[-1], k=1)
+    upper = stack[:, iu[0], iu[1]]
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    return np.concatenate([diag, upper.real, upper.imag], axis=1)
 
 
-def _verdict_from(result, witness_shape, tol):
+def _processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
+    """Linear system of ``comp_coarse[j] = sum_i P_ji comp_fine[i]``, ``P`` left stochastic.
+
+    ``comp_fine`` is ``(n, D)`` and ``comp_coarse`` is ``(m, D)``. Returns
+    ``(a_eq, b_eq, a_ub, b_ub)`` over the ``m * n`` variables ``P_ji`` at
+    ``j * n + i``: ``m`` blocks of ``D`` equality rows, then ``n`` column sums.
+    With volumes, ``a_ub``/``b_ub`` hold ``sum_i P_ji v_fine[i] <= v_coarse[j]``;
+    otherwise both are ``None``.
+    """
+    n, D = comp_fine.shape
+    m = comp_coarse.shape[0]
+    diag = np.arange(m)
+    a_eq = np.zeros((m * D + n, m * n))
+    # block (j, j) of the equality rows, viewed as (m, D, m, n), is comp_fine.T
+    a_eq[: m * D].reshape(m, D, m, n)[diag, :, diag, :] = comp_fine.T
+    # the column-sum rows are m identity blocks side by side
+    a_eq[m * D :].reshape(n, m, n)[:] = np.eye(n)[:, None, :]
+    b_eq = np.ones(m * D + n)
+    b_eq[: m * D] = comp_coarse.ravel()
+    if v_fine is None:
+        return a_eq, b_eq, None, None
+    a_ub = np.zeros((m, m * n))
+    a_ub.reshape(m, m, n)[diag, diag] = v_fine
+    return a_eq, b_eq, a_ub, v_coarse
+
+
+def _residual(mat: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> float:
+    """Largest per-outcome norm of ``sum_i mat[j, i] fine[i] - coarse[j]``, elements flattened."""
+    diff = mat @ fine.reshape(len(fine), -1) - coarse.reshape(len(coarse), -1)
+    return float(np.max(np.linalg.norm(diff, axis=1)))
+
+
+def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertificate:
+    """Solve the processing LP for two element stacks and apply the verdict rule.
+
+    The stacks hold operators, ``(n, d, d)`` and ``(m, d, d)``, or rows of
+    ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
+    components.
+    """
+    if fine.ndim == 2:
+        comp_fine, comp_coarse = fine, coarse
+    else:
+        comp_fine, comp_coarse = _component_rows(fine), _component_rows(coarse)
+    m, n = len(coarse), len(fine)
+    system = _processing_system(comp_fine, comp_coarse, v_fine, v_coarse)
+    result = lp_feasible(*system, n_vars=m * n, tol=tol)
     if not result.feasible:
-        return result.verdict, None
-    witness = np.clip(result.x.reshape(witness_shape), 0.0, None)
+        return CoarsenessCertificate(result.verdict, None, float("inf"), result.phase1_optimum)
     try:
-        stochastic = StochasticMatrix(witness, col_tol=max(DEFAULT_FEAS_TOL, tol))
+        witness = StochasticMatrix(
+            np.clip(result.x.reshape(m, n), 0.0, None), col_tol=max(DEFAULT_FEAS_TOL, tol)
+        )
     except NotStochasticError:
-        return "ambiguous", None
-    return "feasible", stochastic
+        return CoarsenessCertificate("ambiguous", None, float("inf"), result.phase1_optimum)
+    residual = _residual(witness.matrix, fine, coarse)
+    if residual > max(tol, 1e-7):
+        return CoarsenessCertificate("ambiguous", None, residual, result.phase1_optimum)
+    return CoarsenessCertificate("feasible", witness, residual, result.phase1_optimum)
 
 
 def mixture_residual(coarse: GeneralizedMeasurement, fine: GeneralizedMeasurement, p) -> float:
     """Largest Frobenius error of ``Π^(2)_j - sum_i P_ji Π^(1)_i``."""
     mat = as_stochastic(p).matrix if not isinstance(p, np.ndarray) else p
-    mixed = np.einsum("ji,iab->jab", mat, fine.stacked())
-    return float(np.max(np.linalg.norm(mixed - coarse.stacked(), axis=(1, 2))))
+    if mat.shape != (coarse.n_outcomes, fine.n_outcomes):
+        raise ShapeMismatchError(
+            f"matrix shape {mat.shape} does not match "
+            f"({coarse.n_outcomes}, {fine.n_outcomes}) coarse and fine outcomes"
+        )
+    return _residual(mat, fine.stacked(), coarse.stacked())
 
 
 def check_coarser(
@@ -108,30 +169,7 @@ def check_coarser(
     """
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")
-    m, n = coarse.n_outcomes, fine.n_outcomes
-    comp_fine = _component_rows(fine.elements)  # (n, D)
-    comp_coarse = _component_rows(coarse.elements)  # (m, D)
-    D = comp_fine.shape[1]
-    n_vars = m * n
-
-    a_eq = np.zeros((m * D + n, n_vars))
-    b_eq = np.zeros(m * D + n)
-    for j in range(m):
-        a_eq[j * D : (j + 1) * D, j * n : (j + 1) * n] = comp_fine.T
-        b_eq[j * D : (j + 1) * D] = comp_coarse[j]
-    for i in range(n):
-        a_eq[m * D + i, i::n] = 1.0
-        b_eq[m * D + i] = 1.0
-
-    result = lp_feasible(a_eq, b_eq, n_vars=n_vars, tol=tol)
-    verdict, witness = _verdict_from(result, (m, n), tol)
-    if verdict != "feasible":
-        return CoarsenessCertificate(verdict, None, float("inf"), result.phase1_optimum)
-    residual = mixture_residual(coarse, fine, witness.matrix)
-    if residual > max(tol, 1e-7):
-        verdict = "ambiguous"
-        return CoarsenessCertificate(verdict, None, residual, result.phase1_optimum)
-    return CoarsenessCertificate("feasible", witness, residual, result.phase1_optimum)
+    return _decide(fine.stacked(), coarse.stacked(), tol)
 
 
 def check_coarser_classical(
@@ -144,29 +182,9 @@ def check_coarser_classical(
     Feasible iff some left stochastic ``P`` maps both the probabilities and
     the volumes: ``p' = P p`` and ``V' = P V``.
     """
-    m, n = coarse.n, fine.n
-    n_vars = m * n
-    a_eq = np.zeros((2 * m + n, n_vars))
-    b_eq = np.zeros(2 * m + n)
-    for j in range(m):
-        a_eq[j, j * n : (j + 1) * n] = fine.probs
-        b_eq[j] = coarse.probs[j]
-        a_eq[m + j, j * n : (j + 1) * n] = fine.volumes
-        b_eq[m + j] = coarse.volumes[j]
-    for i in range(n):
-        a_eq[2 * m + i, i::n] = 1.0
-        b_eq[2 * m + i] = 1.0
-
-    result = lp_feasible(a_eq, b_eq, n_vars=n_vars, tol=tol)
-    verdict, witness = _verdict_from(result, (m, n), tol)
-    if verdict != "feasible":
-        return CoarsenessCertificate(verdict, None, float("inf"), result.phase1_optimum)
-    mat = witness.matrix
-    residual = max(
-        float(np.max(np.abs(mat @ fine.probs - coarse.probs))),
-        float(np.max(np.abs(mat @ fine.volumes - coarse.volumes))),
+    return _decide(
+        np.array([fine.probs, fine.volumes]).T, np.array([coarse.probs, coarse.volumes]).T, tol
     )
-    return CoarsenessCertificate("feasible", witness, residual, result.phase1_optimum)
 
 
 def possible_outcomes(
@@ -231,45 +249,19 @@ def check_coarser_in_subspace(
             f"no possible outcomes in the subspace (fine: {len(o1)}, coarse: {len(o2)})"
         )
     pg = subspace.projector.matrix
-    proj_fine = [pg @ fine.elements[i] @ pg for i in o1]
-    proj_coarse = [pg @ coarse.elements[j] @ pg for j in o2]
-    comp_fine = _component_rows(proj_fine)
-    comp_coarse = _component_rows(proj_coarse)
-    D = comp_fine.shape[1]
-    m, n = len(o2), len(o1)
-    n_vars = m * n
+    proj_fine = pg @ fine.stacked()[list(o1)] @ pg
+    proj_coarse = pg @ coarse.stacked()[list(o2)] @ pg
     v1 = fine.volumes()[list(o1)]
     v2 = coarse.volumes()[list(o2)]
-
-    a_eq = np.zeros((m * D + n, n_vars))
-    b_eq = np.zeros(m * D + n)
-    for j in range(m):
-        a_eq[j * D : (j + 1) * D, j * n : (j + 1) * n] = comp_fine.T
-        b_eq[j * D : (j + 1) * D] = comp_coarse[j]
-    for i in range(n):
-        a_eq[m * D + i, i::n] = 1.0
-        b_eq[m * D + i] = 1.0
-    a_ub = np.zeros((m, n_vars))
-    for j in range(m):
-        a_ub[j, j * n : (j + 1) * n] = v1
-    b_ub = v2
-
-    result = lp_feasible(a_eq, b_eq, a_ub, b_ub, n_vars=n_vars, tol=tol)
-    verdict, witness = _verdict_from(result, (m, n), tol)
-    if verdict != "feasible":
-        return CoarsenessCertificate(
-            verdict, None, float("inf"), result.phase1_optimum,
-            coarse_outcomes=o2, fine_outcomes=o1,
-        )
-    mat = witness.matrix
-    mixed = np.einsum("ji,iab->jab", mat, np.stack(proj_fine))
-    residual = float(np.max(np.linalg.norm(mixed - np.stack(proj_coarse), axis=(1, 2))))
-    slack = v2 - mat @ v1
-    return CoarsenessCertificate(
-        "feasible", witness, residual, result.phase1_optimum,
-        volume_slack=slack, coarse_outcomes=o2, fine_outcomes=o1,
-        extension=_extension_from(mat, coarse, fine, o2, o1),
-    )
+    cert = _decide(proj_fine, proj_coarse, tol, v1, v2)
+    found = {}
+    if cert.feasible:
+        mat = cert.witness.matrix
+        found = {
+            "volume_slack": v2 - mat @ v1,
+            "extension": _extension_from(mat, coarse, fine, o2, o1),
+        }
+    return replace(cert, coarse_outcomes=o2, fine_outcomes=o1, **found)
 
 
 def check_coarser_projective(

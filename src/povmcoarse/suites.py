@@ -123,6 +123,14 @@ def _fail(trial: int, statement: str, **payload) -> dict:
     return record
 
 
+def _pair_payload(coarse, fine, subspace=None) -> dict:
+    """The serialized pair (and subspace) of a failing trial, for replay from file."""
+    payload = {} if subspace is None else {"subspace": subspace_to_dict(subspace)}
+    payload["coarse"] = measurement_to_dict(coarse)
+    payload["fine"] = measurement_to_dict(fine)
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # classical data-processing suites
 
@@ -323,7 +331,7 @@ def _suite_projective_equiv(trials, dim, seed):
             fails.append(_fail(t, "partition fast path == feasibility check",
                                partition=None if partition is None else [list(b) for b in partition],
                                verdict=cert.verdict,
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine)))
     return fails
 
 
@@ -336,11 +344,11 @@ def _suite_lemma_processing(trials, dim, seed):
         if not cert.feasible:
             fails.append(_fail(t, "constructed coarse-graining must be feasible",
                                verdict=cert.verdict,
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine)))
             continue
         if cert.residual > 1e-7:
             fails.append(_fail(t, "witness residual <= 1e-7", residual=cert.residual,
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine)))
             continue
         witness = cert.witness.matrix
         for s in range(50):
@@ -351,8 +359,7 @@ def _suite_lemma_processing(trials, dim, seed):
             if gap > INEQ_TOL:
                 fails.append(_fail(t, "p_coarse == witness @ p_fine for every state",
                                    gap=gap, state=state_to_dict(rho),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   **_pair_payload(coarse, fine)))
                 break
     return fails
 
@@ -369,8 +376,7 @@ def _suite_coarser_entropy(trials, dim, seed):
             if s_coarse < s_fine - INEQ_TOL:
                 fails.append(_fail(t, "S_coarse >= S_fine", fine_entropy=s_fine,
                                    coarse_entropy=s_coarse, state=state_to_dict(rho),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   **_pair_payload(coarse, fine)))
                 break
     return fails
 
@@ -387,8 +393,7 @@ def _suite_coarser_mi(trials, dim, seed):
             if mi_coarse > mi_fine + INEQ_TOL:
                 fails.append(_fail(t, "I_coarse <= I_fine", fine_mi=mi_fine,
                                    coarse_mi=mi_coarse, state=state_to_dict(rho),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   **_pair_payload(coarse, fine)))
                 break
     return fails
 
@@ -403,20 +408,17 @@ def _suite_subspace_processing(trials, dim, seed):
         cert = check_coarser_in_subspace(coarse, fine, inside)
         if not cert.feasible:
             fails.append(_fail(t, "constructed subspace coarse-graining must be feasible",
-                               verdict=cert.verdict, subspace=subspace_to_dict(inside),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               verdict=cert.verdict, **_pair_payload(coarse, fine, inside)))
             continue
         extension = cert.extension
         if extension is None:
             fails.append(_fail(t, "feasible certificate carries a stochastic extension",
-                               subspace=subspace_to_dict(inside),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine, inside)))
             continue
         v_gap = float(np.max(np.abs(coarse.volumes() - extension.matrix @ fine.volumes())))
         if v_gap > EQ_TOL:
             fails.append(_fail(t, "extension maps volumes exactly", gap=v_gap,
-                               subspace=subspace_to_dict(inside),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine, inside)))
             continue
         for s in range(5):
             rho = random_state_in_subspace(inside, trial_rng(seed, trials + 5 * t + s))
@@ -426,9 +428,7 @@ def _suite_subspace_processing(trials, dim, seed):
             if gap > EQ_TOL:
                 fails.append(_fail(t, "extension maps probabilities on subspace states",
                                    gap=gap, state=state_to_dict(rho),
-                                   subspace=subspace_to_dict(inside),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   **_pair_payload(coarse, fine, inside)))
                 break
     return fails
 
@@ -447,9 +447,7 @@ def _suite_subspace_entropy(trials, dim, seed):
             if s_coarse < s_fine - INEQ_TOL:
                 fails.append(_fail(t, "S_coarse >= S_fine on subspace states",
                                    fine_entropy=s_fine, coarse_entropy=s_coarse,
-                                   state=state_to_dict(rho), subspace=subspace_to_dict(inside),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   state=state_to_dict(rho), **_pair_payload(coarse, fine, inside)))
                 break
     return fails
 
@@ -468,9 +466,7 @@ def _suite_subspace_mi(trials, dim, seed):
             if mi_coarse > mi_fine + INEQ_TOL:
                 fails.append(_fail(t, "I_coarse <= I_fine on subspace states",
                                    fine_mi=mi_fine, coarse_mi=mi_coarse,
-                                   state=state_to_dict(rho), subspace=subspace_to_dict(inside),
-                                   coarse=measurement_to_dict(coarse),
-                                   fine=measurement_to_dict(fine)))
+                                   state=state_to_dict(rho), **_pair_payload(coarse, fine, inside)))
                 break
     return fails
 
@@ -485,16 +481,14 @@ def _suite_restriction(trials, dim, seed):
         cert_big = check_coarser_in_subspace(coarse, fine, inside)
         if not cert_big.feasible:
             fails.append(_fail(t, "constructed subspace coarse-graining must be feasible",
-                               verdict=cert_big.verdict, subspace=subspace_to_dict(inside),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               verdict=cert_big.verdict, **_pair_payload(coarse, fine, inside)))
             continue
         smaller = random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
         cert_small = check_coarser_in_subspace(coarse, fine, smaller)
         if not cert_small.feasible:
             fails.append(_fail(t, "coarseness is preserved when the subspace shrinks",
                                verdict=cert_small.verdict,
-                               subspace=subspace_to_dict(smaller),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine, smaller)))
             continue
         o2_small = possible_outcomes(coarse, smaller)
         o1_small = possible_outcomes(fine, smaller)
@@ -511,8 +505,7 @@ def _suite_restriction(trials, dim, seed):
         if residual > 1e-6 or float(slack.min()) < -1e-6:
             fails.append(_fail(t, "restricted witness satisfies the smaller subspace relation",
                                residual=residual, volume_slack=slack.tolist(),
-                               subspace=subspace_to_dict(smaller),
-                               coarse=measurement_to_dict(coarse), fine=measurement_to_dict(fine)))
+                               **_pair_payload(coarse, fine, smaller)))
     return fails
 
 
@@ -694,8 +687,7 @@ def _golden_sum_of_subspaces() -> dict:
             "full": cert_full.verdict,
             "plain": cert_plain.verdict,
         },
-        "coarse": measurement_to_dict(coarse),
-        "fine": measurement_to_dict(fine),
+        **_pair_payload(coarse, fine),
     }
 
 

@@ -1,4 +1,4 @@
-"""Coarse-graining checks: global, classical, subspace, projective fast path."""
+"""Coarse-graining checks: LP layout, verdict rule, global, classical, subspace, projective."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from povmcoarse import (
+    FeasibilityResult,
     StochasticMatrix,
     Subspace,
     WeightedDistribution,
@@ -16,6 +17,7 @@ from povmcoarse import (
     check_coarser_in_subspace,
     check_coarser_projective,
     coarsen,
+    mixture_residual,
     observational_entropy,
     outcome_probabilities,
     possible_outcomes,
@@ -24,11 +26,13 @@ from povmcoarse import (
     restrict_transition_matrix,
     validate_measurement,
 )
+from povmcoarse.coarseness import _component_rows, _processing_system
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
     NotProjectiveError,
     NotStochasticError,
+    ShapeMismatchError,
 )
 from povmcoarse.randomgen import (
     random_density_matrix,
@@ -53,6 +57,141 @@ def four_dim_pair():
     fine = validate_measurement([proj(e[2]) + proj(e[3]), proj(e[0]), proj(e[1])])
     coarse = validate_measurement([proj(e[0]) + proj(e[1]), proj(e[2]), proj(e[3])])
     return coarse, fine
+
+
+def loop_processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
+    """Reference assembly of the processing LP, one entry at a time."""
+    n, big_d = comp_fine.shape
+    m = comp_coarse.shape[0]
+    a_eq = np.zeros((m * big_d + n, m * n))
+    b_eq = np.zeros(m * big_d + n)
+    for j in range(m):
+        for k in range(big_d):
+            b_eq[j * big_d + k] = comp_coarse[j, k]
+            for i in range(n):
+                a_eq[j * big_d + k, j * n + i] = comp_fine[i, k]
+    for i in range(n):
+        b_eq[m * big_d + i] = 1.0
+        for j in range(m):
+            a_eq[m * big_d + i, j * n + i] = 1.0
+    if v_fine is None:
+        return a_eq, b_eq, None, None
+    a_ub = np.zeros((m, m * n))
+    for j in range(m):
+        for i in range(n):
+            a_ub[j, j * n + i] = v_fine[i]
+    return a_eq, b_eq, a_ub, np.asarray(v_coarse)
+
+
+class TestProcessingSystem:
+    """The one LP layout shared by the three checks, against a loop assembly."""
+
+    @staticmethod
+    def assert_same_system(got, want):
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape
+                assert np.array_equal(g, w)
+
+    def test_component_rows_match_per_matrix_flattening(self):
+        povm = random_povm(4, 5, seed=71, with_kraus=False)
+        iu = np.triu_indices(4, k=1)
+        want = np.stack(
+            [np.concatenate([np.diag(e).real, e[iu].real, e[iu].imag]) for e in povm.elements]
+        )
+        assert np.array_equal(_component_rows(povm.elements), want)
+        assert np.array_equal(_component_rows(povm.stacked()), want)
+
+    # (m, n, D): D = 2 is the classical (p_j, V_j) layout, D = 4 and 9 are
+    # qubit and qutrit components; n == D makes the fine block square, where a
+    # transposed block would broadcast without an error
+    @pytest.mark.parametrize(
+        "m, n, big_d",
+        [(2, 2, 2), (3, 2, 2), (1, 4, 2), (2, 4, 4), (3, 4, 4), (2, 3, 9), (4, 9, 9)],
+    )
+    def test_matches_loop_assembly(self, m, n, big_d):
+        rng = np.random.default_rng(100 * m + 10 * n + big_d)
+        comp_fine = rng.standard_normal((n, big_d))
+        comp_coarse = rng.standard_normal((m, big_d))
+        self.assert_same_system(
+            _processing_system(comp_fine, comp_coarse),
+            loop_processing_system(comp_fine, comp_coarse),
+        )
+        v_fine, v_coarse = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m)
+        self.assert_same_system(
+            _processing_system(comp_fine, comp_coarse, v_fine, v_coarse),
+            loop_processing_system(comp_fine, comp_coarse, v_fine, v_coarse),
+        )
+
+    def test_classical_rows_are_outcome_major_pairs(self):
+        fine = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        coarse = WeightedDistribution([0.5, 0.5], [1.5, 0.5])
+        pairs_fine = np.array([fine.probs, fine.volumes]).T
+        pairs_coarse = np.array([coarse.probs, coarse.volumes]).T
+        a_eq, b_eq, a_ub, b_ub = _processing_system(pairs_fine, pairs_coarse)
+        assert a_ub is None and b_ub is None
+        np.testing.assert_array_equal(b_eq, [0.5, 1.5, 0.5, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(
+            a_eq,
+            [
+                [0.75, 0.25, 0.0, 0.0],
+                [1.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.75, 0.25],
+                [0.0, 0.0, 1.0, 1.0],
+                [1.0, 0.0, 1.0, 0.0],
+                [0.0, 1.0, 0.0, 1.0],
+            ],
+        )
+
+
+class TestVerdictRule:
+    """All three checks downgrade a solver witness that does not reproduce the targets."""
+
+    @staticmethod
+    def fake_solver(x):
+        def solve(*args, n_vars, **kwargs):
+            return FeasibilityResult("feasible", np.asarray(x, dtype=float), 0.0, 0.0, 1)
+
+        return solve
+
+    @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
+    @pytest.mark.parametrize(
+        "x, residual_finite",
+        [([0.5, 0.5, 0.5, 0.5], True), ([1.0, 0.0, 0.5, 0.0], False)],
+        ids=["off-target", "not-stochastic"],
+    )
+    def test_bad_witness_is_ambiguous(self, monkeypatch, z_measurement, kind, x, residual_finite):
+        import povmcoarse.coarseness as coarseness_module
+
+        monkeypatch.setattr(coarseness_module, "lp_feasible", self.fake_solver(x))
+        if kind == "global":
+            cert = check_coarser(z_measurement, z_measurement)
+        elif kind == "subspace":
+            cert = check_coarser_in_subspace(z_measurement, z_measurement, Subspace.full(2))
+        else:
+            w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+            cert = check_coarser_classical(w, w)
+        assert cert.verdict == "ambiguous"
+        assert cert.witness is None
+        assert math.isfinite(cert.residual) == residual_finite
+        if residual_finite:
+            assert cert.residual > 1e-7
+
+
+class TestMixtureResidual:
+    def test_exact_witness_has_zero_residual(self, z_measurement):
+        assert mixture_residual(z_measurement, z_measurement, np.eye(2)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+    def test_wrong_witness_shape_raises(self, shape):
+        fine = random_povm(2, 3, seed=73, with_kraus=False)
+        coarse = coarsen(fine, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert (coarse.n_outcomes, fine.n_outcomes) == (2, 3)
+        witness = np.full(shape, 1.0 / shape[0])
+        with pytest.raises(ShapeMismatchError):
+            mixture_residual(coarse, fine, witness)
 
 
 class TestCheckCoarser:

@@ -18,12 +18,15 @@ from povmcoarse import (
     validate_measurement,
     von_neumann_entropy,
 )
+from povmcoarse.coarseness import CoarsenessCertificate
 from povmcoarse.errors import UnknownSuiteError
 from povmcoarse.randomgen import (
     random_left_stochastic,
     random_povm,
     random_projective,
+    trial_rng,
 )
+from povmcoarse.serialization import measurement_from_dict, subspace_from_dict
 
 
 class TestRegistry:
@@ -163,3 +166,44 @@ class TestCoarserPairsAcrossDims:
             fine = random_povm(dim, n, rng, with_kraus=False)
             coarse = coarsen(fine, random_left_stochastic(int(rng.integers(1, n + 1)), n, rng))
             assert check_coarser(coarse, fine).feasible
+
+
+class TestFailurePayloads:
+    """A failing trial's record replays the exact instance that was checked."""
+
+    INFEASIBLE = CoarsenessCertificate("infeasible", None, float("inf"), 1.0)
+
+    @staticmethod
+    def assert_same_measurement(payload, expected):
+        rebuilt = measurement_from_dict(payload)
+        assert rebuilt.n_outcomes == expected.n_outcomes
+        for got, want in zip(rebuilt.elements, expected.elements):
+            assert np.array_equal(got, want)
+
+    def test_lemma_processing_record(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "check_coarser", lambda *a, **k: self.INFEASIBLE)
+        report = run_suite("lemma_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "verdict", "coarse", "fine"]
+            assert record["trial"] == t
+            assert record["verdict"] == "infeasible"
+            fine, coarse, _ = suites._random_coarser_pair(trial_rng(9, t), 3)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
+    def test_subspace_processing_record(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "check_coarser_in_subspace", lambda *a, **k: self.INFEASIBLE)
+        report = run_suite("subspace_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "verdict", "subspace", "coarse", "fine"]
+            assert record["trial"] == t
+            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
+            assert np.array_equal(subspace_from_dict(record["subspace"]).basis, inside.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
