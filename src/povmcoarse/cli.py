@@ -12,6 +12,7 @@ feasibility verdict.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -220,8 +221,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise InvalidRangeError("--trials must be at least 1")
-        if getattr(args, "tol", 1.0) <= 0:
-            raise InvalidRangeError("--tol must be positive")
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:
+            raise InvalidRangeError("--tol must be positive and finite")
         return args.func(args)
     except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     BrokenColumnSumError,
     DimensionMismatchError,
     EmptyOutcomeSetError,
+    InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
     ShapeMismatchError,
@@ -124,6 +126,8 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
     components.
     """
+    if not 0 < tol < math.inf:
+        raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
     if fine.ndim == 2:
         comp_fine, comp_coarse = fine, coarse
     else:

@@ -94,4 +94,4 @@ class UnknownSuiteError(KeyError):
 
 
 class InvalidRangeError(ValidationError):
-    """Scan parameters are outside their admissible ranges."""
+    """A numeric parameter (scan range, tolerance, dimension, trial count) is out of range."""

@@ -6,6 +6,17 @@ independent instances and reports every violation with its serialized inputs,
 so any failure can be replayed from file. Identical arguments always produce
 identical reports.
 
+Trial ``t`` of a theorem suite draws its instance from ``trial_rng`` at ``(seed, t)``
+and reports at most one record, for the first statement found violated: keys
+``trial``, ``violated``, the compared values, then ``state`` for a per-state
+statement, then the inputs (``subspace``, ``coarse``, ``fine`` for pairs). A
+per-state statement stops at its first violating state. ``coarser_entropy``
+and ``coarser_mi`` draw five states, each after its rank, from the trial
+generator; the other per-state suites draw state ``s`` from
+``trial_rng(seed, trials + k * t + s)`` (``k = 5`` in ``subspace_processing``,
+else 50), so it replays alone. The four subspace suites check nothing below
+dimension 2, which has no proper nonzero subspace.
+
 The registry names are part of the CLI contract:
 
 ``dpi_kl``
@@ -61,7 +72,7 @@ from .entropy import (
     s_obs_classical,
     von_neumann_entropy,
 )
-from .errors import UnknownSuiteError
+from .errors import InvalidRangeError, UnknownSuiteError
 from .measurements import (
     GeneralizedMeasurement,
     compose_measurements,
@@ -117,10 +128,8 @@ class SuiteReport:
         }
 
 
-def _fail(trial: int, statement: str, **payload) -> dict:
-    record = {"trial": trial, "violated": statement}
-    record.update(payload)
-    return record
+def _fail(statement: str, **payload) -> dict:
+    return {"violated": statement, **payload}
 
 
 def _pair_payload(coarse, fine, subspace=None) -> dict:
@@ -131,15 +140,43 @@ def _pair_payload(coarse, fine, subspace=None) -> dict:
     return payload
 
 
+def _trials(trials, seed, check) -> list[dict]:
+    """Records of ``check(t, rng)`` on each trial's generator, in trial order; ``None`` passes."""
+    fails = []
+    for t in range(trials):
+        record = check(t, trial_rng(seed, t))
+        if record is not None:
+            fails.append({"trial": t, **record})
+    return fails
+
+
+def _replay_rngs(seed, trials, t, k):
+    """The generators of trial ``t``'s ``k`` states, each seeded so that it replays alone."""
+    return (trial_rng(seed, trials + k * t + s) for s in range(k))
+
+
+def _sweep_states(statement, states, violation, coarse, fine, subspace=None):
+    """The record of the first state where ``violation`` gives values; draws no further state."""
+    for rho in states:
+        values = violation(fine, coarse, rho)
+        if values is not None:
+            return _fail(statement, **values, state=state_to_dict(rho),
+                         **_pair_payload(coarse, fine, subspace))
+
+
+def _in_proper_subspaces(suite):
+    """Below dimension 2 there is no proper nonzero subspace, so the suite checks nothing."""
+    return lambda trials, dim, seed: [] if dim < 2 else suite(trials, dim, seed)
+
+
 # ---------------------------------------------------------------------------
 # classical data-processing suites
 
 
 def _suite_dpi_kl(trials, dim, seed):
     n = max(2, dim)
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+
+    def check(t, rng):
         m = int(rng.integers(1, n + 3))
         p_mat = random_left_stochastic(m, n, rng)
         p = random_simplex(n, rng)
@@ -147,9 +184,8 @@ def _suite_dpi_kl(trials, dim, seed):
         before = kl_divergence(p, q)
         after = kl_divergence(p_mat.matrix @ p, p_mat.matrix @ q)
         if after > before + INEQ_TOL:
-            fails.append(_fail(t, "D(p||q) >= D(Pp||Pq)", before=before, after=after,
-                               P=p_mat.matrix.tolist(), p=p.tolist(), q=q.tolist()))
-            continue
+            return _fail("D(p||q) >= D(Pp||Pq)", before=before, after=after,
+                         P=p_mat.matrix.tolist(), p=p.tolist(), q=q.tolist())
         if t % 2 == 0:
             # equality case: p proportional to q inside every merge block
             k = int(rng.integers(1, n + 1))
@@ -166,26 +202,24 @@ def _suite_dpi_kl(trials, dim, seed):
             before = kl_divergence(p2, q2)
             after = kl_divergence(merge.matrix @ p2, merge.matrix @ q2)
             if abs(before - after) > EQ_TOL:
-                fails.append(_fail(t, "equality case D(p||q) == D(Pp||Pq)",
-                                   before=before, after=after, P=merge.matrix.tolist(),
-                                   p=p2.tolist(), q=q2.tolist()))
-    return fails
+                return _fail("equality case D(p||q) == D(Pp||Pq)",
+                             before=before, after=after, P=merge.matrix.tolist(),
+                             p=p2.tolist(), q=q2.tolist())
+    return _trials(trials, seed, check)
 
 
 def _suite_obs_monotone(trials, dim, seed):
     n = max(2, dim)
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+
+    def check(t, rng):
         m = int(rng.integers(1, n + 3))
         p_mat = random_left_stochastic(m, n, rng)
         w = random_weighted_distribution(n, rng)
         out = push_forward(p_mat, w)
         if s_obs_classical(out) < s_obs_classical(w) - INEQ_TOL:
-            fails.append(_fail(t, "S_obs(Pw) >= S_obs(w)", before=s_obs_classical(w),
-                               after=s_obs_classical(out), P=p_mat.matrix.tolist(),
-                               w=distribution_to_dict(w)))
-            continue
+            return _fail("S_obs(Pw) >= S_obs(w)", before=s_obs_classical(w),
+                         after=s_obs_classical(out), P=p_mat.matrix.tolist(),
+                         w=distribution_to_dict(w))
         mode = t % 3
         if mode == 0:
             # constructed equality: constant p/V ratio inside every block
@@ -199,9 +233,8 @@ def _suite_obs_monotone(trials, dim, seed):
             w_eq = WeightedDistribution(probs, volumes)
             d_s = s_obs_classical(push_forward(merge, w_eq)) - s_obs_classical(w_eq)
             if not preserves_observational_entropy(merge, w_eq) or abs(d_s) > EQ_TOL:
-                fails.append(_fail(t, "equality condition <=> S_obs preserved (equal ratios)",
-                                   delta=d_s, P=merge.matrix.tolist(),
-                                   w=distribution_to_dict(w_eq)))
+                return _fail("equality condition <=> S_obs preserved (equal ratios)",
+                             delta=d_s, P=merge.matrix.tolist(), w=distribution_to_dict(w_eq))
         elif mode == 1:
             # constructed strict increase: merge two outcomes with distinct ratios
             a = 0.6 + 0.35 * rng.random()
@@ -209,16 +242,15 @@ def _suite_obs_monotone(trials, dim, seed):
             merge_all = StochasticMatrix([[1.0, 1.0]])
             d_s = s_obs_classical(push_forward(merge_all, w_gap)) - s_obs_classical(w_gap)
             if preserves_observational_entropy(merge_all, w_gap) or d_s <= EQ_TOL:
-                fails.append(_fail(t, "distinct ratios => strict S_obs increase",
-                                   delta=d_s, w=distribution_to_dict(w_gap)))
-    return fails
+                return _fail("distinct ratios => strict S_obs increase",
+                             delta=d_s, w=distribution_to_dict(w_gap))
+    return _trials(trials, seed, check)
 
 
 def _suite_dpi_mi(trials, dim, seed):
     nx = max(2, dim)
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+
+    def check(t, rng):
         ny = int(rng.integers(2, nx + 3))
         nz = int(rng.integers(2, nx + 3))
         px = random_simplex(nx, rng)
@@ -229,10 +261,10 @@ def _suite_dpi_mi(trials, dim, seed):
         before = mutual_information(JointDistribution(pxy))
         after = mutual_information(JointDistribution(pxz))
         if after > before + INEQ_TOL:
-            fails.append(_fail(t, "I(X;Y) >= I(X;Z)", before=before, after=after,
-                               px=px.tolist(), y_given_x=y_given_x.tolist(),
-                               z_given_y=z_given_y.tolist()))
-    return fails
+            return _fail("I(X;Y) >= I(X;Z)", before=before, after=after,
+                         px=px.tolist(), y_given_x=y_given_x.tolist(),
+                         z_given_y=z_given_y.tolist())
+    return _trials(trials, seed, check)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +331,73 @@ def _random_subspace_coarser_pair(rng, dim):
 
 
 # ---------------------------------------------------------------------------
+# per-state statements (fine, coarse, rho): the compared values where they fail
+
+
+def _mapped_probabilities(matrix, tol):
+    def violation(fine, coarse, rho):
+        p_fine = outcome_probabilities(fine, rho).probs
+        p_coarse = outcome_probabilities(coarse, rho).probs
+        gap = float(np.max(np.abs(p_coarse - matrix @ p_fine)))
+        if gap > tol:
+            return {"gap": gap}
+    return violation
+
+
+def _entropy_falls(fine, coarse, rho):
+    s_fine = observational_entropy(fine, rho).s_obs
+    s_coarse = observational_entropy(coarse, rho).s_obs
+    if s_coarse < s_fine - INEQ_TOL:
+        return {"fine_entropy": s_fine, "coarse_entropy": s_coarse}
+
+
+def _information_grows(fine, coarse, rho):
+    mi_fine = mutual_information(measurement_state_joint(fine, rho))
+    mi_coarse = mutual_information(measurement_state_joint(coarse, rho))
+    if mi_coarse > mi_fine + INEQ_TOL:
+        return {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
+
+
+def _coarser_pairs(rng, dim):
+    fine, coarse, _ = _random_coarser_pair(rng, dim)
+    return fine, coarse, None
+
+
+def _subspace_pairs(rng, dim):
+    fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
+    return fine, coarse, inside
+
+
+def _drawn_states(rng, dim, subspace, replay):
+    return (random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(5))
+
+
+def _replayed_subspace_states(rng, dim, subspace, replay):
+    return (random_state_in_subspace(subspace, r) for r in replay(50))
+
+
+def _monotone(statement, violation, pairs, states):
+    """A suite whose every trial sweeps its states with ``violation`` on one pair.
+
+    ``pairs(rng, dim)`` gives ``(fine, coarse, subspace or None)``, and
+    ``states(rng, dim, subspace, replay)`` the lazy states, where ``replay(k)``
+    is the trial's :func:`_replay_rngs`.
+    """
+    def suite(trials, dim, seed):
+        def check(t, rng):
+            fine, coarse, subspace = pairs(rng, dim)
+            sweep = states(rng, dim, subspace, lambda k: _replay_rngs(seed, trials, t, k))
+            return _sweep_states(statement, sweep, violation, coarse, fine, subspace)
+        return _trials(trials, seed, check)
+    return suite
+
+
+# ---------------------------------------------------------------------------
 # coarseness suites
 
 
 def _suite_projective_equiv(trials, dim, seed):
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def check(t, rng):
         if t % 2 == 0:
             # constructed coarser pair with projective coarse measurement
             k = int(rng.integers(1, min(dim, 4) + 1))
@@ -328,168 +420,80 @@ def _suite_projective_equiv(trials, dim, seed):
         agree = (partition is not None) == cert.feasible
         ok = agree and (expected_coarser is None or cert.feasible == expected_coarser)
         if not ok:
-            fails.append(_fail(t, "partition fast path == feasibility check",
-                               partition=None if partition is None else [list(b) for b in partition],
-                               verdict=cert.verdict,
-                               **_pair_payload(coarse, fine)))
-    return fails
+            return _fail("partition fast path == feasibility check",
+                         partition=None if partition is None else [list(b) for b in partition],
+                         verdict=cert.verdict,
+                         **_pair_payload(coarse, fine))
+    return _trials(trials, seed, check)
 
 
 def _suite_lemma_processing(trials, dim, seed):
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def check(t, rng):
         fine, coarse, _ = _random_coarser_pair(rng, dim)
         cert = check_coarser(coarse, fine)
         if not cert.feasible:
-            fails.append(_fail(t, "constructed coarse-graining must be feasible",
-                               verdict=cert.verdict,
-                               **_pair_payload(coarse, fine)))
-            continue
+            return _fail("constructed coarse-graining must be feasible",
+                         verdict=cert.verdict, **_pair_payload(coarse, fine))
         if cert.residual > 1e-7:
-            fails.append(_fail(t, "witness residual <= 1e-7", residual=cert.residual,
-                               **_pair_payload(coarse, fine)))
-            continue
-        witness = cert.witness.matrix
-        for s in range(50):
-            rho = random_density_matrix(dim, None, trial_rng(seed, trials + 50 * t + s))
-            p_fine = outcome_probabilities(fine, rho).probs
-            p_coarse = outcome_probabilities(coarse, rho).probs
-            gap = float(np.max(np.abs(p_coarse - witness @ p_fine)))
-            if gap > INEQ_TOL:
-                fails.append(_fail(t, "p_coarse == witness @ p_fine for every state",
-                                   gap=gap, state=state_to_dict(rho),
-                                   **_pair_payload(coarse, fine)))
-                break
-    return fails
+            return _fail("witness residual <= 1e-7", residual=cert.residual,
+                         **_pair_payload(coarse, fine))
+        states = (random_density_matrix(dim, None, r) for r in _replay_rngs(seed, trials, t, 50))
+        return _sweep_states("p_coarse == witness @ p_fine for every state", states,
+                             _mapped_probabilities(cert.witness.matrix, INEQ_TOL),
+                             coarse, fine)
+    return _trials(trials, seed, check)
 
 
-def _suite_coarser_entropy(trials, dim, seed):
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        fine, coarse, _ = _random_coarser_pair(rng, dim)
-        for s in range(5):
-            rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
-            s_fine = observational_entropy(fine, rho).s_obs
-            s_coarse = observational_entropy(coarse, rho).s_obs
-            if s_coarse < s_fine - INEQ_TOL:
-                fails.append(_fail(t, "S_coarse >= S_fine", fine_entropy=s_fine,
-                                   coarse_entropy=s_coarse, state=state_to_dict(rho),
-                                   **_pair_payload(coarse, fine)))
-                break
-    return fails
+_suite_coarser_entropy = _monotone(
+    "S_coarse >= S_fine", _entropy_falls, _coarser_pairs, _drawn_states)
+_suite_coarser_mi = _monotone(
+    "I_coarse <= I_fine", _information_grows, _coarser_pairs, _drawn_states)
 
 
-def _suite_coarser_mi(trials, dim, seed):
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        fine, coarse, _ = _random_coarser_pair(rng, dim)
-        for s in range(5):
-            rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
-            mi_fine = mutual_information(measurement_state_joint(fine, rho))
-            mi_coarse = mutual_information(measurement_state_joint(coarse, rho))
-            if mi_coarse > mi_fine + INEQ_TOL:
-                fails.append(_fail(t, "I_coarse <= I_fine", fine_mi=mi_fine,
-                                   coarse_mi=mi_coarse, state=state_to_dict(rho),
-                                   **_pair_payload(coarse, fine)))
-                break
-    return fails
-
-
+@_in_proper_subspaces
 def _suite_subspace_processing(trials, dim, seed):
-    if dim < 2:
-        return []
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def check(t, rng):
         fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
         cert = check_coarser_in_subspace(coarse, fine, inside)
         if not cert.feasible:
-            fails.append(_fail(t, "constructed subspace coarse-graining must be feasible",
-                               verdict=cert.verdict, **_pair_payload(coarse, fine, inside)))
-            continue
+            return _fail("constructed subspace coarse-graining must be feasible",
+                         verdict=cert.verdict, **_pair_payload(coarse, fine, inside))
         extension = cert.extension
         if extension is None:
-            fails.append(_fail(t, "feasible certificate carries a stochastic extension",
-                               **_pair_payload(coarse, fine, inside)))
-            continue
+            return _fail("feasible certificate carries a stochastic extension",
+                         **_pair_payload(coarse, fine, inside))
         v_gap = float(np.max(np.abs(coarse.volumes() - extension.matrix @ fine.volumes())))
         if v_gap > EQ_TOL:
-            fails.append(_fail(t, "extension maps volumes exactly", gap=v_gap,
-                               **_pair_payload(coarse, fine, inside)))
-            continue
-        for s in range(5):
-            rho = random_state_in_subspace(inside, trial_rng(seed, trials + 5 * t + s))
-            p_fine = outcome_probabilities(fine, rho).probs
-            p_coarse = outcome_probabilities(coarse, rho).probs
-            gap = float(np.max(np.abs(p_coarse - extension.matrix @ p_fine)))
-            if gap > EQ_TOL:
-                fails.append(_fail(t, "extension maps probabilities on subspace states",
-                                   gap=gap, state=state_to_dict(rho),
-                                   **_pair_payload(coarse, fine, inside)))
-                break
-    return fails
+            return _fail("extension maps volumes exactly", gap=v_gap,
+                         **_pair_payload(coarse, fine, inside))
+        states = (random_state_in_subspace(inside, r) for r in _replay_rngs(seed, trials, t, 5))
+        return _sweep_states("extension maps probabilities on subspace states", states,
+                             _mapped_probabilities(extension.matrix, EQ_TOL),
+                             coarse, fine, inside)
+    return _trials(trials, seed, check)
 
 
-def _suite_subspace_entropy(trials, dim, seed):
-    if dim < 2:
-        return []
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-        for s in range(50):
-            rho = random_state_in_subspace(inside, trial_rng(seed, trials + 50 * t + s))
-            s_fine = observational_entropy(fine, rho).s_obs
-            s_coarse = observational_entropy(coarse, rho).s_obs
-            if s_coarse < s_fine - INEQ_TOL:
-                fails.append(_fail(t, "S_coarse >= S_fine on subspace states",
-                                   fine_entropy=s_fine, coarse_entropy=s_coarse,
-                                   state=state_to_dict(rho), **_pair_payload(coarse, fine, inside)))
-                break
-    return fails
+_suite_subspace_entropy = _in_proper_subspaces(_monotone(
+    "S_coarse >= S_fine on subspace states",
+    _entropy_falls, _subspace_pairs, _replayed_subspace_states))
+_suite_subspace_mi = _in_proper_subspaces(_monotone(
+    "I_coarse <= I_fine on subspace states",
+    _information_grows, _subspace_pairs, _replayed_subspace_states))
 
 
-def _suite_subspace_mi(trials, dim, seed):
-    if dim < 2:
-        return []
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-        for s in range(50):
-            rho = random_state_in_subspace(inside, trial_rng(seed, trials + 50 * t + s))
-            mi_fine = mutual_information(measurement_state_joint(fine, rho))
-            mi_coarse = mutual_information(measurement_state_joint(coarse, rho))
-            if mi_coarse > mi_fine + INEQ_TOL:
-                fails.append(_fail(t, "I_coarse <= I_fine on subspace states",
-                                   fine_mi=mi_fine, coarse_mi=mi_coarse,
-                                   state=state_to_dict(rho), **_pair_payload(coarse, fine, inside)))
-                break
-    return fails
-
-
+@_in_proper_subspaces
 def _suite_restriction(trials, dim, seed):
-    if dim < 2:
-        return []
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def check(t, rng):
         fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
         cert_big = check_coarser_in_subspace(coarse, fine, inside)
         if not cert_big.feasible:
-            fails.append(_fail(t, "constructed subspace coarse-graining must be feasible",
-                               verdict=cert_big.verdict, **_pair_payload(coarse, fine, inside)))
-            continue
+            return _fail("constructed subspace coarse-graining must be feasible",
+                         verdict=cert_big.verdict, **_pair_payload(coarse, fine, inside))
         smaller = random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
         cert_small = check_coarser_in_subspace(coarse, fine, smaller)
         if not cert_small.feasible:
-            fails.append(_fail(t, "coarseness is preserved when the subspace shrinks",
-                               verdict=cert_small.verdict,
-                               **_pair_payload(coarse, fine, smaller)))
-            continue
+            return _fail("coarseness is preserved when the subspace shrinks",
+                         verdict=cert_small.verdict, **_pair_payload(coarse, fine, smaller))
         o2_small = possible_outcomes(coarse, smaller)
         o1_small = possible_outcomes(fine, smaller)
         restricted = restrict_transition_matrix(
@@ -503,44 +507,38 @@ def _suite_restriction(trials, dim, seed):
         residual = float(np.max(np.linalg.norm(mixed - target, axis=(1, 2))))
         slack = coarse.volumes()[list(o2_small)] - restricted.matrix @ fine.volumes()[list(o1_small)]
         if residual > 1e-6 or float(slack.min()) < -1e-6:
-            fails.append(_fail(t, "restricted witness satisfies the smaller subspace relation",
-                               residual=residual, volume_slack=slack.tolist(),
-                               **_pair_payload(coarse, fine, smaller)))
-    return fails
+            return _fail("restricted witness satisfies the smaller subspace relation",
+                         residual=residual, volume_slack=slack.tolist(),
+                         **_pair_payload(coarse, fine, smaller))
+    return _trials(trials, seed, check)
 
 
 def _suite_bounds(trials, dim, seed):
-    fails = []
     log_dim = math.log(dim)
     rho_id = DensityMatrix.maximally_mixed(dim)
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+
+    def check(t, rng):
         povm = random_povm(dim, int(rng.integers(1, min(dim + 2, 6) + 1)), rng, with_kraus=False)
         rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
         report = observational_entropy(povm, rho)
         if report.s_obs < report.s_vn - INEQ_TOL or report.s_obs > log_dim + INEQ_TOL:
-            fails.append(_fail(t, "S_vN <= S_obs <= ln(dim)", s_obs=report.s_obs,
-                               s_vn=report.s_vn, log_dim=log_dim,
-                               measurement=measurement_to_dict(povm), state=state_to_dict(rho)))
-            continue
+            return _fail("S_vN <= S_obs <= ln(dim)", s_obs=report.s_obs,
+                         s_vn=report.s_vn, log_dim=log_dim,
+                         measurement=measurement_to_dict(povm), state=state_to_dict(rho))
         eigen = measurement_from_state(rho)
         s_eigen = observational_entropy(eigen, rho).s_obs
         if abs(s_eigen - report.s_vn) > INEQ_TOL:
-            fails.append(_fail(t, "S_obs equals S_vN for the eigenbasis measurement",
-                               s_obs=s_eigen, s_vn=report.s_vn, state=state_to_dict(rho)))
-            continue
+            return _fail("S_obs equals S_vN for the eigenbasis measurement",
+                         s_obs=s_eigen, s_vn=report.s_vn, state=state_to_dict(rho))
         s_id = observational_entropy(povm, rho_id).s_obs
         if abs(s_id - log_dim) > INEQ_TOL:
-            fails.append(_fail(t, "S_obs equals ln(dim) on the maximally mixed state",
-                               s_obs=s_id, log_dim=log_dim,
-                               measurement=measurement_to_dict(povm)))
-    return fails
+            return _fail("S_obs equals ln(dim) on the maximally mixed state",
+                         s_obs=s_id, log_dim=log_dim, measurement=measurement_to_dict(povm))
+    return _trials(trials, seed, check)
 
 
 def _suite_composition(trials, dim, seed):
-    fails = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def check(t, rng):
         first = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=True)
         second = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=False)
         combined = compose_measurements(first, second)
@@ -553,19 +551,17 @@ def _suite_composition(trials, dim, seed):
             )
             worst = max(worst, frobenius(partial - first.elements[i]))
         if worst > INEQ_TOL:
-            fails.append(_fail(t, "sum_j of combined elements reproduces the first measurement",
-                               gap=worst, first=measurement_to_dict(first),
-                               second=measurement_to_dict(second)))
-            continue
+            return _fail("sum_j of combined elements reproduces the first measurement",
+                         gap=worst, first=measurement_to_dict(first),
+                         second=measurement_to_dict(second))
         rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
         s_first = observational_entropy(first, rho).s_obs
         s_combined = observational_entropy(combined, rho).s_obs
         if s_combined > s_first + INEQ_TOL:
-            fails.append(_fail(t, "S(combined) <= S(first)", first_entropy=s_first,
-                               combined_entropy=s_combined, state=state_to_dict(rho),
-                               first=measurement_to_dict(first),
-                               second=measurement_to_dict(second)))
-    return fails
+            return _fail("S(combined) <= S(first)", first_entropy=s_first,
+                         combined_entropy=s_combined, state=state_to_dict(rho),
+                         first=measurement_to_dict(first), second=measurement_to_dict(second))
+    return _trials(trials, seed, check)
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +775,16 @@ SUITE_NAMES = tuple(SUITE_REGISTRY)
 
 
 def run_suite(name: str, trials: int = 500, dim: int = 3, seed: int = 0) -> SuiteReport:
-    """Execute one registry suite and collect its failures."""
+    """Execute one registry suite and collect its failures; needs ``dim >= 1``, ``trials >= 0``."""
     if name not in SUITE_REGISTRY:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    trials, dim, seed = int(trials), int(dim), int(seed)
+    if dim < 1 or trials < 0:
+        raise InvalidRangeError(f"suites need dim >= 1 and trials >= 0, got {dim=}, {trials=}")
     start = time.perf_counter()
-    details = SUITE_REGISTRY[name](int(trials), int(dim), int(seed))
+    details = SUITE_REGISTRY[name](trials, dim, seed)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return SuiteReport(name, int(trials), len(details), details, elapsed)
+    return SuiteReport(name, trials, len(details), details, elapsed)
 
 
 def run_all(trials: int = 500, dim: int = 3, seed: int = 0) -> list[SuiteReport]:

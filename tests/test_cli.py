@@ -103,6 +103,22 @@ class TestCheckCoarserCommand:
         assert main(["check-coarser", files["x.json"], "/nonexistent.json"]) == 2
 
 
+class TestToleranceOption:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["check-coarser", "x.json", "z.json"], ["check-coarser", "z.json", "z.json"],
+         ["entropy", "halves.json", "zero_state.json"]],
+        ids=["x-vs-z", "z-vs-z", "entropy"],
+    )
+    def test_non_finite_tol_exit_2(self, files, capsys, command, tol):
+        code = main([command[0], *(files[name] for name in command[1:]), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--tol" in captured.err
+        assert captured.out == ""
+
+
 class TestComposeCommand:
     def test_round_trip_operator_equality(self, files, tmp_path, capsys):
         out_path = tmp_path / "composed.json"
@@ -150,6 +166,15 @@ class TestVerifyCommand:
 
     def test_bad_trials_exit_2(self, capsys):
         assert main(["verify", "bounds", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("suite", ["composition", "bounds", "lemma_processing", "all"])
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_bad_dim_exit_2(self, capsys, suite, dim):
+        code = main(["verify", suite, "--trials", "2", "--dim", dim])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "InvalidRangeError" in captured.err
+        assert captured.out == ""
 
 
 class TestRegionScanCommand:

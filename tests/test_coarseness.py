@@ -30,6 +30,7 @@ from povmcoarse.coarseness import _component_rows, _processing_system
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
+    InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
     ShapeMismatchError,
@@ -178,6 +179,22 @@ class TestVerdictRule:
         assert math.isfinite(cert.residual) == residual_finite
         if residual_finite:
             assert cert.residual > 1e-7
+
+
+class TestToleranceRange:
+    """A tolerance that is not positive and finite is rejected before any solve."""
+
+    @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejected(self, z_measurement, x_measurement, kind, tol):
+        with pytest.raises(InvalidRangeError):
+            if kind == "global":
+                check_coarser(x_measurement, z_measurement, tol=tol)
+            elif kind == "subspace":
+                check_coarser_in_subspace(x_measurement, z_measurement, Subspace.full(2), tol=tol)
+            else:
+                w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+                check_coarser_classical(w, w, tol=tol)
 
 
 class TestMixtureResidual:

@@ -19,14 +19,19 @@ from povmcoarse import (
     von_neumann_entropy,
 )
 from povmcoarse.coarseness import CoarsenessCertificate
-from povmcoarse.errors import UnknownSuiteError
+from povmcoarse.entropy import measurement_state_joint, mutual_information
+from povmcoarse.errors import InvalidRangeError, UnknownSuiteError
+from povmcoarse.measurements import outcome_probabilities
 from povmcoarse.randomgen import (
+    random_density_matrix,
     random_left_stochastic,
     random_povm,
     random_projective,
+    random_state_in_subspace,
     trial_rng,
 )
-from povmcoarse.serialization import measurement_from_dict, subspace_from_dict
+from povmcoarse.serialization import measurement_from_dict, state_from_dict, subspace_from_dict
+from povmcoarse.suites import SUITE_NAMES
 
 
 class TestRegistry:
@@ -45,6 +50,18 @@ class TestRegistry:
             assert first.trials == second.trials
             assert first.failures == second.failures
             assert first.details == second.details
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_suite_passes_at_dim_one(self, name):
+        report = run_suite(name, trials=6, dim=1, seed=5)
+        assert report.passed, f"{name}: {report.details[:1]}"
+        assert report.trials == 6
+
+    @pytest.mark.parametrize("trials, dim", [(3, 0), (3, -2), (-1, 2)])
+    def test_out_of_range_dim_or_trials_raise(self, trials, dim):
+        for name in SUITE_NAMES:
+            with pytest.raises(InvalidRangeError):
+                run_suite(name, trials=trials, dim=dim, seed=0)
 
     def test_report_dict_shape(self):
         report = run_suite("bounds", trials=5, dim=2, seed=1)
@@ -207,3 +224,77 @@ class TestFailurePayloads:
             assert np.array_equal(subspace_from_dict(record["subspace"]).basis, inside.basis)
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
+
+    def test_coarser_entropy_state_record(self, monkeypatch):
+        """States come from the trial generator: the rank, then the state."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1.0)  # every state violates, the first is kept
+        report = run_suite("coarser_entropy", trials=4, dim=2, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == [
+                "trial", "violated", "fine_entropy", "coarse_entropy", "state", "coarse", "fine",
+            ]
+            assert record["trial"] == t
+            rng = trial_rng(9, t)
+            fine, coarse, _ = suites._random_coarser_pair(rng, 2)
+            rho = random_density_matrix(2, int(rng.integers(1, 3)), rng)
+            state = state_from_dict(record["state"])
+            assert np.array_equal(state.matrix, rho.matrix)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+            rebuilt_fine = measurement_from_dict(record["fine"])
+            rebuilt_coarse = measurement_from_dict(record["coarse"])
+            assert record["fine_entropy"] == observational_entropy(rebuilt_fine, state).s_obs
+            assert record["coarse_entropy"] == observational_entropy(rebuilt_coarse, state).s_obs
+
+    def test_subspace_mi_state_record(self, monkeypatch):
+        """State s of trial t replays alone from trial_rng(seed, trials + 50 t + s)."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1.0)
+        report = run_suite("subspace_mi", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == [
+                "trial", "violated", "fine_mi", "coarse_mi", "state", "subspace", "coarse", "fine",
+            ]
+            assert record["trial"] == t
+            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
+            rho = random_state_in_subspace(inside, trial_rng(9, 4 + 50 * t))
+            state = state_from_dict(record["state"])
+            assert np.array_equal(state.matrix, rho.matrix)
+            subspace = subspace_from_dict(record["subspace"])
+            assert np.array_equal(subspace.basis, inside.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+            rebuilt_fine = measurement_from_dict(record["fine"])
+            rebuilt_coarse = measurement_from_dict(record["coarse"])
+            assert record["fine_mi"] == mutual_information(measurement_state_joint(rebuilt_fine, state))
+            assert record["coarse_mi"] == mutual_information(
+                measurement_state_joint(rebuilt_coarse, state)
+            )
+
+    def test_lemma_processing_state_record(self, monkeypatch):
+        """The per-state gap record carries the state from trial_rng(seed, trials + 50 t + s)."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1.0)
+        report = run_suite("lemma_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "gap", "state", "coarse", "fine"]
+            assert record["trial"] == t
+            fine, coarse, _ = suites._random_coarser_pair(trial_rng(9, t), 3)
+            rho = random_density_matrix(3, None, trial_rng(9, 4 + 50 * t))
+            state = state_from_dict(record["state"])
+            assert np.array_equal(state.matrix, rho.matrix)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+            witness = check_coarser(
+                measurement_from_dict(record["coarse"]), measurement_from_dict(record["fine"])
+            ).witness.matrix
+            p_fine = outcome_probabilities(measurement_from_dict(record["fine"]), state).probs
+            p_coarse = outcome_probabilities(measurement_from_dict(record["coarse"]), state).probs
+            assert record["gap"] == float(np.max(np.abs(p_coarse - witness @ p_fine)))
