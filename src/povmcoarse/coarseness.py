@@ -119,6 +119,11 @@ def _residual(mat: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(diff, axis=1)))
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
+
+
 def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertificate:
     """Solve the processing LP for two element stacks and apply the verdict rule.
 
@@ -126,8 +131,7 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
     components.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if fine.ndim == 2:
         comp_fine, comp_coarse = fine, coarse
     else:
@@ -286,6 +290,7 @@ def check_coarser_projective(
     """
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")
+    _check_tol(tol)
     for j, element in enumerate(coarse.elements):
         defect = frobenius(element @ element - element)
         if defect > proj_tol:

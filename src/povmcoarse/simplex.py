@@ -5,6 +5,14 @@ Pivoting uses the largest-improvement rule and switches to Bland's rule
 permanently once the objective stalls, which guarantees termination on the
 degenerate systems that projected subspace constraints produce.
 
+The tableau holds only the structural columns: the ``n_vars`` unknowns and one
+slack per inequality row. Artificial columns are not stored, because the solver
+never reads them. Every artificial starts in the basis; while it stays basic
+its column is a unit vector with reduced cost exactly zero, so it is never
+chosen to enter, and once it leaves it is not wanted back. The basis records
+artificial ``k`` by the id ``n_vars + n_ineq + k``, which is all that Bland's
+leaving tie-break and the phase-1 objective need.
+
 Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
 ``tol``, ``infeasible`` when it exceeds ``ambiguous_factor * tol``, and
 ``ambiguous`` in the band between, so borderline systems are reported instead
@@ -103,59 +111,28 @@ def lp_feasible(
     art_rows = [r for r in range(m) if r < me or flipped[r]]
     n_struct = n_vars + mu
     n_art = len(art_rows)
-    total = n_struct + n_art
 
-    T = np.zeros((m, total))
-    T[:, :n_struct] = canon
-    basis = np.empty(m, dtype=int)
-    for r in range(me, m):
-        basis[r] = n_vars + (r - me)
-    for k, r in enumerate(art_rows):
-        T[r, n_struct + k] = 1.0
-        basis[r] = n_struct + k
-    col_id = np.arange(total)
-
-    obj = np.zeros(total)
-    obj[n_struct:] = 1.0
-    if art_rows:
-        obj -= T[art_rows].sum(axis=0)
-
-    rhs = rhs.copy()
-    active = total
-    is_art = lambda pos: col_id[pos] >= n_struct  # noqa: E731 - tiny predicate
+    # structural columns only; basis[r] = n_struct + k names artificial k
+    T = canon.copy()
+    basis = n_vars - me + np.arange(m)  # the slack of row r >= me is column n_vars + r - me
+    basis[art_rows] = n_struct + np.arange(n_art)
+    obj = -T[art_rows].sum(axis=0)
 
     if max_iter is None:
-        max_iter = 10 * (m + total) ** 2
+        max_iter = 10 * (m + n_struct + n_art) ** 2
 
     bland = False
     stall = 0
     best_value = float(rhs[art_rows].sum()) if art_rows else 0.0
     iterations = 0
-    barred = np.zeros(total, dtype=bool)  # columns without a usable pivot entry
-
-    def swap_positions(p: int, q: int) -> None:
-        if p == q:
-            return
-        T[:, [p, q]] = T[:, [q, p]]
-        obj[[p, q]] = obj[[q, p]]
-        col_id[[p, q]] = col_id[[q, p]]
-        barred[[p, q]] = barred[[q, p]]
-        sel_p = basis == p
-        sel_q = basis == q
-        basis[sel_p] = q
-        basis[sel_q] = p
+    barred = np.zeros(n_struct, dtype=bool)  # columns without a usable pivot entry
 
     while True:
-        window = np.where(barred[:active], 0.0, obj[:active])
-        if bland:
-            eligible = np.flatnonzero(window < -_ENTER_TOL)
-            if eligible.size == 0:
-                break
-            j = int(eligible[np.argmin(col_id[eligible])])
-        else:
-            j = int(np.argmin(window))
-            if window[j] >= -_ENTER_TOL:
-                break
+        window = np.where(barred, 0.0, obj)
+        eligible = np.flatnonzero(window < -_ENTER_TOL)
+        if eligible.size == 0:
+            break
+        j = int(eligible[0]) if bland else int(np.argmin(window))
 
         col = T[:, j]
         rows = np.flatnonzero(col > _PIVOT_TOL)
@@ -168,7 +145,7 @@ def lp_feasible(
         rmin = float(ratios.min())
         tie = rows[ratios <= rmin + 1e-12 + 1e-9 * abs(rmin)]
         if bland:
-            r = int(tie[np.argmin(col_id[basis[tie]])])
+            r = int(tie[np.argmin(basis[tie])])
         else:
             r = int(tie[np.argmax(col[tie])])
 
@@ -177,26 +154,22 @@ def lp_feasible(
             raise IterationLimitError(iterations)
 
         piv = T[r, j]
-        T[r, :active] /= piv
+        T[r] /= piv
         rhs[r] /= piv
         other = col.copy()
         other[r] = 0.0
         nz = np.flatnonzero(np.abs(other) > 0)
         if nz.size:
-            T[nz, :active] -= np.outer(other[nz], T[r, :active])
+            T[nz] -= np.outer(other[nz], T[r])
             rhs[nz] -= other[nz] * rhs[r]
         coeff = obj[j]
         if coeff != 0.0:
-            obj[:active] -= coeff * T[r, :active]
+            obj -= coeff * T[r]
 
-        leaving = int(basis[r])
         basis[r] = j
-        if is_art(leaving):
-            swap_positions(leaving, active - 1)
-            active -= 1
         barred[:] = False  # the pivot changed every reduced cost
 
-        art_basic = col_id[basis] >= n_struct
+        art_basic = basis >= n_struct
         value = float(rhs[art_basic].sum()) if np.any(art_basic) else 0.0
         if value < best_value - 1e-12:
             best_value = value
@@ -206,15 +179,13 @@ def lp_feasible(
             if stall > _STALL_LIMIT:
                 bland = True
 
-    art_basic = col_id[basis] >= n_struct
+    art_basic = basis >= n_struct
     optimum = float(np.clip(rhs[art_basic], 0.0, None).sum()) if np.any(art_basic) else 0.0
 
     # read the structural solution off the tableau
     x_struct = np.zeros(n_struct)
-    for r in range(m):
-        cid = int(col_id[basis[r]])
-        if cid < n_struct:
-            x_struct[cid] = max(float(rhs[r]), 0.0)
+    structural = ~art_basic
+    x_struct[basis[structural]] = np.clip(rhs[structural], 0.0, None)
     x = x_struct[:n_vars]
     residual = _residual(x, a_eq, b_eq, a_ub, b_ub)
 
@@ -228,8 +199,8 @@ def lp_feasible(
     if verdict == "feasible":
         # refine the basic solution against the original system; tableau round-off
         # accumulates over pivots while a direct least-squares solve does not
-        cols = sorted({int(col_id[b]) for b in basis if int(col_id[b]) < n_struct})
-        if cols:
+        cols = np.sort(basis[structural])
+        if cols.size:
             # canon rows were already sign-flipped; flip the target the same way
             target = np.concatenate([b_eq, b_ub])
             target = np.where(flipped, -target, target)

@@ -184,7 +184,7 @@ class TestVerdictRule:
 class TestToleranceRange:
     """A tolerance that is not positive and finite is rejected before any solve."""
 
-    @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
+    @pytest.mark.parametrize("kind", ["global", "subspace", "classical", "projective"])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
     def test_rejected(self, z_measurement, x_measurement, kind, tol):
         with pytest.raises(InvalidRangeError):
@@ -192,6 +192,8 @@ class TestToleranceRange:
                 check_coarser(x_measurement, z_measurement, tol=tol)
             elif kind == "subspace":
                 check_coarser_in_subspace(x_measurement, z_measurement, Subspace.full(2), tol=tol)
+            elif kind == "projective":
+                check_coarser_projective(z_measurement, z_measurement, tol=tol)
             else:
                 w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
                 check_coarser_classical(w, w, tol=tol)

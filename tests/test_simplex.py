@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from povmcoarse import lp_feasible
-from povmcoarse.errors import ShapeMismatchError
+from povmcoarse import lp_feasible, simplex
+from povmcoarse.errors import IterationLimitError, ShapeMismatchError
 
 
 def scipy_feasible(a_eq, b_eq, a_ub=None, b_ub=None, n_vars=None) -> bool:
@@ -186,3 +186,68 @@ class TestAgainstScipy:
             if mine.feasible:
                 assert mine.residual <= 1e-7
                 assert np.all(mine.x >= -1e-12)
+
+
+def _zero_rhs_systems(seed: int, count: int):
+    """Equality systems with homogeneous rows, whose basic artificials sit at zero.
+
+    Every other system is feasible by construction: the homogeneous rows are
+    made orthogonal to a positive ``x0`` that also fixes the other right-hand
+    sides. Ratio tests then tie at zero, so phase 1 makes degenerate pivots.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 8))
+        me = int(rng.integers(1, 4))
+        mz = int(rng.integers(1, 4))
+        a = rng.standard_normal((me, n))
+        x0 = rng.exponential(size=n)
+        g = rng.standard_normal((mz, n))
+        if k % 2 == 0:
+            b = a @ x0
+            g -= np.outer(g @ x0, x0) / (x0 @ x0)
+        else:
+            b = rng.standard_normal(me)
+        yield np.vstack([g, a]), np.concatenate([np.zeros(mz), b]), n
+
+
+class TestBlandRule:
+    """With a stall limit of 0 the first degenerate pivot switches to Bland's rule for good.
+
+    The mixed and structured systems never make a degenerate pivot, so there
+    the lower limit must change nothing; the homogeneous-row systems are the
+    ones that reach Bland's rule.
+    """
+
+    @pytest.fixture(autouse=True)
+    def bland_at_first_stall(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+
+    def test_random_mixed_systems(self):
+        TestAgainstScipy().test_random_mixed_systems()
+
+    def test_structured_systems(self):
+        TestTinyPivotRegression().test_scipy_agreement_on_larger_structured_systems()
+
+    def test_degenerate_systems(self, monkeypatch):
+        bland_pivots = 0
+        for a, b, n in _zero_rhs_systems(103, 100):
+            mine = lp_feasible(a, b, n_vars=n, tol=1e-8)
+            assert mine.verdict != "ambiguous"
+            assert mine.feasible == scipy_feasible(a, b, n_vars=n)
+            if mine.feasible:
+                assert mine.residual <= 1e-7
+            bland_pivots += mine.iterations
+        monkeypatch.undo()
+        default_pivots = sum(
+            lp_feasible(a, b, n_vars=n).iterations for a, b, n in _zero_rhs_systems(103, 100)
+        )
+        # the switch fired and changed the pivot path
+        assert bland_pivots != default_pivots
+
+
+class TestIterationCap:
+    def test_cap_raises_with_pivot_count(self):
+        with pytest.raises(IterationLimitError) as info:
+            lp_feasible([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], n_vars=2, max_iter=1)
+        assert info.value.iterations == 2
