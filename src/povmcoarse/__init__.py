@@ -30,8 +30,10 @@ from .entropy import (
     kl_divergence,
     measurement_state_joint,
     mutual_information,
+    mutual_information_stack,
     observational_entropy,
     s_obs_classical,
+    s_obs_stack,
     von_neumann_entropy,
 )
 from .measurements import (
@@ -39,6 +41,7 @@ from .measurements import (
     compose_measurements,
     measurement_from_state,
     outcome_probabilities,
+    outcome_probability_stack,
     post_measurement_state,
     projective_measurement,
     trace_pairing,
@@ -50,15 +53,18 @@ from .operators import (
     Subspace,
     eigendecompose,
     phase_fixed_eigh,
+    require_density,
 )
 from .randomgen import (
     random_density_matrix,
+    random_density_stack,
     random_left_stochastic,
     random_povm,
     random_projective,
     random_state_in_subspace,
     random_subspace,
     random_subspace_of,
+    random_subspace_state_stack,
     random_unitary,
     random_weighted_distribution,
 )
@@ -93,27 +99,33 @@ __all__ = [
     "measurement_state_joint",
     "mixture_residual",
     "mutual_information",
+    "mutual_information_stack",
     "observational_entropy",
     "outcome_probabilities",
+    "outcome_probability_stack",
     "phase_fixed_eigh",
     "possible_outcomes",
     "post_measurement_state",
     "preserves_observational_entropy",
     "projective_measurement",
     "push_forward",
+    "require_density",
     "random_density_matrix",
+    "random_density_stack",
     "random_left_stochastic",
     "random_povm",
     "random_projective",
     "random_state_in_subspace",
     "random_subspace",
     "random_subspace_of",
+    "random_subspace_state_stack",
     "random_unitary",
     "random_weighted_distribution",
     "restrict_transition_matrix",
     "run_all",
     "run_suite",
     "s_obs_classical",
+    "s_obs_stack",
     "trace_pairing",
     "validate_measurement",
     "von_neumann_entropy",

@@ -227,7 +227,7 @@ def _extension_from(witness, coarse, fine, o2, o1) -> StochasticMatrix | None:
         full[:, rest] = fill[:, None]
     try:
         return StochasticMatrix(full, col_tol=1e-6)
-    except NotStochasticError:  # pragma: no cover - defensive
+    except NotStochasticError:  # a witness that overspends a coarse volume
         return None
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import JointDistribution, WeightedDistribution
 from .errors import DimensionMismatchError, LengthMismatchError, NotNormalizedError, ValidationError
-from .measurements import GeneralizedMeasurement, outcome_probabilities
+from .measurements import GeneralizedMeasurement, outcome_probabilities, outcome_probability_stack
 from .operators import DEFAULT_ATOL, DensityMatrix, phase_fixed_eigh
 
 ZERO_PROB_TOL = 1e-14
@@ -71,6 +71,44 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     w = np.linalg.eigvalsh(rho.matrix)
     w = w[w > ZERO_PROB_TOL]
     return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0 normalizes -0.0
+
+
+def _weighted_log_ratio(p: np.ndarray, num, den, axis) -> np.ndarray:
+    """``sum p (ln num - ln den)`` over ``axis``, skipping entries with ``p <= ZERO_PROB_TOL``."""
+    mask = p > ZERO_PROB_TOL
+    terms = p * (np.log(np.where(mask, num, 1.0)) - np.log(np.where(mask, den, 1.0)))
+    return np.sum(np.where(mask, terms, 0.0), axis=axis) + 0.0
+
+
+def s_obs_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
+    """Observational entropies of a validated ``(S, d, d)`` stack of states, shape ``(S,)``.
+
+    Entry ``s`` agrees with ``observational_entropy(measurement, ρ_s).s_obs``
+    to rounding; the von Neumann entropy and the divergence of the full report
+    are not computed.
+    """
+    probs = outcome_probability_stack(measurement, states)
+    return _weighted_log_ratio(probs, measurement.volumes(), probs, 1)
+
+
+def mutual_information_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
+    """Eigenbasis-outcome mutual information of a validated ``(S, d, d)`` stack, shape ``(S,)``.
+
+    Entry ``s`` agrees with
+    ``mutual_information(measurement_state_joint(measurement, ρ_s))`` to
+    rounding: the rows are the state's eigenvectors from the same ``eigh``.
+    """
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1:] != (measurement.dim, measurement.dim):
+        raise DimensionMismatchError(
+            f"expected a stack of {measurement.dim} x {measurement.dim} states, got {states.shape}"
+        )
+    eigvals, eigvecs = np.linalg.eigh(states)
+    # conditional[s, x, i] = <x|Pi_i|x> for eigenvector x of state s
+    conditional = np.einsum("sax,iab,sbx->sxi", eigvecs.conj(), measurement.stacked(), eigvecs).real
+    joint = np.clip(eigvals, 0.0, None)[:, :, None] * np.clip(conditional, 0.0, None)
+    ref = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
+    return _weighted_log_ratio(joint, joint, ref, (1, 2))
 
 
 @dataclass(frozen=True)

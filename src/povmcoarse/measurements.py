@@ -19,7 +19,6 @@ from .errors import (
     KrausMismatchError,
     MissingKrausError,
     NegativeProbabilityError,
-    NotPSDError,
     ValidationError,
     ZeroElementError,
     ZeroProbabilityOutcomeError,
@@ -33,8 +32,7 @@ from .operators import (
     dagger,
     eigendecompose,
     frobenius,
-    min_eigenvalue,
-    require_hermitian,
+    require_psd,
 )
 
 KrausOps = tuple[tuple[np.ndarray, ...], ...]
@@ -66,16 +64,13 @@ class GeneralizedMeasurement:
         mats = []
         dim = None
         for idx, element in enumerate(elements):
-            mat = require_hermitian(element, atol=atol, name=f"element {idx}")
+            mat = require_psd(element, atol=atol, name=f"element {idx}")
             if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
+                dim = mat.shape[-1]
+            if mat.shape != (dim, dim):
                 raise DimensionMismatchError(
-                    f"element {idx} has dimension {mat.shape[0]}, expected {dim}"
+                    f"element {idx} has shape {mat.shape}, expected {dim} x {dim}"
                 )
-            low = min_eigenvalue(mat)
-            if low < -atol:
-                raise NotPSDError(f"element {idx}: minimum eigenvalue {low:.3e} below -{atol:.1e}")
             if frobenius(mat) <= zero_tol:
                 raise ZeroElementError(f"element {idx} is numerically zero")
             mat.setflags(write=False)
@@ -206,6 +201,27 @@ def outcome_probabilities(
         )
     probs = np.clip(probs, 0.0, 1.0)
     return WeightedDistribution(probs, measurement.volumes(), norm_tol=max(atol, 1e-10))
+
+
+def outcome_probability_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
+    """Born-rule probabilities of a ``(S, d, d)`` stack of states, as an ``(S, n)`` array.
+
+    Row ``s`` agrees with ``outcome_probabilities(measurement, states[s]).probs``
+    to rounding, with the same clamping and the same
+    :class:`NegativeProbabilityError`. The states are taken as given, so
+    validate them first (:func:`~povmcoarse.operators.require_density`).
+    """
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1:] != (measurement.dim, measurement.dim):
+        raise DimensionMismatchError(
+            f"expected a stack of {measurement.dim} x {measurement.dim} states, got {states.shape}"
+        )
+    probs = np.einsum("iab,sba->si", measurement.stacked(), states).real
+    if np.any(probs < -1e-9):
+        raise NegativeProbabilityError(
+            f"outcome probability {probs.min():.3e} is negative beyond tolerance"
+        )
+    return np.clip(probs, 0.0, 1.0)
 
 
 def compose_measurements(

@@ -33,14 +33,26 @@ DEFAULT_DEGENERACY_TOL = 1e-8
 _PHASE_TOL = 1e-12
 
 
-def as_square_matrix(a, *, name: str = "operator") -> np.ndarray:
-    """Coerce ``a`` to a finite square complex matrix."""
+def _square_stack(a, name: str) -> np.ndarray:
+    """Coerce ``a`` to a finite complex array of square matrices, shape ``(..., d, d)``."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite entries")
     return arr
+
+
+def _one_matrix(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` itself if it is a single matrix, not a stack."""
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def as_square_matrix(a, *, name: str = "operator") -> np.ndarray:
+    """Coerce ``a`` to a finite square complex matrix."""
+    return _one_matrix(_square_stack(a, name), name)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -53,34 +65,60 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """``‖A − A†‖_F``."""
-    a = np.asarray(a, dtype=complex)
-    return frobenius(a - dagger(a))
+def _first_flagged(name: str, bad: np.ndarray, values: np.ndarray) -> tuple[str, float]:
+    """The label and value of the first flagged slice, for an error message."""
+    index = tuple(int(k) for k in np.argwhere(bad)[0])
+    return (f"{name} {list(index)}" if index else name), float(values[index])
 
 
 def require_hermitian(a, *, atol: float = DEFAULT_ATOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized matrix ``(A + A†)/2``."""
-    arr = as_square_matrix(a, name=name)
-    defect = hermiticity_defect(arr)
-    if defect > atol:
+    """Validate Hermiticity and return the symmetrized matrix ``(A + A†)/2``.
+
+    ``a`` is one matrix or a ``(..., d, d)`` stack, checked and symmetrized
+    slice by slice; an error names the first failing slice by its index.
+    """
+    arr = _square_stack(a, name)
+    adjoint = np.swapaxes(arr, -1, -2).conj()
+    defect = np.linalg.norm(arr - adjoint, axis=(-2, -1))
+    bad = defect > atol
+    if np.count_nonzero(bad):
+        label, value = _first_flagged(name, bad, defect)
         raise NonHermitianError(
-            f"{name}: ||A - A^dagger||_F = {defect:.3e} exceeds tolerance {atol:.1e}"
+            f"{label}: ||A - A^dagger||_F = {value:.3e} exceeds tolerance {atol:.1e}"
         )
-    return 0.5 * (arr + dagger(arr))
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(a)[0])
+    return 0.5 * (arr + adjoint)
 
 
 def require_psd(a, *, atol: float = DEFAULT_ATOL, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity and positive semidefiniteness within ``atol``."""
+    """Validate Hermiticity and positive semidefiniteness within ``atol``.
+
+    Takes one matrix or a ``(..., d, d)`` stack, whose spectra come from one
+    stacked ``eigvalsh``.
+    """
     arr = require_hermitian(a, atol=atol, name=name)
-    low = min_eigenvalue(arr)
-    if low < -atol:
-        raise NotPSDError(f"{name}: minimum eigenvalue {low:.3e} below -{atol:.1e}")
+    low = np.linalg.eigvalsh(arr)[..., 0]
+    bad = low < -atol
+    if np.count_nonzero(bad):
+        label, value = _first_flagged(name, bad, low)
+        raise NotPSDError(f"{label}: minimum eigenvalue {value:.3e} below -{atol:.1e}")
+    return arr
+
+
+def require_density(
+    a, *, atol: float = DEFAULT_ATOL, trace_tol: float | None = None, name: str = "density matrix"
+) -> np.ndarray:
+    """Validate one state or a ``(..., d, d)`` stack of states; return it symmetrized.
+
+    The checks, tolerances and errors are those of :class:`DensityMatrix`:
+    Hermitian and PSD within ``atol``, and unit trace within ``trace_tol``
+    (default ``atol``).
+    """
+    arr = require_psd(a, atol=atol, name=name)
+    trace = np.trace(arr, axis1=-2, axis2=-1).real
+    bad = np.abs(trace - 1.0) > (trace_tol if trace_tol is not None else atol)
+    if np.count_nonzero(bad):
+        label, value = _first_flagged(name, bad, trace)
+        raise ValidationError(f"{label} trace {value!r} differs from 1")
     return arr
 
 
@@ -99,7 +137,7 @@ def phase_fixed_eigh(a, *, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.n
     real and positive. For a fixed input this makes the output reproducible,
     which keeps golden files stable.
     """
-    arr = require_hermitian(a, atol=atol)
+    arr = _one_matrix(require_hermitian(a, atol=atol), "operator")
     w, v = np.linalg.eigh(arr)
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -123,7 +161,7 @@ class Projector:
     __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix, rank: int | None = None, *, atol: float = DEFAULT_ATOL):
-        arr = require_hermitian(matrix, atol=atol, name="projector")
+        arr = _one_matrix(require_hermitian(matrix, atol=atol, name="projector"), "projector")
         defect = frobenius(arr @ arr - arr)
         if defect > atol:
             raise NotProjectiveError(
@@ -153,10 +191,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, atol: float = DEFAULT_ATOL, trace_tol: float | None = None):
-        arr = require_psd(matrix, atol=atol, name="density matrix")
-        trace = float(np.trace(arr).real)
-        if abs(trace - 1.0) > (trace_tol if trace_tol is not None else atol):
-            raise ValidationError(f"density matrix trace {trace!r} differs from 1")
+        arr = _one_matrix(require_density(matrix, atol=atol, trace_tol=trace_tol), "density matrix")
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -236,9 +271,9 @@ class Subspace:
         return cls(np.eye(dim, dtype=complex))
 
     def embed(self, small: np.ndarray) -> np.ndarray:
-        """Lift an r x r operator on the subspace into the ambient space."""
+        """Lift an r x r operator on the subspace, or a ``(..., r, r)`` stack, into the ambient space."""
         small = np.asarray(small, dtype=complex)
-        if small.shape != (self.rank, self.rank):
+        if small.shape[-2:] != (self.rank, self.rank):
             raise DimensionMismatchError(
                 f"expected a {self.rank} x {self.rank} block, got {small.shape}"
             )

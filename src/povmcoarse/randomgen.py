@@ -13,7 +13,7 @@ import numpy as np
 from .distributions import StochasticMatrix, WeightedDistribution
 from .errors import InvalidRankError, SingularSumError, ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
-from .operators import DensityMatrix, Subspace, dagger, matrix_sqrt_psd
+from .operators import DensityMatrix, Subspace, dagger, matrix_sqrt_psd, require_density
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -42,16 +42,37 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * (phases / np.abs(phases))
 
 
-def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
-    """Random state ``BB†/Tr[BB†]`` with ``B`` a ``dim x rank`` complex Gaussian."""
+def _gaussian_gram(dim: int, rank: int | None, rng) -> np.ndarray:
+    """``BB†`` with ``B`` a ``dim x rank`` complex Gaussian; ``rank=None`` means ``dim``."""
     if rank is None:
         rank = dim
     if not 1 <= rank <= dim:
         raise InvalidRankError(f"rank {rank} outside [1, {dim}]")
-    rng = rng_from(seed)
     b = complex_gaussian(rng, (dim, rank))
-    raw = b @ dagger(b)
-    return DensityMatrix(raw / np.trace(raw).real, atol=1e-9)
+    return b @ dagger(b)
+
+
+def _unit_trace(raw: np.ndarray) -> np.ndarray:
+    """``raw / Tr raw`` for one matrix or a ``(k, d, d)`` stack; every state draw normalizes here."""
+    return raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
+    """Random state ``BB†/Tr[BB†]`` with ``B`` a ``dim x rank`` complex Gaussian."""
+    raw = _gaussian_gram(dim, rank, rng_from(seed))
+    return DensityMatrix(_unit_trace(raw), atol=1e-9)
+
+
+def random_density_stack(dim: int, draws) -> np.ndarray:
+    """Random states as one validated ``(k, dim, dim)`` stack, one per ``(rank, seed)`` pair.
+
+    Slice ``s`` equals ``random_density_matrix(dim, rank_s, seed_s).matrix``
+    bit for bit, and the stack passes the checks of :class:`DensityMatrix`
+    once. ``draws`` is consumed one pair per state, so a pair may draw its
+    rank from the generator that then draws the state.
+    """
+    raw = np.stack([_gaussian_gram(dim, rank, rng_from(seed)) for rank, seed in draws])
+    return require_density(_unit_trace(raw), atol=1e-9)
 
 
 def random_povm(
@@ -171,3 +192,13 @@ def random_state_in_subspace(subspace: Subspace, seed=0, rank: int | None = None
     rng = rng_from(seed)
     small = random_density_matrix(subspace.rank, rank, rng)
     return DensityMatrix(subspace.embed(small.matrix), atol=1e-9)
+
+
+def random_subspace_state_stack(subspace: Subspace, draws) -> np.ndarray:
+    """Random states inside the subspace as one validated stack, one per ``(rank, seed)`` pair.
+
+    Slice ``s`` equals ``random_state_in_subspace(subspace, seed_s, rank_s).matrix``
+    bit for bit.
+    """
+    small = random_density_stack(subspace.rank, draws)
+    return require_density(subspace.embed(small), atol=1e-9)

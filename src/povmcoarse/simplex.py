@@ -1,9 +1,10 @@
 """Phase-1 simplex feasibility solver for ``x >= 0`` with ``Ax = b``, ``Gx <= h``.
 
 The solver minimizes the sum of artificial variables on a dense tableau.
-Pivoting uses the largest-improvement rule and switches to Bland's rule
-permanently once the objective stalls, which guarantees termination on the
-degenerate systems that projected subspace constraints produce.
+Pivoting uses Dantzig's rule (the entering column has the most negative
+reduced cost) and switches to Bland's rule permanently once the objective
+stalls, which guarantees termination on the degenerate systems that projected
+subspace constraints produce.
 
 The tableau holds only the structural columns: the ``n_vars`` unknowns and one
 slack per inequality row. Artificial columns are not stored, because the solver

@@ -10,12 +10,18 @@ Trial ``t`` of a theorem suite draws its instance from ``trial_rng`` at ``(seed,
 and reports at most one record, for the first statement found violated: keys
 ``trial``, ``violated``, the compared values, then ``state`` for a per-state
 statement, then the inputs (``subspace``, ``coarse``, ``fine`` for pairs). A
-per-state statement stops at its first violating state. ``coarser_entropy``
+per-state statement reports its first violating state. ``coarser_entropy``
 and ``coarser_mi`` draw five states, each after its rank, from the trial
 generator; the other per-state suites draw state ``s`` from
 ``trial_rng(seed, trials + k * t + s)`` (``k = 5`` in ``subspace_processing``,
 else 50), so it replays alone. The four subspace suites check nothing below
 dimension 2, which has no proper nonzero subspace.
+
+The six per-state suites draw a trial's states up front, from those same
+generators, as one ``(k, d, d)`` stack that is validated once. Stack kernels
+(Born probabilities, ``S_obs``, mutual information) screen every state at
+once, and the scalar functions confirm the first suspect and build its record,
+so the records are those of a state-by-state sweep.
 
 The registry names are part of the CLI contract:
 
@@ -68,8 +74,10 @@ from .entropy import (
     kl_divergence,
     measurement_state_joint,
     mutual_information,
+    mutual_information_stack,
     observational_entropy,
     s_obs_classical,
+    s_obs_stack,
     von_neumann_entropy,
 )
 from .errors import InvalidRangeError, UnknownSuiteError
@@ -78,17 +86,19 @@ from .measurements import (
     compose_measurements,
     measurement_from_state,
     outcome_probabilities,
+    outcome_probability_stack,
     validate_measurement,
 )
 from .operators import DensityMatrix, Subspace, dagger, frobenius
 from .randomgen import (
     random_density_matrix,
+    random_density_stack,
     random_left_stochastic,
     random_povm,
     random_projective,
     random_simplex,
-    random_state_in_subspace,
     random_subspace_of,
+    random_subspace_state_stack,
     random_unitary,
     random_weighted_distribution,
     trial_rng,
@@ -102,6 +112,10 @@ from .serialization import (
 
 INEQ_TOL = 1e-9
 EQ_TOL = 1e-8
+# The stack kernels agree with the scalar functions to about 1e-15. A state
+# whose kernel value comes within this slack of its bound is handed to the
+# scalar check, so the screen cannot pass a state that the scalar check fails.
+_SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,14 +164,24 @@ def _trials(trials, seed, check) -> list[dict]:
     return fails
 
 
-def _replay_rngs(seed, trials, t, k):
-    """The generators of trial ``t``'s ``k`` states, each seeded so that it replays alone."""
-    return (trial_rng(seed, trials + k * t + s) for s in range(k))
+def _replayed_draws(seed, trials, t, k):
+    """The ``(rank, generator)`` draws of trial ``t``'s ``k`` full-rank states, each replayable alone."""
+    return ((None, trial_rng(seed, trials + k * t + s)) for s in range(k))
 
 
-def _sweep_states(statement, states, violation, coarse, fine, subspace=None):
-    """The record of the first state where ``violation`` gives values; draws no further state."""
-    for rho in states:
+def _sweep_states(statement, states, check, coarse, fine, subspace=None):
+    """The record of the first state in the stack ``states`` that violates ``check``, or ``None``.
+
+    ``states`` holds all of the trial's states, drawn up front as one validated
+    ``(k, d, d)`` stack. ``check`` is a pair ``(screen, violation)``:
+    ``screen(fine, coarse, states)`` gives every state's excess over its bound
+    from the stack kernels, and the first suspect (excess above
+    ``-_SCREEN_SLACK``) that the scalar ``violation(fine, coarse, rho)``
+    confirms gives the record. Records are those of a state-by-state sweep.
+    """
+    screen, violation = check
+    for s in np.flatnonzero(screen(fine, coarse, states) > -_SCREEN_SLACK):
+        rho = DensityMatrix(states[s], atol=1e-9)
         values = violation(fine, coarse, rho)
         if values is not None:
             return _fail(statement, **values, state=state_to_dict(rho),
@@ -331,17 +355,28 @@ def _random_subspace_coarser_pair(rng, dim):
 
 
 # ---------------------------------------------------------------------------
-# per-state statements (fine, coarse, rho): the compared values where they fail
+# per-state statements: a (screen, violation) pair for _sweep_states. The screen
+# gives every state's excess over the bound; the violation gives one state's
+# compared values where it fails. Both read the tolerances at call time.
 
 
 def _mapped_probabilities(matrix, tol):
+    def screen(fine, coarse, states):
+        p_fine = outcome_probability_stack(fine, states)
+        p_coarse = outcome_probability_stack(coarse, states)
+        return np.max(np.abs(p_coarse - p_fine @ matrix.T), axis=1) - tol
+
     def violation(fine, coarse, rho):
         p_fine = outcome_probabilities(fine, rho).probs
         p_coarse = outcome_probabilities(coarse, rho).probs
         gap = float(np.max(np.abs(p_coarse - matrix @ p_fine)))
         if gap > tol:
             return {"gap": gap}
-    return violation
+    return screen, violation
+
+
+def _entropy_screen(fine, coarse, states):
+    return s_obs_stack(fine, states) - INEQ_TOL - s_obs_stack(coarse, states)
 
 
 def _entropy_falls(fine, coarse, rho):
@@ -351,11 +386,21 @@ def _entropy_falls(fine, coarse, rho):
         return {"fine_entropy": s_fine, "coarse_entropy": s_coarse}
 
 
+_ENTROPY_GROWS = (_entropy_screen, _entropy_falls)
+
+
+def _information_screen(fine, coarse, states):
+    return mutual_information_stack(coarse, states) - mutual_information_stack(fine, states) - INEQ_TOL
+
+
 def _information_grows(fine, coarse, rho):
     mi_fine = mutual_information(measurement_state_joint(fine, rho))
     mi_coarse = mutual_information(measurement_state_joint(coarse, rho))
     if mi_coarse > mi_fine + INEQ_TOL:
         return {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
+
+
+_INFORMATION_SHRINKS = (_information_screen, _information_grows)
 
 
 def _coarser_pairs(rng, dim):
@@ -369,26 +414,27 @@ def _subspace_pairs(rng, dim):
 
 
 def _drawn_states(rng, dim, subspace, replay):
-    return (random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(5))
+    """Five states from the trial generator, each drawn right after its rank."""
+    return random_density_stack(dim, ((int(rng.integers(1, dim + 1)), rng) for _ in range(5)))
 
 
 def _replayed_subspace_states(rng, dim, subspace, replay):
-    return (random_state_in_subspace(subspace, r) for r in replay(50))
+    return random_subspace_state_stack(subspace, replay(50))
 
 
-def _monotone(statement, violation, pairs, states):
-    """A suite whose every trial sweeps its states with ``violation`` on one pair.
+def _monotone(statement, check, pairs, states):
+    """A suite whose every trial sweeps its states with ``check`` on one pair.
 
     ``pairs(rng, dim)`` gives ``(fine, coarse, subspace or None)``, and
-    ``states(rng, dim, subspace, replay)`` the lazy states, where ``replay(k)``
-    is the trial's :func:`_replay_rngs`.
+    ``states(rng, dim, subspace, replay)`` the state stack, where ``replay(k)``
+    is the trial's :func:`_replayed_draws`.
     """
     def suite(trials, dim, seed):
-        def check(t, rng):
+        def check_trial(t, rng):
             fine, coarse, subspace = pairs(rng, dim)
-            sweep = states(rng, dim, subspace, lambda k: _replay_rngs(seed, trials, t, k))
-            return _sweep_states(statement, sweep, violation, coarse, fine, subspace)
-        return _trials(trials, seed, check)
+            stack = states(rng, dim, subspace, lambda k: _replayed_draws(seed, trials, t, k))
+            return _sweep_states(statement, stack, check, coarse, fine, subspace)
+        return _trials(trials, seed, check_trial)
     return suite
 
 
@@ -437,7 +483,7 @@ def _suite_lemma_processing(trials, dim, seed):
         if cert.residual > 1e-7:
             return _fail("witness residual <= 1e-7", residual=cert.residual,
                          **_pair_payload(coarse, fine))
-        states = (random_density_matrix(dim, None, r) for r in _replay_rngs(seed, trials, t, 50))
+        states = random_density_stack(dim, _replayed_draws(seed, trials, t, 50))
         return _sweep_states("p_coarse == witness @ p_fine for every state", states,
                              _mapped_probabilities(cert.witness.matrix, INEQ_TOL),
                              coarse, fine)
@@ -445,9 +491,9 @@ def _suite_lemma_processing(trials, dim, seed):
 
 
 _suite_coarser_entropy = _monotone(
-    "S_coarse >= S_fine", _entropy_falls, _coarser_pairs, _drawn_states)
+    "S_coarse >= S_fine", _ENTROPY_GROWS, _coarser_pairs, _drawn_states)
 _suite_coarser_mi = _monotone(
-    "I_coarse <= I_fine", _information_grows, _coarser_pairs, _drawn_states)
+    "I_coarse <= I_fine", _INFORMATION_SHRINKS, _coarser_pairs, _drawn_states)
 
 
 @_in_proper_subspaces
@@ -466,7 +512,7 @@ def _suite_subspace_processing(trials, dim, seed):
         if v_gap > EQ_TOL:
             return _fail("extension maps volumes exactly", gap=v_gap,
                          **_pair_payload(coarse, fine, inside))
-        states = (random_state_in_subspace(inside, r) for r in _replay_rngs(seed, trials, t, 5))
+        states = random_subspace_state_stack(inside, _replayed_draws(seed, trials, t, 5))
         return _sweep_states("extension maps probabilities on subspace states", states,
                              _mapped_probabilities(extension.matrix, EQ_TOL),
                              coarse, fine, inside)
@@ -475,10 +521,10 @@ def _suite_subspace_processing(trials, dim, seed):
 
 _suite_subspace_entropy = _in_proper_subspaces(_monotone(
     "S_coarse >= S_fine on subspace states",
-    _entropy_falls, _subspace_pairs, _replayed_subspace_states))
+    _ENTROPY_GROWS, _subspace_pairs, _replayed_subspace_states))
 _suite_subspace_mi = _in_proper_subspaces(_monotone(
     "I_coarse <= I_fine on subspace states",
-    _information_grows, _subspace_pairs, _replayed_subspace_states))
+    _INFORMATION_SHRINKS, _subspace_pairs, _replayed_subspace_states))
 
 
 @_in_proper_subspaces

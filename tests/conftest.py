@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from povmcoarse import validate_measurement
+from povmcoarse import require_density, validate_measurement
+from povmcoarse.randomgen import random_density_stack, random_povm, random_projective, random_unitary
 
 
 def ket(*amplitudes):
@@ -41,6 +42,35 @@ def x_measurement():
 def halves_measurement():
     """The non-projective two-outcome example {|0><0|/2, |0><0|/2 + |1><1|}."""
     return validate_measurement([0.5 * proj(ket(1, 0)), 0.5 * proj(ket(1, 0)) + proj(ket(0, 1))])
+
+
+def kernel_cases():
+    """``(measurement, states)`` pairs that the stack kernels must match the scalar functions on.
+
+    Random POVMs on states of every rank, rank-1 states, degenerate spectra
+    (maximally mixed, a repeated nonzero eigenvalue) and outcomes whose
+    probability falls below ``ZERO_PROB_TOL`` (a state inside one projector).
+    Every stack is validated, as the kernels expect: on a degenerate spectrum
+    the eigenbasis, and so the mutual information, depends on the exact bits.
+    """
+    rng = np.random.default_rng(2022)
+    cases = []
+    for d in range(1, 7):
+        povm = random_povm(d, int(rng.integers(1, 6)), rng, with_kraus=False)
+        cases.append((povm, random_density_stack(d, ((int(rng.integers(1, d + 1)), rng) for _ in range(40)))))
+        cases.append((povm, random_density_stack(d, ((1, rng) for _ in range(10)))))
+        u = random_unitary(d, rng)
+        spectra = [np.full(d, 1.0 / d)]
+        if d >= 3:
+            spectra.append(np.array([0.4, 0.4, 0.2] + [0.0] * (d - 3)))
+        cases.append((povm, np.stack([(u * w) @ u.conj().T for w in spectra])))
+    for d in (2, 4):
+        z = random_projective(d, d, rng)
+        inside = np.stack([z.elements[k] for k in range(d)])  # pure states, one per projector
+        cases.append((z, inside))
+    halves = validate_measurement([0.5 * proj(ket(1, 0)), 0.5 * proj(ket(1, 0)) + proj(ket(0, 1))])
+    cases.append((halves, np.stack([proj(ket(1, 0)), proj(ket(0, 1)), np.eye(2) / 2])))
+    return [(m, require_density(states, atol=1e-9)) for m, states in cases]
 
 
 def exhaustive_partition_exists(coarse, fine, tol=1e-8) -> bool:

@@ -26,7 +26,7 @@ from povmcoarse import (
     restrict_transition_matrix,
     validate_measurement,
 )
-from povmcoarse.coarseness import _component_rows, _processing_system
+from povmcoarse.coarseness import _component_rows, _extension_from, _processing_system
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
@@ -410,6 +410,28 @@ class TestCheckCoarserInSubspace:
             coarseness_module.check_coarser_in_subspace(
                 z_measurement, z_measurement, Subspace.full(2)
             )
+
+
+class TestExtensionFrom:
+    """Padding a subspace witness to all outcomes with the volume-balancing fill."""
+
+    @staticmethod
+    def qutrit_pair():
+        basis = [proj(ket(1, 0, 0)), proj(ket(0, 1, 0)), proj(ket(0, 0, 1))]
+        fine = validate_measurement(basis)  # volumes (1, 1, 1)
+        coarse = validate_measurement([basis[0], basis[1] + basis[2]])  # volumes (1, 2)
+        return coarse, fine
+
+    def test_balanced_witness_extends(self):
+        coarse, fine = self.qutrit_pair()
+        extension = _extension_from(np.eye(2), coarse, fine, (0, 1), (0, 1))
+        np.testing.assert_array_equal(extension.matrix, [[1, 0, 0], [0, 1, 1]])
+
+    def test_overspent_volume_gives_none(self):
+        # both fine outcomes go to coarse outcome 0: volume slack 1 - 2 = -1 < -1e-6,
+        # so the clipped fill of the third column sums to 2, not 1
+        coarse, fine = self.qutrit_pair()
+        assert _extension_from(np.array([[1.0, 1.0], [0.0, 0.0]]), coarse, fine, (0, 1), (0, 1)) is None
 
 
 class TestProjectiveFastPath:

@@ -17,9 +17,11 @@ from povmcoarse import (
     kl_divergence,
     measurement_state_joint,
     mutual_information,
+    mutual_information_stack,
     observational_entropy,
     push_forward,
     s_obs_classical,
+    s_obs_stack,
     validate_measurement,
     von_neumann_entropy,
 )
@@ -32,7 +34,7 @@ from povmcoarse.randomgen import (
     random_weighted_distribution,
 )
 
-from conftest import ket, proj
+from conftest import kernel_cases, ket, proj
 
 # frozen expectations, each computed from the defining formula by hand
 S_HALVES = 0.5 * math.log(3.0)  # sum p (ln V - ln p) on p=(1/2,1/2), V=(1/2,3/2)
@@ -247,3 +249,28 @@ class TestProcessingInequalities:
         expected_gap = 0.5 * math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
         assert gap == pytest.approx(expected_gap, abs=1e-12)
         assert gap > 0.05
+
+
+class TestStackKernels:
+    """The (S, d, d) kernels agree with the scalar functions state by state."""
+
+    def test_s_obs_stack_matches_observational_entropy(self):
+        for povm, states in kernel_cases():
+            values = s_obs_stack(povm, states)
+            assert values.shape == (len(states),)
+            for value, rho in zip(values, states):
+                want = observational_entropy(povm, DensityMatrix(rho, atol=1e-9)).s_obs
+                assert abs(value - want) <= 1e-12
+
+    def test_mutual_information_stack_matches_joint(self):
+        for povm, states in kernel_cases():
+            values = mutual_information_stack(povm, states)
+            assert values.shape == (len(states),)
+            for value, rho in zip(values, states):
+                joint = measurement_state_joint(povm, DensityMatrix(rho, atol=1e-9))
+                assert abs(value - mutual_information(joint)) <= 1e-12
+
+    def test_pure_state_inside_one_outcome(self, z_measurement):
+        states = np.stack([proj(ket(1, 0)), proj(ket(0, 1))])
+        assert np.array_equal(s_obs_stack(z_measurement, states), [0.0, 0.0])
+        assert np.array_equal(mutual_information_stack(z_measurement, states), [0.0, 0.0])

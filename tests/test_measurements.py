@@ -12,10 +12,12 @@ from povmcoarse import (
     compose_measurements,
     measurement_from_state,
     outcome_probabilities,
+    outcome_probability_stack,
     post_measurement_state,
     trace_pairing,
     validate_measurement,
 )
+from povmcoarse.entropy import ZERO_PROB_TOL
 from povmcoarse.errors import (
     DimensionMismatchError,
     IncompleteSumError,
@@ -28,7 +30,7 @@ from povmcoarse.errors import (
 from povmcoarse.operators import frobenius
 from povmcoarse.randomgen import random_density_matrix, random_povm, random_projective
 
-from conftest import KET_MINUS, KET_PLUS, ket, proj
+from conftest import KET_MINUS, KET_PLUS, kernel_cases, ket, proj
 
 
 class TestValidateMeasurement:
@@ -99,6 +101,25 @@ class TestOutcomeProbabilities:
     def test_dimension_mismatch(self, z_measurement):
         with pytest.raises(DimensionMismatchError):
             outcome_probabilities(z_measurement, DensityMatrix.maximally_mixed(3))
+
+
+class TestOutcomeProbabilityStack:
+    def test_matches_outcome_probabilities(self):
+        below = 0
+        for povm, states in kernel_cases():
+            probs = outcome_probability_stack(povm, states)
+            assert probs.shape == (len(states), povm.n_outcomes)
+            for row, rho in zip(probs, states):
+                want = outcome_probabilities(povm, DensityMatrix(rho, atol=1e-9)).probs
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+                below += int(np.sum(want <= ZERO_PROB_TOL))
+        assert below > 0  # the cases include outcomes that cannot occur
+
+    def test_dimension_mismatch(self, z_measurement):
+        with pytest.raises(DimensionMismatchError):
+            outcome_probability_stack(z_measurement, np.eye(3)[None] / 3)
+        with pytest.raises(DimensionMismatchError):
+            outcome_probability_stack(z_measurement, np.eye(2) / 2)
 
 
 class TestMeasurementFromState:

@@ -16,8 +16,16 @@ from povmcoarse.errors import (
     NotProjectiveError,
     ValidationError,
 )
-from povmcoarse.operators import dagger, frobenius, matrix_sqrt_psd
-from povmcoarse.randomgen import random_density_matrix, random_unitary
+from povmcoarse.operators import dagger, frobenius, matrix_sqrt_psd, require_density
+from povmcoarse.randomgen import (
+    random_density_matrix,
+    random_density_stack,
+    random_state_in_subspace,
+    random_subspace,
+    random_subspace_state_stack,
+    random_unitary,
+    trial_rng,
+)
 
 from conftest import ket, proj
 
@@ -172,3 +180,73 @@ class TestHelpers:
         big = sub.embed(small)
         assert big.shape == (3, 3)
         assert np.trace(big).real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStackValidation:
+    """``require_density`` checks a (k, d, d) stack as DensityMatrix checks one state."""
+
+    BAD_SLICES = [
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), NonHermitianError),
+        (np.diag([1.5, -0.5]), NotPSDError),
+        (np.diag([0.6, 0.6]), ValidationError),
+    ]
+
+    def test_slices_equal_density_matrices(self):
+        rng = np.random.default_rng(3)
+        raw = [random_density_matrix(3, 2, rng).matrix + 1e-12j * np.eye(3) for _ in range(4)]
+        stack = require_density(np.stack(raw), atol=1e-9)
+        assert stack.shape == (4, 3, 3)
+        for got, one in zip(stack, raw):
+            assert np.array_equal(got, DensityMatrix(one, atol=1e-9).matrix)
+
+    @pytest.mark.parametrize("bad, error", BAD_SLICES)
+    def test_bad_slice_after_the_first_raises_the_density_matrix_error(self, bad, error):
+        with pytest.raises(error) as single:
+            DensityMatrix(bad)
+        stack = np.stack([np.diag([0.5, 0.5]), np.diag([0.75, 0.25]), bad, np.diag([1.0, 0.0])])
+        with pytest.raises(error) as stacked:
+            require_density(stack)
+        assert type(stacked.value) is type(single.value)
+        assert "[2]" in str(stacked.value)
+
+    def test_density_matrix_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(np.stack([np.diag([0.5, 0.5])] * 2))
+
+    def test_embed_stack_matches_embed(self):
+        sub = random_subspace(4, 2, seed=5)
+        small = np.stack([random_density_matrix(2, None, s).matrix for s in range(3)])
+        big = sub.embed(small)
+        for got, one in zip(big, small):
+            assert np.array_equal(got, sub.embed(one))
+
+
+class TestStackDraws:
+    """Stack draws equal the scalar draws bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_replayed_full_rank_draws(self, dim):
+        stack = random_density_stack(dim, ((None, trial_rng(9, s)) for s in range(20)))
+        assert stack.shape == (20, dim, dim)
+        for s in range(20):
+            assert np.array_equal(stack[s], random_density_matrix(dim, None, trial_rng(9, s)).matrix)
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_rank_then_state_from_one_generator(self, dim):
+        rng, twin = trial_rng(4, 1), trial_rng(4, 1)
+        stack = random_density_stack(dim, ((int(rng.integers(1, dim + 1)), rng) for _ in range(8)))
+        for got in stack:
+            want = random_density_matrix(dim, int(twin.integers(1, dim + 1)), twin)
+            assert np.array_equal(got, want.matrix)
+        assert rng.random() == twin.random()  # both generators end in the same place
+
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 2), (6, 5)])
+    def test_subspace_draws(self, dim, rank):
+        sub = random_subspace(dim, rank, seed=dim)
+        stack = random_subspace_state_stack(sub, ((None, trial_rng(2, s)) for s in range(10)))
+        for s in range(10):
+            assert np.array_equal(stack[s], random_state_in_subspace(sub, trial_rng(2, s)).matrix)
+
+    def test_invalid_rank(self):
+        with pytest.raises(InvalidRankError):
+            random_density_stack(3, [(None, 0), (4, 1)])

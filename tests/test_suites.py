@@ -298,3 +298,36 @@ class TestFailurePayloads:
             p_fine = outcome_probabilities(measurement_from_dict(record["fine"]), state).probs
             p_coarse = outcome_probabilities(measurement_from_dict(record["coarse"]), state).probs
             assert record["gap"] == float(np.max(np.abs(p_coarse - witness @ p_fine)))
+
+
+class TestSweepStates:
+    """The kernel screen picks suspects; the scalar check decides which one is reported."""
+
+    def test_first_confirmed_suspect_is_reported(self):
+        import povmcoarse.suites as suites
+
+        fine = coarse = random_povm(2, 2, 0, with_kraus=False)
+        states = suites.random_density_stack(2, ((None, s) for s in range(4)))
+        seen = []
+
+        def screen(fine, coarse, states):
+            return np.array([-1.0, 0.0, 0.5, 0.5])  # state 0 passes, 1-3 are suspects
+
+        def violation(fine, coarse, rho):
+            seen.append(rho.matrix)
+            if len(seen) == 2:
+                return {"value": 1.0}
+
+        record = suites._sweep_states("statement", states, (screen, violation), coarse, fine)
+        assert len(seen) == 2  # states 1 and 2 were confirmed by the scalar check, 3 was not
+        assert np.array_equal(seen[0], states[1])
+        assert np.array_equal(state_from_dict(record["state"]).matrix, states[2])
+        assert list(record) == ["violated", "value", "state", "coarse", "fine"]
+
+    def test_no_suspect_no_record(self):
+        import povmcoarse.suites as suites
+
+        fine = coarse = random_povm(2, 2, 0, with_kraus=False)
+        states = suites.random_density_stack(2, ((None, s) for s in range(3)))
+        check = (lambda f, c, st: np.full(len(st), -1.0), pytest.fail)
+        assert suites._sweep_states("statement", states, check, coarse, fine) is None
