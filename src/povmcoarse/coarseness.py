@@ -291,23 +291,22 @@ def check_coarser_projective(
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")
     _check_tol(tol)
-    for j, element in enumerate(coarse.elements):
-        defect = frobenius(element @ element - element)
-        if defect > proj_tol:
-            raise NotProjectiveError(
-                f"coarse element {j} is not a projector (||P^2 - P||_F = {defect:.3e})"
-            )
-    overlaps = np.einsum("iab,jba->ij", fine.stacked(), coarse.stacked()).real
+    projectors, fine_stack = coarse.stacked(), fine.stacked()
+    defects = np.linalg.norm(projectors @ projectors - projectors, axis=(1, 2))
+    bad = np.flatnonzero(defects > proj_tol)
+    if bad.size:
+        raise NotProjectiveError(
+            f"coarse element {bad[0]} is not a projector (||P^2 - P||_F = {defects[bad[0]]:.3e})"
+        )
+    overlaps = np.einsum("iab,jba->ij", fine_stack, projectors).real
     blocks: list[list[int]] = [[] for _ in range(coarse.n_outcomes)]
     for i in range(fine.n_outcomes):
         hits = np.flatnonzero(overlaps[i] > tol)
         if hits.size != 1:
             return None
         blocks[int(hits[0])].append(i)
-    fine_stack = fine.stacked()
     for j, block in enumerate(blocks):
-        total = fine_stack[block].sum(axis=0) if block else np.zeros_like(coarse.elements[j])
-        if frobenius(total - coarse.elements[j]) > max(tol, 1e-8):
+        if frobenius(fine_stack[block].sum(axis=0) - projectors[j]) > max(tol, 1e-8):
             return None
     return tuple(tuple(block) for block in blocks)
 
@@ -329,6 +328,7 @@ def restrict_transition_matrix(
     :class:`~povmcoarse.errors.BrokenColumnSumError` since it contradicts the
     restriction property.
     """
+    _check_tol(tol)
     mat = as_stochastic(p_full).matrix if not isinstance(p_full, np.ndarray) else p_full
     row_pos = {label: k for k, label in enumerate(coarse_all)}
     col_pos = {label: k for k, label in enumerate(fine_all)}
@@ -372,12 +372,10 @@ def coarsen(
             f"matrix has {stoch.cols} columns for {fine.n_outcomes} outcomes"
         )
     mixed = np.einsum("ji,iab->jab", stoch.matrix, fine.stacked())
-    kept = [j for j in range(stoch.rows) if np.linalg.norm(mixed[j]) > zero_tol]
-    if not kept:
+    kept = np.flatnonzero(np.linalg.norm(mixed, axis=(1, 2)) > zero_tol)
+    if not kept.size:
         raise ZeroElementError("every row of the transition matrix mixes to zero")
-    return validate_measurement(
-        [mixed[j] for j in kept], labels=kept, atol=atol, zero_tol=zero_tol
-    )
+    return validate_measurement(mixed[kept], labels=kept.tolist(), atol=atol, zero_tol=zero_tol)
 
 
 def preserves_observational_entropy(p, w: WeightedDistribution, tol: float = 1e-8) -> bool:
@@ -387,6 +385,7 @@ def preserves_observational_entropy(p, w: WeightedDistribution, tol: float = 1e-
     ``P_ji p_i V'_j = P_ji V_i p'_j`` for every entry, i.e. the ratio ``p/V``
     is constant across the inputs that each output actually mixes.
     """
+    _check_tol(tol)
     stoch = as_stochastic(p)
     if stoch.cols != w.n:
         raise ShapeMismatchError(f"matrix has {stoch.cols} columns for {w.n} outcomes")

@@ -1,9 +1,13 @@
 """Generalized measurements: POVMs with optional Kraus operators.
 
 A :class:`GeneralizedMeasurement` is an ordered collection of PSD elements
-summing to the identity. When per-outcome Kraus operators are attached they
-must reproduce each element through ``sum_m K†_im K_im = Π_i``, which also
-yields the state-update rule and measurement composition.
+summing to the identity, stored as one read-only ``(n, d, d)`` stack, so that
+a coarse-graining ``Π'_j = sum_i P_ji Π_i`` is one linear map on the stack.
+Construction checks, in order: one square shape for all elements; Hermitian
+and PSD (one stacked eigenvalue check); no numerically-zero element;
+completeness; Kraus consistency. When per-outcome Kraus operators are attached
+they must reproduce each element through ``sum_m K†_im K_im = Π_i``, which
+also yields the state-update rule and measurement composition.
 """
 
 from __future__ import annotations
@@ -41,11 +45,15 @@ KrausOps = tuple[tuple[np.ndarray, ...], ...]
 class GeneralizedMeasurement:
     """Validated POVM, optionally carrying Kraus operators and outcome labels.
 
-    Construction performs the full validation: every element Hermitian and PSD
-    within ``atol``, no numerically-zero element, completeness
-    ``‖sum_i Π_i − 1‖_F <= atol``, and (when present) per-outcome Kraus
-    consistency. ``labels`` default to ``0..n-1`` and track outcome identity
-    through operations that reindex or drop outcomes.
+    The elements are stored once, as one read-only ``(n, d, d)`` stack:
+    :meth:`stacked` returns it and ``elements`` is a tuple of read-only views
+    into it. Construction validates the whole stack, in this order: all
+    elements have one square shape; every element is Hermitian and PSD within
+    ``atol`` (one stacked check); no element is numerically zero (Frobenius
+    norm at most ``zero_tol``); completeness ``‖sum_i Π_i − 1‖_F <= atol``;
+    then, when present, per-outcome Kraus consistency. An error names the
+    first failing element by its index. ``labels`` default to ``0..n-1`` and
+    track outcome identity through operations that reindex or drop outcomes.
     """
 
     __slots__ = ("elements", "kraus", "labels", "_stack")
@@ -61,22 +69,18 @@ class GeneralizedMeasurement:
     ):
         if len(elements) == 0:
             raise ValidationError("measurement needs at least one element")
-        mats = []
-        dim = None
-        for idx, element in enumerate(elements):
-            mat = require_psd(element, atol=atol, name=f"element {idx}")
-            if dim is None:
-                dim = mat.shape[-1]
-            if mat.shape != (dim, dim):
+        shapes = [np.shape(element) for element in elements]
+        dim = shapes[0][-1] if shapes[0] else 0
+        for idx, shape in enumerate(shapes):
+            if shape != (dim, dim):
                 raise DimensionMismatchError(
-                    f"element {idx} has shape {mat.shape}, expected {dim} x {dim}"
+                    f"element {idx} has shape {shape}, expected {dim} x {dim}"
                 )
-            if frobenius(mat) <= zero_tol:
-                raise ZeroElementError(f"element {idx} is numerically zero")
-            mat.setflags(write=False)
-            mats.append(mat)
-        total = sum(mats)
-        defect = frobenius(total - np.eye(dim))
+        stack = require_psd(elements, atol=atol, name="element")
+        zero = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) <= zero_tol)
+        if zero.size:
+            raise ZeroElementError(f"element {zero[0]} is numerically zero")
+        defect = frobenius(stack.sum(axis=0) - np.eye(dim))
         if defect > atol:
             raise IncompleteSumError(
                 f"||sum of elements - identity||_F = {defect:.3e} exceeds {atol:.1e}"
@@ -84,9 +88,9 @@ class GeneralizedMeasurement:
 
         checked_kraus: KrausOps | None = None
         if kraus is not None:
-            if len(kraus) != len(mats):
+            if len(kraus) != len(stack):
                 raise KrausMismatchError(
-                    f"{len(kraus)} Kraus groups for {len(mats)} outcomes"
+                    f"{len(kraus)} Kraus groups for {len(stack)} outcomes"
                 )
             groups = []
             for idx, ops in enumerate(kraus):
@@ -99,7 +103,7 @@ class GeneralizedMeasurement:
                             f"Kraus operator of outcome {idx} has dimension {k.shape[0]}"
                         )
                 rebuilt = sum(dagger(k) @ k for k in ops)
-                mismatch = frobenius(rebuilt - mats[idx])
+                mismatch = frobenius(rebuilt - stack[idx])
                 if mismatch > atol:
                     raise KrausMismatchError(
                         f"outcome {idx}: ||sum K^dagger K - element||_F = {mismatch:.3e}"
@@ -110,31 +114,28 @@ class GeneralizedMeasurement:
             checked_kraus = tuple(groups)
 
         if labels is None:
-            label_tuple = tuple(range(len(mats)))
+            label_tuple = tuple(range(len(stack)))
         else:
             label_tuple = tuple(labels)
-            if len(label_tuple) != len(mats):
+            if len(label_tuple) != len(stack):
                 raise ValidationError("labels length does not match the number of elements")
 
-        self.elements = tuple(mats)
+        stack.setflags(write=False)
+        self._stack = stack
+        self.elements = tuple(stack)
         self.kraus = checked_kraus
         self.labels = label_tuple
-        self._stack = None
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self._stack.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return len(self._stack)
 
     def stacked(self) -> np.ndarray:
-        """All elements as one (n, d, d) array (cached)."""
-        if self._stack is None:
-            stack = np.stack(self.elements)
-            stack.setflags(write=False)
-            self._stack = stack
+        """All elements as the stored read-only ``(n, d, d)`` array."""
         return self._stack
 
     def volumes(self) -> np.ndarray:
@@ -154,7 +155,10 @@ def validate_measurement(
     atol: float = DEFAULT_ATOL,
     zero_tol: float = DEFAULT_ATOL,
 ) -> GeneralizedMeasurement:
-    """Validate POVM elements (and optional Kraus operators) into a measurement."""
+    """Validate POVM elements (and optional Kraus operators) into a measurement.
+
+    ``elements`` is a sequence of ``d x d`` matrices or one ``(n, d, d)`` array.
+    """
     return GeneralizedMeasurement(elements, kraus, labels=labels, atol=atol, zero_tol=zero_tol)
 
 
@@ -187,27 +191,18 @@ def outcome_probabilities(
 ) -> WeightedDistribution:
     """Born-rule probabilities ``p_i = Tr[Π_i ρ]`` paired with volumes ``V_i = Tr Π_i``.
 
-    Probabilities are clamped to ``[0, 1]``; anything below ``-1e-9`` raises
-    instead of being clamped silently.
+    The one-state case of :func:`outcome_probability_stack`: probabilities are
+    clamped to ``[0, 1]``; anything below ``-1e-9`` raises instead of being
+    clamped silently.
     """
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"measurement dimension {measurement.dim} vs state dimension {rho.dim}"
-        )
-    probs = np.einsum("iab,ba->i", measurement.stacked(), rho.matrix).real
-    if np.any(probs < -1e-9):
-        raise NegativeProbabilityError(
-            f"outcome probability {probs.min():.3e} is negative beyond tolerance"
-        )
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = outcome_probability_stack(measurement, rho.matrix[None])[0]
     return WeightedDistribution(probs, measurement.volumes(), norm_tol=max(atol, 1e-10))
 
 
 def outcome_probability_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
     """Born-rule probabilities of a ``(S, d, d)`` stack of states, as an ``(S, n)`` array.
 
-    Row ``s`` agrees with ``outcome_probabilities(measurement, states[s]).probs``
-    to rounding, with the same clamping and the same
+    Probabilities are clamped to ``[0, 1]``; anything below ``-1e-9`` raises
     :class:`NegativeProbabilityError`. The states are taken as given, so
     validate them first (:func:`~povmcoarse.operators.require_density`).
     """

@@ -93,14 +93,14 @@ def random_povm(
         raise ValidationError("need at least one outcome")
     rng = rng_from(seed)
     for _ in range(max_retries):
-        blocks = [complex_gaussian(rng, (dim, dim)) for _ in range(n_outcomes)]
-        raw = [b @ dagger(b) for b in blocks]
-        total = sum(raw)
-        w, v = np.linalg.eigh(total)
+        blocks = np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(n_outcomes)])
+        raw = blocks @ blocks.conj().swapaxes(1, 2)
+        # sum() adds in draw order; raw.sum(axis=0) may add pairwise and change the bits
+        w, v = np.linalg.eigh(sum(raw))
         if w[0] <= 1e-10 * w[-1]:
             continue
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
-        elements = [inv_sqrt @ a @ inv_sqrt for a in raw]
+        elements = inv_sqrt @ raw @ inv_sqrt
         kraus = [[matrix_sqrt_psd(e)] for e in elements] if with_kraus else None
         return validate_measurement(elements, kraus, atol=1e-9)
     raise SingularSumError(f"no well-conditioned normalizer after {max_retries} draws")

@@ -71,17 +71,27 @@ def measurement_to_dict(measurement: GeneralizedMeasurement) -> dict[str, Any]:
     return payload
 
 
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be an array, got {type(value).__name__}")
+    return value
+
+
 def measurement_from_dict(payload: dict, *, atol: float = 1e-9) -> GeneralizedMeasurement:
     if not isinstance(payload, dict) or "elements" not in payload:
         raise ValidationError("measurement file needs an 'elements' array")
     elements = [
-        complex_matrix_from_json(e, name=f"element {k}") for k, e in enumerate(payload["elements"])
+        complex_matrix_from_json(e, name=f"element {k}")
+        for k, e in enumerate(_json_list(payload["elements"], "'elements'"))
     ]
     kraus = None
     if payload.get("kraus") is not None:
         kraus = [
-            [complex_matrix_from_json(k, name=f"Kraus {i}.{m}") for m, k in enumerate(group)]
-            for i, group in enumerate(payload["kraus"])
+            [
+                complex_matrix_from_json(k, name=f"Kraus {i}.{m}")
+                for m, k in enumerate(_json_list(group, f"Kraus group {i}"))
+            ]
+            for i, group in enumerate(_json_list(payload["kraus"], "'kraus'"))
         ]
     declared = payload.get("dim")
     if declared is not None and elements and elements[0].shape[0] != declared:
@@ -117,7 +127,7 @@ def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
         raise ValidationError("subspace file needs a 'basis' array")
     vectors = [
         complex_vector_from_json(v, name=f"basis vector {k}")
-        for k, v in enumerate(payload["basis"])
+        for k, v in enumerate(_json_list(payload["basis"], "'basis'"))
     ]
     basis = np.stack(vectors, axis=1)
     declared = payload.get("dim")

@@ -295,10 +295,10 @@ def _suite_dpi_mi(trials, dim, seed):
 # quantum construction helpers
 
 
-def _embedded_povm(basis: np.ndarray, n_outcomes: int, rng) -> list[np.ndarray]:
-    """Random POVM on the span of ``basis`` columns, lifted to the ambient space."""
+def _embedded_povm(basis: np.ndarray, n_outcomes: int, rng) -> np.ndarray:
+    """Elements of a random POVM on the span of ``basis`` columns, lifted to the ambient space."""
     small = random_povm(basis.shape[1], n_outcomes, rng, with_kraus=False)
-    return [basis @ e @ dagger(basis) for e in small.elements]
+    return basis @ small.stacked() @ dagger(basis)
 
 
 def _random_coarser_pair(rng, dim) -> tuple[GeneralizedMeasurement, GeneralizedMeasurement, StochasticMatrix]:
@@ -331,16 +331,15 @@ def _random_subspace_coarser_pair(rng, dim):
     else:
         n_in = int(rng.integers(1, 4))
         n_out = int(rng.integers(1, 4))
-        elements = _embedded_povm(inside.basis, n_in, rng)
-        elements += _embedded_povm(outside_basis, n_out, rng)
-        order = rng.permutation(len(elements))
-        fine = validate_measurement([elements[k] for k in order], atol=1e-9)
+        elements = np.concatenate([_embedded_povm(inside.basis, n_in, rng),
+                                   _embedded_povm(outside_basis, n_out, rng)])
+        fine = validate_measurement(elements[rng.permutation(len(elements))], atol=1e-9)
 
     o1 = possible_outcomes(fine, inside)
     m = int(rng.integers(1, len(o1) + 2))
     mix = random_left_stochastic(m, len(o1), rng).matrix
     pg = inside.projector.matrix
-    projected = np.stack([pg @ fine.elements[i] @ pg for i in o1])
+    projected = pg @ fine.stacked()[list(o1)] @ pg
     mixed = np.einsum("ji,iab->jab", mix, projected)
 
     v_full = fine.volumes()[list(o1)]
@@ -349,8 +348,7 @@ def _random_subspace_coarser_pair(rng, dim):
     leftover = (dim - g) - float(deficits.sum())
     extra = deficits + max(leftover, 0.0) * random_simplex(m, rng)
     complement = np.eye(dim) - pg
-    elements = [mixed[j] + (extra[j] / (dim - g)) * complement for j in range(m)]
-    coarse = validate_measurement(elements, atol=1e-9)
+    coarse = validate_measurement(mixed + (extra / (dim - g))[:, None, None] * complement, atol=1e-9)
     return fine, coarse, inside, StochasticMatrix(mix)
 
 
@@ -448,14 +446,13 @@ def _suite_projective_equiv(trials, dim, seed):
             # constructed coarser pair with projective coarse measurement
             k = int(rng.integers(1, min(dim, 4) + 1))
             coarse = random_projective(dim, k, rng)
-            fine_elements = []
+            parts = []
             for proj in coarse.elements:
                 rank = int(round(np.trace(proj).real))
                 w, v = np.linalg.eigh(proj)
-                basis = v[:, -rank:]
-                fine_elements.extend(_embedded_povm(basis, int(rng.integers(1, 4)), rng))
-            order = rng.permutation(len(fine_elements))
-            fine = validate_measurement([fine_elements[i] for i in order], atol=1e-9)
+                parts.append(_embedded_povm(v[:, -rank:], int(rng.integers(1, 4)), rng))
+            fine_elements = np.concatenate(parts)
+            fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
             expected_coarser = True
         else:
             coarse = random_projective(dim, int(rng.integers(1, dim + 1)), rng)
@@ -547,8 +544,8 @@ def _suite_restriction(trials, dim, seed):
             cert_big.coarse_outcomes, cert_big.fine_outcomes,
         )
         pg = smaller.projector.matrix
-        target = np.stack([pg @ coarse.elements[j] @ pg for j in o2_small])
-        source = np.stack([pg @ fine.elements[i] @ pg for i in o1_small])
+        target = pg @ coarse.stacked()[list(o2_small)] @ pg
+        source = pg @ fine.stacked()[list(o1_small)] @ pg
         mixed = np.einsum("ji,iab->jab", restricted.matrix, source)
         residual = float(np.max(np.linalg.norm(mixed - target, axis=(1, 2))))
         slack = coarse.volumes()[list(o2_small)] - restricted.matrix @ fine.volumes()[list(o1_small)]
@@ -745,7 +742,7 @@ def _golden_non_extendable_witness() -> dict:
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 
     pg = plus_span.projector.matrix
-    projected = np.stack([pg @ e @ pg for e in fine.elements])
+    projected = pg @ fine.stacked() @ pg
     swap_residual = float(
         np.max(np.linalg.norm(np.einsum("ji,iab->jab", swap, projected) - projected, axis=(1, 2)))
     )

@@ -103,6 +103,32 @@ class TestCheckCoarserCommand:
         assert main(["check-coarser", files["x.json"], "/nonexistent.json"]) == 2
 
 
+class TestMalformedFiles:
+    """A field that must be a JSON array but is not is a validation error (exit 2), not a verdict."""
+
+    @pytest.mark.parametrize(
+        "command, name, payload",
+        [
+            (["check-coarser", "BAD", "z.json"], "elements.json", {"dim": 2, "elements": 5}),
+            (["compose", "BAD", "z.json"], "kraus.json", {"kraus": 7}),
+            (["compose", "BAD", "z.json"], "group.json", {"kraus": [7, 7]}),
+            (["check-coarser", "x.json", "z.json", "--subspace", "BAD"], "basis.json",
+             {"dim": 2, "basis": 5}),
+        ],
+        ids=["elements", "kraus", "kraus-group", "basis"],
+    )
+    def test_non_array_field_exit_2(self, files, tmp_path, capsys, command, name, payload):
+        if "kraus" in payload:
+            payload = {**json.loads((files["dir"] / "z.json").read_text()), **payload}
+        bad = tmp_path / name
+        dump_json(payload, bad)
+        code = main([str(bad) if arg == "BAD" else files.get(arg, arg) for arg in command])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "ValidationError" in captured.err
+        assert captured.out == ""
+
+
 class TestToleranceOption:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

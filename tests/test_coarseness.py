@@ -184,9 +184,12 @@ class TestVerdictRule:
 class TestToleranceRange:
     """A tolerance that is not positive and finite is rejected before any solve."""
 
-    @pytest.mark.parametrize("kind", ["global", "subspace", "classical", "projective"])
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize(
+        "kind", ["global", "subspace", "classical", "projective", "restrict", "preserves"]
+    )
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejected(self, z_measurement, x_measurement, kind, tol):
+        w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
         with pytest.raises(InvalidRangeError):
             if kind == "global":
                 check_coarser(x_measurement, z_measurement, tol=tol)
@@ -194,8 +197,14 @@ class TestToleranceRange:
                 check_coarser_in_subspace(x_measurement, z_measurement, Subspace.full(2), tol=tol)
             elif kind == "projective":
                 check_coarser_projective(z_measurement, z_measurement, tol=tol)
+            elif kind == "restrict":
+                # columns of the restriction sum to 0.5 and 0.1
+                restrict_transition_matrix(
+                    np.array([[0.5, 0.1], [0.0, 0.2]]), (0,), (0, 1), (0, 1), (0, 1), tol=tol
+                )
+            elif kind == "preserves":
+                preserves_observational_entropy(np.eye(2), w, tol=tol)
             else:
-                w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
                 check_coarser_classical(w, w, tol=tol)
 
 

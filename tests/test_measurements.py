@@ -9,6 +9,7 @@ import pytest
 
 from povmcoarse import (
     DensityMatrix,
+    coarsen,
     compose_measurements,
     measurement_from_state,
     outcome_probabilities,
@@ -23,6 +24,7 @@ from povmcoarse.errors import (
     IncompleteSumError,
     KrausMismatchError,
     MissingKrausError,
+    NonHermitianError,
     NotPSDError,
     ZeroElementError,
     ZeroProbabilityOutcomeError,
@@ -67,6 +69,78 @@ class TestValidateMeasurement:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatchError):
             validate_measurement([np.eye(2), np.eye(3)])
+
+    def test_elements_are_read_only_views_of_the_stack(self):
+        povm = random_povm(3, 4, seed=5, with_kraus=False)
+        stack = povm.stacked()
+        assert stack.shape == (4, 3, 3) and not stack.flags.writeable
+        for i, element in enumerate(povm.elements):
+            assert np.shares_memory(element, stack)
+            assert not element.flags.writeable
+            np.testing.assert_array_equal(element, stack[i])
+
+    def test_list_and_stack_inputs_agree(self):
+        elements = [0.5 * proj(ket(1, 0)), 0.5 * proj(ket(1, 0)) + proj(ket(0, 1))]
+        from_list = validate_measurement(elements)
+        from_stack = validate_measurement(np.array(elements))
+        np.testing.assert_array_equal(from_list.stacked(), from_stack.stacked())
+        assert from_list.labels == from_stack.labels
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [np.ones(2), np.ones(2)],
+            [np.ones((2, 3)), np.ones((2, 3))],
+            [np.eye(2), np.stack([np.eye(2), np.eye(2)])],
+            # a non-PSD first element: shapes are checked before positivity
+            [np.diag([1.5, -0.5]), np.eye(3)],
+        ],
+        ids=["1-D", "non-square", "3-D", "mixed-shape-and-not-psd"],
+    )
+    def test_bad_shapes_rejected(self, elements):
+        with pytest.raises(DimensionMismatchError):
+            validate_measurement(elements)
+
+    @pytest.mark.parametrize(
+        "elements, error, label",
+        [
+            ([np.eye(2) / 2, np.diag([1.0, -0.5]), np.diag([-0.5, 1.0])], NotPSDError, "element [1]"),
+            ([np.eye(2) / 2, np.eye(2) / 4, np.array([[0.25, 1.0], [0.0, 0.25]])],
+             NonHermitianError, "element [2]"),
+            ([proj(ket(1, 0)), np.zeros((2, 2)), np.zeros((2, 2)), proj(ket(0, 1))],
+             ZeroElementError, "element 1 "),
+        ],
+        ids=["not-psd", "non-hermitian", "zero"],
+    )
+    def test_error_names_first_failing_element(self, elements, error, label):
+        with pytest.raises(error) as caught:
+            validate_measurement(elements)
+        assert label in str(caught.value)
+
+    @pytest.mark.parametrize("dim, n, seed", [(1, 5, 3), (2, 3, 8), (3, 4, 19), (5, 2, 40)])
+    def test_random_povm_matches_per_element_construction(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        raw = []
+        for _ in range(n):
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            raw.append(b @ b.conj().T)
+        w, v = np.linalg.eigh(sum(raw))
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        povm = random_povm(dim, n, seed, with_kraus=False)
+        assert povm.n_outcomes == n
+        for element, a in zip(povm.elements, raw):
+            e = inv_sqrt @ a @ inv_sqrt
+            assert np.array_equal(element, 0.5 * (e + e.conj().T))
+
+    def test_coarsen_matches_per_element_construction(self):
+        fine = random_povm(3, 4, seed=11, with_kraus=False)
+        p = np.array([[0.5, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 1.0, 1.0]])
+        mixed = np.einsum("ji,iab->jab", p, np.array(fine.elements))
+        kept = [j for j in range(len(p)) if np.linalg.norm(mixed[j]) > 1e-10]
+        coarse = coarsen(fine, p)
+        assert coarse.labels == tuple(kept) == (0, 2)
+        for element, j in zip(coarse.elements, kept):
+            assert np.array_equal(element, 0.5 * (mixed[j] + mixed[j].conj().T))
 
 
 class TestOutcomeProbabilities:

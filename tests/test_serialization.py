@@ -72,6 +72,17 @@ class TestMeasurementFiles:
         with pytest.raises(ValidationError):
             measurement_from_dict({"dim": 2})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("elements", 5), ("kraus", 7), ("kraus", [7, 7])],
+        ids=["elements-int", "kraus-int", "kraus-group-int"],
+    )
+    def test_non_array_fields_rejected(self, field, value):
+        payload = measurement_to_dict(random_povm(2, 2, seed=1, with_kraus=True))
+        payload[field] = value
+        with pytest.raises(ValidationError):
+            measurement_from_dict(payload)
+
 
 class TestStateAndSubspaceFiles:
     def test_state_round_trip(self):
@@ -83,6 +94,10 @@ class TestStateAndSubspaceFiles:
         sub = random_subspace(4, 2, seed=13)
         back = subspace_from_dict(json.loads(json.dumps(subspace_to_dict(sub))))
         np.testing.assert_allclose(back.projector.matrix, sub.projector.matrix, atol=1e-14)
+
+    def test_non_array_basis_rejected(self):
+        with pytest.raises(ValidationError):
+            subspace_from_dict({"dim": 2, "basis": 5})
 
     def test_state_validation_happens_on_load(self):
         rho = DensityMatrix(np.diag([0.6, 0.4]))
