@@ -40,7 +40,7 @@ class WeightedDistribution:
 
     def __init__(self, probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL):
         p = _as_probabilities(probs, name="probs", norm_tol=norm_tol)
-        v = np.asarray(volumes, dtype=float).reshape(-1)
+        v = np.array(volumes, dtype=float).reshape(-1)  # a copy, not a view of the caller's array
         if v.size != p.size:
             raise LengthMismatchError(f"{p.size} probabilities vs {v.size} volumes")
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):

@@ -19,18 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import JointDistribution, WeightedDistribution
-from .errors import DimensionMismatchError, LengthMismatchError, NotNormalizedError, ValidationError
-from .measurements import GeneralizedMeasurement, outcome_probabilities, outcome_probability_stack
-from .operators import DEFAULT_ATOL, DensityMatrix, phase_fixed_eigh
+from .errors import LengthMismatchError, NotNormalizedError, ValidationError
+from .measurements import (
+    GeneralizedMeasurement,
+    _checked_state_stack,
+    outcome_probabilities,
+    outcome_probability_stack,
+)
+from .operators import DEFAULT_ATOL, DensityMatrix
 
 ZERO_PROB_TOL = 1e-14
 
 
+def _weighted_log_ratio(p: np.ndarray, num, den, axis) -> np.ndarray:
+    """``sum p (ln num - ln den)`` over ``axis``, skipping entries with ``p <= ZERO_PROB_TOL``."""
+    mask = p > ZERO_PROB_TOL
+    # a skipped entry contributes p * (ln 1 - ln 1) = 0; + 0.0 turns a -0.0 total into 0.0
+    terms = p * (np.log(np.where(mask, num, 1.0)) - np.log(np.where(mask, den, 1.0)))
+    return terms.sum(axis=axis) + 0.0
+
+
 def s_obs_classical(w: WeightedDistribution) -> float:
     """Observational entropy of a weighted distribution: ``sum p (ln V - ln p)``."""
-    p, v = w.probs, w.volumes
-    mask = p > ZERO_PROB_TOL
-    return float(np.sum(p[mask] * (np.log(v[mask]) - np.log(p[mask]))) + 0.0)
+    return float(_weighted_log_ratio(w.probs, w.volumes, w.probs, -1))
 
 
 def kl_divergence(p, q, *, norm_tol: float = 1e-8) -> float:
@@ -50,65 +61,67 @@ def kl_divergence(p, q, *, norm_tol: float = 1e-8) -> float:
         total = float(arr.sum())
         if abs(total - 1.0) > norm_tol:
             raise NotNormalizedError(f"{name} sums to {total!r}")
-    mask = p > ZERO_PROB_TOL
-    if np.any(q[mask] <= ZERO_PROB_TOL):
+    if np.any(q[p > ZERO_PROB_TOL] <= ZERO_PROB_TOL):
         return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return float(_weighted_log_ratio(p, p, q, -1))
+
+
+def _information(joints: np.ndarray) -> np.ndarray:
+    """Mutual information of one ``(d, n)`` joint or of each joint in a ``(S, d, n)`` stack."""
+    ref = joints.sum(axis=-1, keepdims=True) * joints.sum(axis=-2, keepdims=True)
+    return _weighted_log_ratio(joints, joints, ref, (-2, -1))
 
 
 def mutual_information(joint: JointDistribution) -> float:
     """Mutual information ``sum_xy p_xy ln(p_xy / (p_x p_y))`` of a joint."""
-    m = joint.matrix
-    px = m.sum(axis=1)
-    py = m.sum(axis=0)
-    mask = m > ZERO_PROB_TOL
-    ref = np.outer(px, py)
-    return float(np.sum(m[mask] * (np.log(m[mask]) - np.log(ref[mask]))) + 0.0)
+    return float(_information(joint.matrix))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """``-Tr[ρ ln ρ]`` over the nonzero spectrum."""
     w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > ZERO_PROB_TOL]
-    return float(-np.sum(w * np.log(w)) + 0.0)  # + 0.0 normalizes -0.0
+    return float(_weighted_log_ratio(w, 1.0, w, -1))
 
 
-def _weighted_log_ratio(p: np.ndarray, num, den, axis) -> np.ndarray:
-    """``sum p (ln num - ln den)`` over ``axis``, skipping entries with ``p <= ZERO_PROB_TOL``."""
-    mask = p > ZERO_PROB_TOL
-    terms = p * (np.log(np.where(mask, num, 1.0)) - np.log(np.where(mask, den, 1.0)))
-    return np.sum(np.where(mask, terms, 0.0), axis=axis) + 0.0
+def _eigen_joints(measurement: GeneralizedMeasurement, states) -> np.ndarray:
+    """Joints ``p_xi = λ_x <x|Π_i|x>`` of a ``(S, d, d)`` stack of states, shape ``(S, d, n)``.
+
+    Row ``x`` of joint ``s`` is the eigenvector of state ``s`` with the
+    ``x``-th largest eigenvalue, from one stacked ``eigh``. Each state's joint
+    is computed on its own, so it does not depend on the rest of the stack.
+    """
+    states = _checked_state_stack(measurement, states)
+    eigvals, eigvecs = np.linalg.eigh(states)
+    eigvals, eigvecs = eigvals[:, ::-1], eigvecs[:, :, ::-1]
+    # conditional[s, i, x] = <x|Pi_i|x>, a sum over the contiguous last axis
+    bras = np.swapaxes(eigvecs.conj(), 1, 2)[:, None] @ measurement.stacked()[None]
+    conditional = np.sum(bras * np.swapaxes(eigvecs, 1, 2)[:, None], axis=-1).real
+    joints = np.clip(eigvals, 0.0, None)[:, None, :] * np.clip(conditional, 0.0, None)
+    return np.ascontiguousarray(np.swapaxes(joints, 1, 2))
 
 
 def s_obs_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
     """Observational entropies of a validated ``(S, d, d)`` stack of states, shape ``(S,)``.
 
-    Entry ``s`` agrees with ``observational_entropy(measurement, ρ_s).s_obs``
-    to rounding; the von Neumann entropy and the divergence of the full report
-    are not computed.
+    Entry ``s`` is bit-identical to ``observational_entropy(measurement,
+    ρ_s).s_obs``, whatever ``S`` is: both go through the same Born-rule and
+    log-ratio kernels. The von Neumann entropy and the divergence of the full
+    report are not computed.
     """
     probs = outcome_probability_stack(measurement, states)
-    return _weighted_log_ratio(probs, measurement.volumes(), probs, 1)
+    return _weighted_log_ratio(probs, measurement.volumes(), probs, -1)
 
 
 def mutual_information_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
     """Eigenbasis-outcome mutual information of a validated ``(S, d, d)`` stack, shape ``(S,)``.
 
-    Entry ``s`` agrees with
-    ``mutual_information(measurement_state_joint(measurement, ρ_s))`` to
-    rounding: the rows are the state's eigenvectors from the same ``eigh``.
+    Entry ``s`` is bit-identical to
+    ``mutual_information(measurement_state_joint(measurement, ρ_s))``,
+    whatever ``S`` is: both build the joint with the same kernel. On a
+    repeated nonzero eigenvalue the rows inside that eigenspace, and so the
+    mutual information, follow the basis that ``eigh`` returns.
     """
-    states = np.asarray(states)
-    if states.ndim != 3 or states.shape[1:] != (measurement.dim, measurement.dim):
-        raise DimensionMismatchError(
-            f"expected a stack of {measurement.dim} x {measurement.dim} states, got {states.shape}"
-        )
-    eigvals, eigvecs = np.linalg.eigh(states)
-    # conditional[s, x, i] = <x|Pi_i|x> for eigenvector x of state s
-    conditional = np.einsum("sax,iab,sbx->sxi", eigvecs.conj(), measurement.stacked(), eigvecs).real
-    joint = np.clip(eigvals, 0.0, None)[:, :, None] * np.clip(conditional, 0.0, None)
-    ref = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
-    return _weighted_log_ratio(joint, joint, ref, (1, 2))
+    return _information(_eigen_joints(measurement, states))
 
 
 @dataclass(frozen=True)
@@ -164,20 +177,13 @@ def measurement_state_joint(
 ) -> JointDistribution:
     """Joint distribution ``p_xi = <x|Π_i|x> <x|ρ|x>`` over eigenbasis and outcomes.
 
-    Rows are indexed by the deterministically phase-fixed eigenvectors of the
-    state (descending eigenvalues); columns by measurement outcomes. Column
-    marginals reproduce the Born-rule probabilities. For degenerate states the
-    row basis inside an eigenspace is a convention fixed by the
-    eigendecomposition ordering.
+    Rows are indexed by the state's eigenvectors in descending eigenvalue
+    order; columns by measurement outcomes. Column marginals reproduce the
+    Born-rule probabilities. The one-state case of the joint kernel behind
+    :func:`mutual_information_stack`, so it is bit-identical to that stack's
+    entry. Eigenvector phases do not enter ``<x|Π_i|x>``. On a repeated nonzero
+    eigenvalue the rows inside that eigenspace follow the basis that ``eigh``
+    returns, so the joint (and its mutual information) can move with
+    rounding-level changes to ``rho``.
     """
-    if measurement.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"measurement dimension {measurement.dim} vs state dimension {rho.dim}"
-        )
-    eigvals, eigvecs = phase_fixed_eigh(rho.matrix, atol=atol)
-    eigvals = np.clip(eigvals, 0.0, None)
-    # conditional[x, i] = <x|Pi_i|x>
-    conditional = np.einsum("ax,iab,bx->xi", eigvecs.conj(), measurement.stacked(), eigvecs).real
-    conditional = np.clip(conditional, 0.0, None)
-    joint = eigvals[:, None] * conditional
-    return JointDistribution(joint, norm_tol=max(atol, 1e-10))
+    return JointDistribution(_eigen_joints(measurement, rho.matrix[None])[0], norm_tol=max(atol, 1e-10))

@@ -94,4 +94,4 @@ class UnknownSuiteError(KeyError):
 
 
 class InvalidRangeError(ValidationError):
-    """A numeric parameter (scan range, tolerance, dimension, trial count) is out of range."""
+    """A numeric parameter (scan range, tolerance, dimension, trial count, outcome index) is out of range."""

@@ -20,6 +20,7 @@ from .distributions import WeightedDistribution
 from .errors import (
     DimensionMismatchError,
     IncompleteSumError,
+    InvalidRangeError,
     KrausMismatchError,
     MissingKrausError,
     NegativeProbabilityError,
@@ -96,7 +97,7 @@ class GeneralizedMeasurement:
             for idx, ops in enumerate(kraus):
                 if len(ops) == 0:
                     raise KrausMismatchError(f"outcome {idx} has an empty Kraus group")
-                ops = tuple(as_square_matrix(k, name=f"Kraus op of outcome {idx}") for k in ops)
+                ops = tuple(as_square_matrix(k, name=f"Kraus op of outcome {idx}").copy() for k in ops)
                 for k in ops:
                     if k.shape[0] != dim:
                         raise DimensionMismatchError(
@@ -199,19 +200,27 @@ def outcome_probabilities(
     return WeightedDistribution(probs, measurement.volumes(), norm_tol=max(atol, 1e-10))
 
 
+def _checked_state_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
+    """``states`` as an array, after checking that it is a ``(S, d, d)`` stack for ``measurement``."""
+    states = np.asarray(states)
+    if states.ndim != 3 or states.shape[1:] != (measurement.dim, measurement.dim):
+        raise DimensionMismatchError(
+            f"expected a stack of {measurement.dim} x {measurement.dim} states, got {states.shape}"
+        )
+    return states
+
+
 def outcome_probability_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
     """Born-rule probabilities of a ``(S, d, d)`` stack of states, as an ``(S, n)`` array.
 
     Probabilities are clamped to ``[0, 1]``; anything below ``-1e-9`` raises
     :class:`NegativeProbabilityError`. The states are taken as given, so
     validate them first (:func:`~povmcoarse.operators.require_density`).
+    Each ``Tr[Π_i ρ_s]`` is one sum over the contiguous element axes, so row
+    ``s`` does not depend on the rest of the stack.
     """
-    states = np.asarray(states)
-    if states.ndim != 3 or states.shape[1:] != (measurement.dim, measurement.dim):
-        raise DimensionMismatchError(
-            f"expected a stack of {measurement.dim} x {measurement.dim} states, got {states.shape}"
-        )
-    probs = np.einsum("iab,sba->si", measurement.stacked(), states).real
+    transposed = np.swapaxes(_checked_state_stack(measurement, states), 1, 2)
+    probs = np.sum(measurement.stacked() * transposed[:, None], axis=(2, 3)).real
     if np.any(probs < -1e-9):
         raise NegativeProbabilityError(
             f"outcome probability {probs.min():.3e} is negative beyond tolerance"
@@ -262,12 +271,18 @@ def post_measurement_state(
     """State update after observing ``outcome``: ``ρ → sum_m K ρ K† / p``.
 
     Returns the updated state together with the outcome probability.
+    ``outcome`` must be an integer in ``[0, n_outcomes)``, else
+    :class:`InvalidRangeError` is raised.
     """
     if measurement.kraus is None:
         raise MissingKrausError("state update needs Kraus operators")
     if measurement.dim != rho.dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} vs state dimension {rho.dim}"
+        )
+    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < measurement.n_outcomes:
+        raise InvalidRangeError(
+            f"outcome must be an integer in [0, {measurement.n_outcomes}), got {outcome!r}"
         )
     ops = measurement.kraus[outcome]
     updated = sum(k @ rho.matrix @ dagger(k) for k in ops)

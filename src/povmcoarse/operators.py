@@ -230,7 +230,7 @@ class Subspace:
     __slots__ = ("basis", "projector")
 
     def __init__(self, basis, *, atol: float = DEFAULT_ATOL):
-        arr = np.asarray(basis, dtype=complex)
+        arr = np.array(basis, dtype=complex)  # a copy: the caller's array stays writable
         if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
             raise DimensionMismatchError(
                 f"subspace basis must be a d x r matrix with 1 <= r <= d, got {arr.shape}"

@@ -18,10 +18,11 @@ else 50), so it replays alone. The four subspace suites check nothing below
 dimension 2, which has no proper nonzero subspace.
 
 The six per-state suites draw a trial's states up front, from those same
-generators, as one ``(k, d, d)`` stack that is validated once. Stack kernels
-(Born probabilities, ``S_obs``, mutual information) screen every state at
-once, and the scalar functions confirm the first suspect and build its record,
-so the records are those of a state-by-state sweep.
+generators, as one ``(k, d, d)`` stack that is validated once. The stack
+kernels (Born probabilities, ``S_obs``, mutual information) evaluate every
+state in one pass, and the first violating state's record is built from those
+values. Each stack entry is bit-identical to the public one-state function on
+that state, so the records are those of a state-by-state sweep.
 
 The registry names are part of the CLI contract:
 
@@ -72,7 +73,6 @@ from .coarseness import (
 from .distributions import JointDistribution, StochasticMatrix, WeightedDistribution, push_forward
 from .entropy import (
     kl_divergence,
-    measurement_state_joint,
     mutual_information,
     mutual_information_stack,
     observational_entropy,
@@ -112,10 +112,6 @@ from .serialization import (
 
 INEQ_TOL = 1e-9
 EQ_TOL = 1e-8
-# The stack kernels agree with the scalar functions to about 1e-15. A state
-# whose kernel value comes within this slack of its bound is handed to the
-# scalar check, so the screen cannot pass a state that the scalar check fails.
-_SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,19 +169,19 @@ def _sweep_states(statement, states, check, coarse, fine, subspace=None):
     """The record of the first state in the stack ``states`` that violates ``check``, or ``None``.
 
     ``states`` holds all of the trial's states, drawn up front as one validated
-    ``(k, d, d)`` stack. ``check`` is a pair ``(screen, violation)``:
-    ``screen(fine, coarse, states)`` gives every state's excess over its bound
-    from the stack kernels, and the first suspect (excess above
-    ``-_SCREEN_SLACK``) that the scalar ``violation(fine, coarse, rho)``
-    confirms gives the record. Records are those of a state-by-state sweep.
+    ``(k, d, d)`` stack. ``check(fine, coarse, states)`` gives ``(excess,
+    values)`` from the stack kernels in one pass: every state's excess over
+    its bound, and the compared values as arrays named by their record keys.
+    The first state whose excess is not ``<= 0`` (so a NaN excess too) is
+    reported with its values.
     """
-    screen, violation = check
-    for s in np.flatnonzero(screen(fine, coarse, states) > -_SCREEN_SLACK):
-        rho = DensityMatrix(states[s], atol=1e-9)
-        values = violation(fine, coarse, rho)
-        if values is not None:
-            return _fail(statement, **values, state=state_to_dict(rho),
-                         **_pair_payload(coarse, fine, subspace))
+    excess, values = check(fine, coarse, states)
+    failing = np.flatnonzero(~(excess <= 0))
+    if failing.size:
+        s = failing[0]
+        return _fail(statement, **{key: float(value[s]) for key, value in values.items()},
+                     state=state_to_dict(DensityMatrix(states[s], atol=1e-9)),
+                     **_pair_payload(coarse, fine, subspace))
 
 
 def _in_proper_subspaces(suite):
@@ -353,52 +349,30 @@ def _random_subspace_coarser_pair(rng, dim):
 
 
 # ---------------------------------------------------------------------------
-# per-state statements: a (screen, violation) pair for _sweep_states. The screen
-# gives every state's excess over the bound; the violation gives one state's
-# compared values where it fails. Both read the tolerances at call time.
+# per-state statements for _sweep_states: check(fine, coarse, states) gives every
+# state's excess over the bound and the compared values. Each reads the
+# tolerances at call time.
 
 
 def _mapped_probabilities(matrix, tol):
-    def screen(fine, coarse, states):
+    def check(fine, coarse, states):
         p_fine = outcome_probability_stack(fine, states)
-        p_coarse = outcome_probability_stack(coarse, states)
-        return np.max(np.abs(p_coarse - p_fine @ matrix.T), axis=1) - tol
-
-    def violation(fine, coarse, rho):
-        p_fine = outcome_probabilities(fine, rho).probs
-        p_coarse = outcome_probabilities(coarse, rho).probs
-        gap = float(np.max(np.abs(p_coarse - matrix @ p_fine)))
-        if gap > tol:
-            return {"gap": gap}
-    return screen, violation
+        mapped = (matrix @ p_fine[:, :, None])[..., 0]  # bit for bit matrix @ p per state
+        gap = np.max(np.abs(outcome_probability_stack(coarse, states) - mapped), axis=1)
+        return gap - tol, {"gap": gap}
+    return check
 
 
-def _entropy_screen(fine, coarse, states):
-    return s_obs_stack(fine, states) - INEQ_TOL - s_obs_stack(coarse, states)
+def _entropy_grows(fine, coarse, states):
+    s_fine = s_obs_stack(fine, states)
+    s_coarse = s_obs_stack(coarse, states)
+    return (s_fine - INEQ_TOL) - s_coarse, {"fine_entropy": s_fine, "coarse_entropy": s_coarse}
 
 
-def _entropy_falls(fine, coarse, rho):
-    s_fine = observational_entropy(fine, rho).s_obs
-    s_coarse = observational_entropy(coarse, rho).s_obs
-    if s_coarse < s_fine - INEQ_TOL:
-        return {"fine_entropy": s_fine, "coarse_entropy": s_coarse}
-
-
-_ENTROPY_GROWS = (_entropy_screen, _entropy_falls)
-
-
-def _information_screen(fine, coarse, states):
-    return mutual_information_stack(coarse, states) - mutual_information_stack(fine, states) - INEQ_TOL
-
-
-def _information_grows(fine, coarse, rho):
-    mi_fine = mutual_information(measurement_state_joint(fine, rho))
-    mi_coarse = mutual_information(measurement_state_joint(coarse, rho))
-    if mi_coarse > mi_fine + INEQ_TOL:
-        return {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
-
-
-_INFORMATION_SHRINKS = (_information_screen, _information_grows)
+def _information_shrinks(fine, coarse, states):
+    mi_fine = mutual_information_stack(fine, states)
+    mi_coarse = mutual_information_stack(coarse, states)
+    return mi_coarse - (mi_fine + INEQ_TOL), {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
 
 
 def _coarser_pairs(rng, dim):
@@ -488,9 +462,9 @@ def _suite_lemma_processing(trials, dim, seed):
 
 
 _suite_coarser_entropy = _monotone(
-    "S_coarse >= S_fine", _ENTROPY_GROWS, _coarser_pairs, _drawn_states)
+    "S_coarse >= S_fine", _entropy_grows, _coarser_pairs, _drawn_states)
 _suite_coarser_mi = _monotone(
-    "I_coarse <= I_fine", _INFORMATION_SHRINKS, _coarser_pairs, _drawn_states)
+    "I_coarse <= I_fine", _information_shrinks, _coarser_pairs, _drawn_states)
 
 
 @_in_proper_subspaces
@@ -518,10 +492,10 @@ def _suite_subspace_processing(trials, dim, seed):
 
 _suite_subspace_entropy = _in_proper_subspaces(_monotone(
     "S_coarse >= S_fine on subspace states",
-    _ENTROPY_GROWS, _subspace_pairs, _replayed_subspace_states))
+    _entropy_grows, _subspace_pairs, _replayed_subspace_states))
 _suite_subspace_mi = _in_proper_subspaces(_monotone(
     "I_coarse <= I_fine on subspace states",
-    _INFORMATION_SHRINKS, _subspace_pairs, _replayed_subspace_states))
+    _information_shrinks, _subspace_pairs, _replayed_subspace_states))
 
 
 @_in_proper_subspaces

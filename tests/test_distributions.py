@@ -39,6 +39,13 @@ class TestWeightedDistribution:
         w = WeightedDistribution([1.0, 0.0], [1.8, 0.2])
         np.testing.assert_allclose(w.uniform_reference(), [0.9, 0.1])
 
+    def test_copies_float_volumes(self):
+        v = np.array([1.0, 1.0])
+        w = WeightedDistribution([0.5, 0.5], v)
+        v[0] = -1.0
+        assert np.array_equal(w.volumes, [1.0, 1.0])
+        assert v.flags.writeable
+
 
 class TestJointDistribution:
     def test_marginals(self):

@@ -19,6 +19,8 @@ from povmcoarse import (
     mutual_information,
     mutual_information_stack,
     observational_entropy,
+    outcome_probabilities,
+    outcome_probability_stack,
     push_forward,
     s_obs_classical,
     s_obs_stack,
@@ -251,24 +253,65 @@ class TestProcessingInequalities:
         assert gap > 0.05
 
 
+def reference_s_obs(povm, rho):
+    """``sum p (ln V - ln p)`` with ``p_i = Tr[Π_i ρ]`` and ``V_i = Tr Π_i``, one outcome at a time."""
+    total = 0.0
+    for element in povm.elements:
+        p = float(np.trace(element @ rho).real)
+        if p > 1e-14:
+            total += p * (math.log(float(np.trace(element).real)) - math.log(p))
+    return total
+
+
+def reference_mutual_information(povm, rho):
+    """``sum p_xi ln(p_xi / (p_x p_i))`` with ``p_xi = λ_x <x|Π_i|x>`` from this state's own ``eigh``."""
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    joint = [
+        [max(float(lam), 0.0) * max(float((vec.conj() @ element @ vec).real), 0.0) for element in povm.elements]
+        for lam, vec in zip(eigvals, eigvecs.T)
+    ]
+    rows = [sum(row) for row in joint]
+    cols = [sum(column) for column in zip(*joint)]
+    return sum(
+        p * math.log(p / (rows[x] * cols[i]))
+        for x, row in enumerate(joint)
+        for i, p in enumerate(row)
+        if p > 1e-14
+    )
+
+
 class TestStackKernels:
-    """The (S, d, d) kernels agree with the scalar functions state by state."""
+    """The (S, d, d) kernels against per-state references written from the defining formulas."""
 
     def test_s_obs_stack_matches_observational_entropy(self):
         for povm, states in kernel_cases():
             values = s_obs_stack(povm, states)
             assert values.shape == (len(states),)
             for value, rho in zip(values, states):
-                want = observational_entropy(povm, DensityMatrix(rho, atol=1e-9)).s_obs
-                assert abs(value - want) <= 1e-12
+                assert abs(value - reference_s_obs(povm, rho)) <= 1e-12
 
     def test_mutual_information_stack_matches_joint(self):
         for povm, states in kernel_cases():
             values = mutual_information_stack(povm, states)
             assert values.shape == (len(states),)
             for value, rho in zip(values, states):
-                joint = measurement_state_joint(povm, DensityMatrix(rho, atol=1e-9))
-                assert abs(value - mutual_information(joint)) <= 1e-12
+                assert abs(value - reference_mutual_information(povm, rho)) <= 1e-12
+
+    def test_every_slice_is_the_one_state_call(self):
+        """Entry s is bit-identical to the public one-state function on state s, whatever S is."""
+        for povm, states in kernel_cases():
+            probs = outcome_probability_stack(povm, states)
+            s_obs = s_obs_stack(povm, states)
+            info = mutual_information_stack(povm, states)
+            for s, matrix in enumerate(states):
+                rho = DensityMatrix(matrix, atol=1e-9)
+                assert np.array_equal(probs[s], outcome_probabilities(povm, rho).probs)
+                assert np.array_equal(s_obs[s], observational_entropy(povm, rho).s_obs)
+                assert np.array_equal(info[s], mutual_information(measurement_state_joint(povm, rho)))
+                tail = states[s:]  # the same state at the head of a shorter stack
+                assert np.array_equal(probs[s], outcome_probability_stack(povm, tail)[0])
+                assert np.array_equal(s_obs[s], s_obs_stack(povm, tail)[0])
+                assert np.array_equal(info[s], mutual_information_stack(povm, tail)[0])
 
     def test_pure_state_inside_one_outcome(self, z_measurement):
         states = np.stack([proj(ket(1, 0)), proj(ket(0, 1))])

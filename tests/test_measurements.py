@@ -22,6 +22,7 @@ from povmcoarse.entropy import ZERO_PROB_TOL
 from povmcoarse.errors import (
     DimensionMismatchError,
     IncompleteSumError,
+    InvalidRangeError,
     KrausMismatchError,
     MissingKrausError,
     NonHermitianError,
@@ -65,6 +66,14 @@ class TestValidateMeasurement:
         p0, p1 = proj(ket(1, 0)), proj(ket(0, 1))
         m = validate_measurement([p0, p1], [[p0], [p1]])
         assert len(m.kraus) == 2
+
+    def test_kraus_inputs_stay_writable_and_unshared(self):
+        p0, p1 = proj(ket(1, 0)), proj(ket(0, 1))
+        m = validate_measurement([p0, p1], [[p0], [p1]])
+        assert p0.flags.writeable and p1.flags.writeable
+        p0[0, 0] = 7.0
+        assert m.kraus[0][0][0, 0] == 1.0
+        assert not m.kraus[0][0].flags.writeable
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -287,6 +296,16 @@ class TestPostMeasurementState:
     def test_zero_probability_outcome(self, z_measurement):
         with pytest.raises(ZeroProbabilityOutcomeError):
             post_measurement_state(z_measurement, 0, DensityMatrix.pure(ket(0, 1)))
+
+    @pytest.mark.parametrize("outcome", [-1, 2, 1.0, "0", None])
+    def test_outcome_out_of_range(self, z_measurement, outcome):
+        with pytest.raises(InvalidRangeError):
+            post_measurement_state(z_measurement, outcome, DensityMatrix.maximally_mixed(2))
+
+    def test_numpy_integer_outcome(self, z_measurement):
+        state, prob = post_measurement_state(z_measurement, np.int64(1), DensityMatrix.maximally_mixed(2))
+        assert prob == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(state.matrix, proj(ket(0, 1)), atol=1e-12)
 
 
 class TestTracePairing:

@@ -81,6 +81,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.ones((2, 3)))
 
+    def test_subspace_copies_its_basis(self):
+        u = np.eye(3, dtype=complex)
+        sub = Subspace(u[:, :2])
+        u[0, 0] = 7.0  # writing through another view must not reach the validated basis
+        assert np.array_equal(sub.basis, np.eye(3)[:, :2])
+        assert np.array_equal(sub.projector.matrix, np.diag([1.0, 1.0, 0.0]))
+
+    def test_subspace_leaves_a_complex_input_writable(self):
+        basis = np.eye(2, dtype=complex)[:, :1]
+        Subspace(basis)
+        assert basis.flags.writeable
+
 
 class TestEigendecompose:
     def test_identity_fully_degenerate(self):

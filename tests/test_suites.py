@@ -301,33 +301,34 @@ class TestFailurePayloads:
 
 
 class TestSweepStates:
-    """The kernel screen picks suspects; the scalar check decides which one is reported."""
+    """One pass: the first state whose excess is not ``<= 0`` is reported with its values."""
 
-    def test_first_confirmed_suspect_is_reported(self):
+    @staticmethod
+    def sweep(excess):
         import povmcoarse.suites as suites
 
         fine = coarse = random_povm(2, 2, 0, with_kraus=False)
-        states = suites.random_density_stack(2, ((None, s) for s in range(4)))
-        seen = []
+        states = suites.random_density_stack(2, ((None, s) for s in range(len(excess))))
+        values = np.arange(len(excess)) / 10.0
 
-        def screen(fine, coarse, states):
-            return np.array([-1.0, 0.0, 0.5, 0.5])  # state 0 passes, 1-3 are suspects
+        def check(fine, coarse, states):
+            return np.asarray(excess, dtype=float), {"value": values}
 
-        def violation(fine, coarse, rho):
-            seen.append(rho.matrix)
-            if len(seen) == 2:
-                return {"value": 1.0}
+        return states, suites._sweep_states("statement", states, check, coarse, fine)
 
-        record = suites._sweep_states("statement", states, (screen, violation), coarse, fine)
-        assert len(seen) == 2  # states 1 and 2 were confirmed by the scalar check, 3 was not
-        assert np.array_equal(seen[0], states[1])
-        assert np.array_equal(state_from_dict(record["state"]).matrix, states[2])
+    def test_first_positive_excess_is_reported(self):
+        states, record = self.sweep([-1.0, 0.5, 0.25])
         assert list(record) == ["violated", "value", "state", "coarse", "fine"]
+        assert record["value"] == 0.1 and type(record["value"]) is float
+        assert np.array_equal(state_from_dict(record["state"]).matrix, states[1])
 
-    def test_no_suspect_no_record(self):
-        import povmcoarse.suites as suites
+    def test_zero_excess_passes(self):
+        assert self.sweep([-1.0, 0.0, -0.0])[1] is None
 
-        fine = coarse = random_povm(2, 2, 0, with_kraus=False)
-        states = suites.random_density_stack(2, ((None, s) for s in range(3)))
-        check = (lambda f, c, st: np.full(len(st), -1.0), pytest.fail)
-        assert suites._sweep_states("statement", states, check, coarse, fine) is None
+    def test_nan_excess_is_reported(self):
+        states, record = self.sweep([0.0, np.nan, 1.0])
+        assert record["value"] == 0.1
+        assert np.array_equal(state_from_dict(record["state"]).matrix, states[1])
+
+    def test_no_violation_no_record(self):
+        assert self.sweep([-1.0, -2.0, -1e-300])[1] is None
