@@ -3,8 +3,8 @@
 A measurement ``C2`` is *coarser* than ``C1`` when every element of ``C2`` is a
 fixed stochastic mixture of ``C1``'s elements: ``Π^(2)_j = sum_i P_ji Π^(1)_i``
 for some left stochastic ``P``. The same relation restricted to a subspace
-``G`` projects both sides with ``P_G``, quantifies only over the outcomes
-possible in ``G``, and adds the volume inequality
+``G`` sees each element only through ``P_G Π P_G``, quantifies only over the
+outcomes possible in ``G``, and adds the volume inequality
 ``V^(2)_j >= sum_i P_ji V^(1)_i``. On bare ``(p, V)`` data the elements are
 the pairs ``(p_i, V_i)``.
 
@@ -15,7 +15,9 @@ All three checks solve one linear feasibility problem over the entries of
 outcome; the subspace check appends one volume inequality per coarse outcome.
 Hermitian operators contribute ``d^2`` real components each: the diagonal plus
 real and imaginary parts of the strict upper triangle, which drops the
-redundant conjugate constraints.
+redundant conjugate constraints. The subspace check compares the ``r x r``
+blocks ``B† Π B`` in an orthonormal basis ``B`` of a rank-``r`` subspace, so
+its elements contribute ``r^2`` components each.
 
 One verdict rule turns the solve into a :class:`CoarsenessCertificate`: the
 phase-1 solution, clipped at zero, must be left stochastic, and its residual
@@ -203,14 +205,13 @@ def possible_outcomes(
     """Outcomes attainable on states inside the subspace.
 
     Outcome ``i`` is possible iff ``Π_i P_G != 0``, detected as
-    ``‖Π_i P_G‖_F > tol``.
+    ``‖Π_i B‖_F = ‖Π_i P_G‖_F > tol`` for the orthonormal basis ``B`` of ``G``.
     """
     if measurement.dim != subspace.dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} vs subspace dimension {subspace.dim}"
         )
-    pg = subspace.projector.matrix
-    norms = np.linalg.norm(measurement.stacked() @ pg, axis=(1, 2))
+    norms = np.linalg.norm(measurement.stacked() @ subspace.basis, axis=(1, 2))
     return tuple(int(i) for i in np.flatnonzero(norms > tol))
 
 
@@ -239,9 +240,9 @@ def check_coarser_in_subspace(
 ) -> CoarsenessCertificate:
     """Decide the coarse-graining relation restricted to a subspace.
 
-    The equalities compare two-sided projections ``P_G Π P_G`` over the
-    outcomes possible in the subspace, in the ambient representation (rank
-    deficiency just adds redundant equalities). The extra inequality
+    The equalities compare the ``r x r`` blocks ``B† Π B`` of the elements
+    possible in the subspace, which carry the same norms as ``P_G Π P_G``
+    (:meth:`~povmcoarse.operators.Subspace.compress`). The extra inequality
     ``V^(2)_j >= sum_i P_ji V^(1)_i`` reflects an observer who does not know
     that states are confined to the subspace. With the full space this reduces
     exactly to :func:`check_coarser`.
@@ -256,12 +257,10 @@ def check_coarser_in_subspace(
         raise EmptyOutcomeSetError(
             f"no possible outcomes in the subspace (fine: {len(o1)}, coarse: {len(o2)})"
         )
-    pg = subspace.projector.matrix
-    proj_fine = pg @ fine.stacked()[list(o1)] @ pg
-    proj_coarse = pg @ coarse.stacked()[list(o2)] @ pg
     v1 = fine.volumes()[list(o1)]
     v2 = coarse.volumes()[list(o2)]
-    cert = _decide(proj_fine, proj_coarse, tol, v1, v2)
+    cert = _decide(subspace.compress(fine.stacked()[list(o1)]),
+                   subspace.compress(coarse.stacked()[list(o2)]), tol, v1, v2)
     found = {}
     if cert.feasible:
         mat = cert.witness.matrix
@@ -276,8 +275,6 @@ def check_coarser_projective(
     coarse: GeneralizedMeasurement,
     fine: GeneralizedMeasurement,
     tol: float = DEFAULT_FEAS_TOL,
-    *,
-    proj_tol: float = DEFAULT_ATOL,
 ) -> Partition | None:
     """Fast path when the coarse measurement is projective.
 
@@ -293,7 +290,7 @@ def check_coarser_projective(
     _check_tol(tol)
     projectors, fine_stack = coarse.stacked(), fine.stacked()
     defects = np.linalg.norm(projectors @ projectors - projectors, axis=(1, 2))
-    bad = np.flatnonzero(defects > proj_tol)
+    bad = np.flatnonzero(defects > DEFAULT_ATOL)
     if bad.size:
         raise NotProjectiveError(
             f"coarse element {bad[0]} is not a projector (||P^2 - P||_F = {defects[bad[0]]:.3e})"

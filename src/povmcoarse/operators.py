@@ -50,6 +50,17 @@ def _one_matrix(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _vector_columns(vectors: Sequence) -> np.ndarray:
+    """Stack equal-length vectors as the columns of a ``(d, k)`` complex matrix."""
+    flat = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not flat:
+        raise ValidationError("need at least one vector")
+    lengths = sorted({v.size for v in flat})
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"vectors have unequal lengths {lengths}")
+    return np.stack(flat, axis=1)
+
+
 def as_square_matrix(a, *, name: str = "operator") -> np.ndarray:
     """Coerce ``a`` to a finite square complex matrix."""
     return _one_matrix(_square_stack(a, name), name)
@@ -104,18 +115,15 @@ def require_psd(a, *, atol: float = DEFAULT_ATOL, name: str = "operator") -> np.
     return arr
 
 
-def require_density(
-    a, *, atol: float = DEFAULT_ATOL, trace_tol: float | None = None, name: str = "density matrix"
-) -> np.ndarray:
+def require_density(a, *, atol: float = DEFAULT_ATOL, name: str = "density matrix") -> np.ndarray:
     """Validate one state or a ``(..., d, d)`` stack of states; return it symmetrized.
 
     The checks, tolerances and errors are those of :class:`DensityMatrix`:
-    Hermitian and PSD within ``atol``, and unit trace within ``trace_tol``
-    (default ``atol``).
+    Hermitian, PSD and unit trace, each within ``atol``.
     """
     arr = require_psd(a, atol=atol, name=name)
     trace = np.trace(arr, axis1=-2, axis2=-1).real
-    bad = np.abs(trace - 1.0) > (trace_tol if trace_tol is not None else atol)
+    bad = np.abs(trace - 1.0) > atol
     if np.count_nonzero(bad):
         label, value = _first_flagged(name, bad, trace)
         raise ValidationError(f"{label} trace {value!r} differs from 1")
@@ -190,8 +198,8 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, atol: float = DEFAULT_ATOL, trace_tol: float | None = None):
-        arr = _one_matrix(require_density(matrix, atol=atol, trace_tol=trace_tol), "density matrix")
+    def __init__(self, matrix, *, atol: float = DEFAULT_ATOL):
+        arr = _one_matrix(require_density(matrix, atol=atol), "density matrix")
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -257,7 +265,7 @@ class Subspace:
     @classmethod
     def span(cls, vectors: Sequence, *, atol: float = DEFAULT_ATOL) -> "Subspace":
         """Subspace spanned by linearly independent vectors (orthonormalized)."""
-        cols = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors], axis=1)
+        cols = _vector_columns(vectors)
         q, r = np.linalg.qr(cols)
         diag = np.diag(r)
         if np.any(np.abs(diag) < 1e-10):
@@ -278,6 +286,19 @@ class Subspace:
                 f"expected a {self.rank} x {self.rank} block, got {small.shape}"
             )
         return self.basis @ small @ dagger(self.basis)
+
+    def compress(self, big: np.ndarray) -> np.ndarray:
+        """The r x r block ``B† X B`` of an ambient operator, or of a ``(..., d, d)`` stack.
+
+        The partner of :meth:`embed`: ``compress(embed(Y)) == Y``, and
+        ``‖B† X B‖_F = ‖P X P‖_F`` for the projector ``P = B B†``.
+        """
+        big = np.asarray(big, dtype=complex)
+        if big.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"expected a {self.dim} x {self.dim} operator, got {big.shape}"
+            )
+        return dagger(self.basis) @ big @ self.basis
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, rank={self.rank})"

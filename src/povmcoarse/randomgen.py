@@ -15,6 +15,9 @@ from .errors import InvalidRankError, SingularSumError, ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DensityMatrix, Subspace, dagger, matrix_sqrt_psd, require_density
 
+# draws of a random POVM's normalizer before a singular sum is an error
+_POVM_DRAWS = 5
+
 
 def rng_from(seed) -> np.random.Generator:
     """Pass through a Generator or build one from an integer seed."""
@@ -75,24 +78,17 @@ def random_density_stack(dim: int, draws) -> np.ndarray:
     return require_density(_unit_trace(raw), atol=1e-9)
 
 
-def random_povm(
-    dim: int,
-    n_outcomes: int,
-    seed=0,
-    *,
-    with_kraus: bool = True,
-    max_retries: int = 5,
-) -> GeneralizedMeasurement:
+def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -> GeneralizedMeasurement:
     """Random POVM ``Π_i = S^{-1/2} A_i S^{-1/2}`` with PSD Gaussian ``A_i``.
 
-    The normalizer ``S = sum_i A_i`` is retried on (practically impossible)
-    singular draws. With ``with_kraus`` each outcome gets the single Kraus
-    operator ``Π_i^{1/2}``.
+    The normalizer ``S = sum_i A_i`` is redrawn on (practically impossible)
+    singular draws, at most ``_POVM_DRAWS`` times in all. With ``with_kraus``
+    each outcome gets the single Kraus operator ``Π_i^{1/2}``.
     """
     if n_outcomes < 1:
         raise ValidationError("need at least one outcome")
     rng = rng_from(seed)
-    for _ in range(max_retries):
+    for _ in range(_POVM_DRAWS):
         blocks = np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(n_outcomes)])
         raw = blocks @ blocks.conj().swapaxes(1, 2)
         # sum() adds in draw order; raw.sum(axis=0) may add pairwise and change the bits
@@ -103,7 +99,7 @@ def random_povm(
         elements = inv_sqrt @ raw @ inv_sqrt
         kraus = [[matrix_sqrt_psd(e)] for e in elements] if with_kraus else None
         return validate_measurement(elements, kraus, atol=1e-9)
-    raise SingularSumError(f"no well-conditioned normalizer after {max_retries} draws")
+    raise SingularSumError(f"no well-conditioned normalizer after {_POVM_DRAWS} draws")
 
 
 def random_projective(dim: int, n_blocks: int, seed=0) -> GeneralizedMeasurement:
@@ -161,13 +157,11 @@ def random_simplex(n: int, seed=0) -> np.ndarray:
     return e / e.sum()
 
 
-def random_weighted_distribution(n: int, seed=0, total_volume: float | None = None) -> WeightedDistribution:
+def random_weighted_distribution(n: int, seed=0) -> WeightedDistribution:
     """Random (probability, volume) pair; volumes bounded away from zero."""
     rng = rng_from(seed)
     probs = random_simplex(n, rng)
     volumes = rng.exponential(size=n) + 0.05
-    if total_volume is not None:
-        volumes *= total_volume / volumes.sum()
     return WeightedDistribution(probs, volumes)
 
 

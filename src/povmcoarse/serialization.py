@@ -26,7 +26,7 @@ from .coarseness import CoarsenessCertificate
 from .distributions import JointDistribution, WeightedDistribution
 from .errors import ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
-from .operators import DensityMatrix, Subspace
+from .operators import DensityMatrix, Subspace, _vector_columns
 
 
 def complex_matrix_to_json(mat) -> list[list[list[float]]]:
@@ -129,7 +129,7 @@ def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
         complex_vector_from_json(v, name=f"basis vector {k}")
         for k, v in enumerate(_json_list(payload["basis"], "'basis'"))
     ]
-    basis = np.stack(vectors, axis=1)
+    basis = _vector_columns(vectors)
     declared = payload.get("dim")
     if declared is not None and basis.shape[0] != declared:
         raise ValidationError(f"declared dim {declared} does not match vectors of length {basis.shape[0]}")

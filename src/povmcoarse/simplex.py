@@ -15,9 +15,8 @@ artificial ``k`` by the id ``n_vars + n_ineq + k``, which is all that Bland's
 leaving tie-break and the phase-1 objective need.
 
 Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
-``tol``, ``infeasible`` when it exceeds ``ambiguous_factor * tol``, and
-``ambiguous`` in the band between, so borderline systems are reported instead
-of guessed.
+``tol``, ``infeasible`` when it exceeds ``10 * tol``, and ``ambiguous`` in
+the band between, so borderline systems are reported instead of guessed.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ _ENTER_TOL = 1e-9
 # constraint matrices handled here are O(1)-scaled, so 1e-7 loses nothing)
 _PIVOT_TOL = 1e-7
 _STALL_LIMIT = 200
+# optima in (tol, _AMBIGUOUS_FACTOR * tol] are reported as ambiguous
+_AMBIGUOUS_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,6 @@ def lp_feasible(
     *,
     n_vars: int,
     tol: float = 1e-8,
-    ambiguous_factor: float = 10.0,
     max_iter: int | None = None,
 ) -> FeasibilityResult:
     """Decide whether ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}`` is non-empty.
@@ -192,7 +192,7 @@ def lp_feasible(
 
     if optimum <= tol:
         verdict = "feasible"
-    elif optimum > ambiguous_factor * tol:
+    elif optimum > _AMBIGUOUS_FACTOR * tol:
         verdict = "infeasible"
     else:
         verdict = "ambiguous"

@@ -312,10 +312,10 @@ def _random_subspace_coarser_pair(rng, dim):
 
     Fine elements are drawn either generically or block-supported (half inside
     the subspace, half inside its complement) so that both trivial and proper
-    possible-outcome sets are exercised. The coarse elements mix the projected
-    fine elements through a random stochastic matrix and absorb the leftover
-    volume on the orthogonal complement, which keeps the volume inequality
-    satisfiable by construction.
+    possible-outcome sets are exercised. The coarse elements mix the fine
+    elements' blocks on the subspace through a random stochastic matrix and
+    absorb the leftover volume on the orthogonal complement, which keeps the
+    volume inequality satisfiable by construction.
     """
     g = int(rng.integers(1, dim))
     u = random_unitary(dim, rng)
@@ -334,16 +334,15 @@ def _random_subspace_coarser_pair(rng, dim):
     o1 = possible_outcomes(fine, inside)
     m = int(rng.integers(1, len(o1) + 2))
     mix = random_left_stochastic(m, len(o1), rng).matrix
-    pg = inside.projector.matrix
-    projected = pg @ fine.stacked()[list(o1)] @ pg
-    mixed = np.einsum("ji,iab->jab", mix, projected)
+    blocks = inside.compress(fine.stacked()[list(o1)])
+    mixed = inside.embed(np.einsum("ji,iab->jab", mix, blocks))
 
     v_full = fine.volumes()[list(o1)]
-    v_proj = np.einsum("iaa->i", projected).real
+    v_proj = np.einsum("iaa->i", blocks).real
     deficits = mix @ (v_full - v_proj)  # >= 0, volume missing w.r.t. full traces
     leftover = (dim - g) - float(deficits.sum())
     extra = deficits + max(leftover, 0.0) * random_simplex(m, rng)
-    complement = np.eye(dim) - pg
+    complement = np.eye(dim) - inside.projector.matrix
     coarse = validate_measurement(mixed + (extra / (dim - g))[:, None, None] * complement, atol=1e-9)
     return fine, coarse, inside, StochasticMatrix(mix)
 
@@ -511,15 +510,13 @@ def _suite_restriction(trials, dim, seed):
         if not cert_small.feasible:
             return _fail("coarseness is preserved when the subspace shrinks",
                          verdict=cert_small.verdict, **_pair_payload(coarse, fine, smaller))
-        o2_small = possible_outcomes(coarse, smaller)
-        o1_small = possible_outcomes(fine, smaller)
+        o2_small, o1_small = cert_small.coarse_outcomes, cert_small.fine_outcomes
         restricted = restrict_transition_matrix(
             cert_big.witness, o2_small, o1_small,
             cert_big.coarse_outcomes, cert_big.fine_outcomes,
         )
-        pg = smaller.projector.matrix
-        target = pg @ coarse.stacked()[list(o2_small)] @ pg
-        source = pg @ fine.stacked()[list(o1_small)] @ pg
+        target = smaller.compress(coarse.stacked()[list(o2_small)])
+        source = smaller.compress(fine.stacked()[list(o1_small)])
         mixed = np.einsum("ji,iab->jab", restricted.matrix, source)
         residual = float(np.max(np.linalg.norm(mixed - target, axis=(1, 2))))
         slack = coarse.volumes()[list(o2_small)] - restricted.matrix @ fine.volumes()[list(o1_small)]
@@ -715,10 +712,9 @@ def _golden_non_extendable_witness() -> dict:
     plus_span = Subspace.span([_ket(1, 1) / math.sqrt(2)])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    pg = plus_span.projector.matrix
-    projected = pg @ fine.stacked() @ pg
+    blocks = plus_span.compress(fine.stacked())
     swap_residual = float(
-        np.max(np.linalg.norm(np.einsum("ji,iab->jab", swap, projected) - projected, axis=(1, 2)))
+        np.max(np.linalg.norm(np.einsum("ji,iab->jab", swap, blocks) - blocks, axis=(1, 2)))
     )
     volumes = fine.volumes()
     swap_volume_ok = bool(np.all(swap @ volumes <= volumes + 1e-12))

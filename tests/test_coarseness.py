@@ -17,6 +17,7 @@ from povmcoarse import (
     check_coarser_in_subspace,
     check_coarser_projective,
     coarsen,
+    lp_feasible,
     mixture_residual,
     observational_entropy,
     outcome_probabilities,
@@ -40,7 +41,10 @@ from povmcoarse.randomgen import (
     random_left_stochastic,
     random_povm,
     random_projective,
+    random_subspace,
+    random_unitary,
     random_weighted_distribution,
+    trial_rng,
 )
 
 from conftest import (
@@ -408,6 +412,49 @@ class TestCheckCoarserInSubspace:
         assert check_coarser_in_subspace(fine, coarse, low).verdict == "infeasible"
         assert check_coarser_in_subspace(fine, coarse, high).feasible
         assert check_coarser_in_subspace(coarse, fine, high).verdict == "infeasible"
+
+    @pytest.mark.parametrize("dim, rank", [(3, 1), (4, 2), (5, 3)])
+    def test_lp_has_rank_squared_rows_per_coarse_outcome(self, monkeypatch, dim, rank):
+        import povmcoarse.coarseness as coarseness_module
+
+        sizes = []
+
+        def recording(a_eq, *args, **kwargs):
+            sizes.append(a_eq.shape)
+            return lp_feasible(a_eq, *args, **kwargs)
+
+        monkeypatch.setattr(coarseness_module, "lp_feasible", recording)
+        fine = random_povm(dim, 4, seed=dim, with_kraus=False)
+        coarse = coarsen(fine, random_left_stochastic(3, 4, seed=rank))
+        cert = check_coarser_in_subspace(coarse, fine, random_subspace(dim, rank, seed=7))
+        m, n = len(cert.coarse_outcomes), len(cert.fine_outcomes)
+        assert cert.feasible
+        assert sizes == [(m * rank**2 + n, m * n)]
+
+    @staticmethod
+    def basis_invariant_verdict(coarse, fine, subspace, seed):
+        """The subspace verdict, asserted to be the same, with the same outcome sets, in ``B @ U``."""
+        rotated = Subspace(subspace.basis @ random_unitary(subspace.rank, seed))
+        before = check_coarser_in_subspace(coarse, fine, subspace)
+        after = check_coarser_in_subspace(coarse, fine, rotated)
+        assert (after.verdict, after.coarse_outcomes, after.fine_outcomes) == (
+            before.verdict, before.coarse_outcomes, before.fine_outcomes)
+        return before.verdict
+
+    def test_verdict_and_outcome_sets_do_not_depend_on_the_basis(self):
+        from povmcoarse.suites import _random_subspace_coarser_pair
+
+        for t in range(30):
+            rng = trial_rng(4549, t)
+            fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, int(rng.integers(2, 6)))
+            assert self.basis_invariant_verdict(coarse, fine, inside, t) == "feasible"
+            self.basis_invariant_verdict(fine, coarse, inside, t)
+
+    def test_sum_of_subspaces_verdicts_do_not_depend_on_the_basis(self, x_measurement, z_measurement):
+        spans = [Subspace.span([ket(1, 0)]), Subspace.span([ket(0, 1)]), Subspace.full(2)]
+        verdicts = [self.basis_invariant_verdict(x_measurement, z_measurement, span, seed)
+                    for seed, span in enumerate(spans)]
+        assert verdicts == ["feasible", "feasible", "infeasible"]
 
     def test_empty_outcome_set_error(self, monkeypatch, z_measurement):
         # valid POVMs always have a possible outcome in any subspace, so the

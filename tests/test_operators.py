@@ -77,6 +77,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Subspace.span([ket(1, 1), ket(2, 2)])
 
+    def test_subspace_span_without_vectors_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="at least one vector"):
+            Subspace.span([])
+
+    def test_subspace_span_of_unequal_lengths_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            Subspace.span([ket(1, 0), ket(0, 1, 0)])
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DensityMatrix(np.ones((2, 3)))
@@ -262,3 +270,32 @@ class TestStackDraws:
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):
             random_density_stack(3, [(None, 0), (4, 1)])
+
+
+class TestCompress:
+    """``Subspace.compress`` is the r x r block ``B† X B``, the partner of ``embed``."""
+
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (3, 2), (5, 3), (4, 4)])
+    def test_compress_inverts_embed(self, dim, rank):
+        rng = np.random.default_rng(dim * 10 + rank)
+        sub = random_subspace(dim, rank, rng)
+        small = rng.standard_normal((6, rank, rank)) + 1j * rng.standard_normal((6, rank, rank))
+        assert np.max(np.abs(sub.compress(sub.embed(small)) - small)) <= 1e-14
+        np.testing.assert_allclose(sub.compress(sub.embed(small[0])), small[0], atol=1e-14)
+
+    @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 2), (6, 5)])
+    def test_compress_keeps_the_sandwich_norm(self, dim, rank):
+        rng = np.random.default_rng(dim + rank)
+        sub = random_subspace(dim, rank, rng)
+        big = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        pg = sub.projector.matrix
+        np.testing.assert_allclose(
+            np.linalg.norm(sub.compress(big), axis=(1, 2)),
+            np.linalg.norm(pg @ big @ pg, axis=(1, 2)),
+            rtol=1e-13,
+        )
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 2), (4, 3, 2), (2, 4, 4)])
+    def test_wrong_shape_raises(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            random_subspace(3, 2, seed=1).compress(np.zeros(shape))

@@ -15,7 +15,7 @@ from povmcoarse import (
     check_coarser,
     check_coarser_in_subspace,
 )
-from povmcoarse.errors import ValidationError
+from povmcoarse.errors import DimensionMismatchError, ValidationError
 from povmcoarse.randomgen import random_density_matrix, random_povm, random_subspace
 from povmcoarse.serialization import (
     certificate_to_dict,
@@ -98,6 +98,15 @@ class TestStateAndSubspaceFiles:
     def test_non_array_basis_rejected(self):
         with pytest.raises(ValidationError):
             subspace_from_dict({"dim": 2, "basis": 5})
+
+    def test_empty_basis_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            subspace_from_dict({"dim": 2, "basis": []})
+
+    def test_unequal_basis_vectors_are_a_dimension_mismatch(self):
+        payload = {"basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}
+        with pytest.raises(DimensionMismatchError):
+            subspace_from_dict(payload)
 
     def test_state_validation_happens_on_load(self):
         rho = DensityMatrix(np.diag([0.6, 0.4]))
