@@ -14,6 +14,7 @@ from .coarseness import (
     check_coarser_in_subspace,
     check_coarser_projective,
     coarsen,
+    majorization_verdicts,
     mixture_residual,
     possible_outcomes,
     preserves_observational_entropy,
@@ -24,6 +25,7 @@ from .distributions import (
     StochasticMatrix,
     WeightedDistribution,
     push_forward,
+    weighted_rows,
 )
 from .entropy import (
     EntropyReport,
@@ -95,6 +97,7 @@ __all__ = [
     "eigendecompose",
     "kl_divergence",
     "lp_feasible",
+    "majorization_verdicts",
     "measurement_from_state",
     "measurement_state_joint",
     "mixture_residual",
@@ -129,4 +132,5 @@ __all__ = [
     "trace_pairing",
     "validate_measurement",
     "von_neumann_entropy",
+    "weighted_rows",
 ]

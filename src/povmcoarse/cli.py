@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .coarseness import check_coarser, check_coarser_classical, check_coarser_in_subspace
-from .distributions import WeightedDistribution
-from .entropy import observational_entropy, s_obs_classical
+from .coarseness import check_coarser, check_coarser_in_subspace, majorization_verdicts
+from .distributions import WeightedDistribution, weighted_rows
+from .entropy import _weighted_log_ratio, observational_entropy, s_obs_classical
 from .errors import InvalidRangeError, UnknownSuiteError, ValidationError
 from .measurements import compose_measurements, outcome_probabilities
 from .serialization import (
@@ -118,21 +118,19 @@ def cmd_region_scan(args) -> int:
     v_values[0] = half_step
     v_values[-1] = vtot - half_step
 
-    cells = []
-    inclusion_violations = 0
-    for p2 in p_values:
-        for v2 in v_values:
-            candidate = WeightedDistribution([p2, 1.0 - p2], [v2, vtot - v2])
-            s_greater = s_obs_classical(candidate) >= s_base - _SCAN_ENTROPY_SLACK
-            feasible = check_coarser_classical(base, candidate, tol=args.tol).feasible
-            if feasible and not s_greater:
-                inclusion_violations += 1
-            cells.append((float(p2), float(v2), s_greater, feasible))
+    # one candidate row per cell, p2 major, checked as WeightedDistribution checks one
+    p_cells, v_cells = np.repeat(p_values, grid), np.tile(v_values, grid)
+    probs, volumes = weighted_rows(np.stack([p_cells, 1.0 - p_cells], axis=1),
+                                   np.stack([v_cells, vtot - v_cells], axis=1))
+    s_greater = _weighted_log_ratio(probs, volumes, probs, -1) >= s_base - _SCAN_ENTROPY_SLACK
+    feasible = majorization_verdicts(base, probs, volumes, tol=args.tol)[0] == "feasible"
+    inclusion_violations = int(np.count_nonzero(feasible & ~s_greater))
     if inclusion_violations:
         raise RuntimeError(
             f"{inclusion_violations} grid points are feasible but lower entropy; "
             "this contradicts entropy monotonicity under processing"
         )
+    cells = list(zip(p_cells.tolist(), v_cells.tolist(), s_greater.tolist(), feasible.tolist()))
     if args.format == "json":
         payload = [
             {"p2": p2, "v2": v2, "s_greater": sg, "feasible": fe}

@@ -8,7 +8,7 @@ outcomes possible in ``G``, and adds the volume inequality
 ``V^(2)_j >= sum_i P_ji V^(1)_i``. On bare ``(p, V)`` data the elements are
 the pairs ``(p_i, V_i)``.
 
-All three checks solve one linear feasibility problem over the entries of
+The operator checks solve one linear feasibility problem over the entries of
 ``P``, laid out by :func:`_processing_system`: ``P_ji`` is variable
 ``j * n + i``; the equalities are one block of ``D`` rows per coarse outcome
 (the ``D`` real components of its element), then one column sum per fine
@@ -19,7 +19,16 @@ redundant conjugate constraints. The subspace check compares the ``r x r``
 blocks ``B† Π B`` in an orthonormal basis ``B`` of a rank-``r`` subspace, so
 its elements contribute ``r^2`` components each.
 
-One verdict rule turns the solve into a :class:`CoarsenessCertificate`: the
+On bare ``(p, V)`` data the relation is Blackwell's order on dichotomies, and
+relative majorization (Ruch, Schranner & Seligman, J. Chem. Phys. 69, 386
+(1978); Renes, J. Math. Phys. 57, 122202 (2016)) decides it without pivots
+(:func:`majorization_verdicts`): with ``q = V / sum(V)``, ``P`` exists iff
+the volume totals agree and ``sum_i (p_i - t q_i)_+ >= sum_j (p'_j - t q'_j)_+``
+for every threshold ``t >= 0``. The classical check solves the LP, on the
+scale-free rows ``(p_i, V_i / sum(V))``, only to produce the witness of a
+``feasible`` verdict.
+
+One verdict rule turns an LP solve into a :class:`CoarsenessCertificate`: the
 phase-1 solution, clipped at zero, must be left stochastic, and its residual
 (the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``) must be at
 most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
@@ -45,12 +54,27 @@ from .errors import (
 )
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DEFAULT_ATOL, Subspace, frobenius
-from .simplex import lp_feasible
+from .simplex import _verdict_band, lp_feasible
 
 DEFAULT_FEAS_TOL = 1e-8
 
 OutcomeSet = tuple[int, ...]
 Partition = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class Separation:
+    """Where a classical pair comes closest to violating relative majorization.
+
+    ``slack`` is ``sum_i (p_i - t q_i)_+ - sum_j (p'_j - t q'_j)_+`` at the
+    threshold ``t`` that minimizes it, with ``q = V / sum(V)`` and
+    ``q' = V' / sum(V')``; ``volume_gap`` is ``|sum(V') - sum(V)| / sum(V)``.
+    A negative slack below ``-tol``, or a gap above ``tol``, separates the pair.
+    """
+
+    threshold: float
+    slack: float
+    volume_gap: float
 
 
 @dataclass(frozen=True)
@@ -60,10 +84,12 @@ class CoarsenessCertificate:
     ``witness`` is present exactly when the verdict is ``feasible``;
     ``residual`` is then the largest per-outcome violation of the defining
     equalities recomputed from the witness: the Frobenius norm on operators,
-    the Euclidean norm over the ``(p_j, V_j)`` pairs for the classical check.
+    the Euclidean norm over the scale-free ``(p_j, V_j / sum(V))`` pairs for
+    the classical check. ``phase1_optimum`` is ``nan`` when no LP ran.
     ``volume_slack`` and the outcome sets are populated by the subspace
     variant; ``extension`` is the witness padded to the full outcome sets (left
-    stochastic by construction).
+    stochastic by construction). ``separation`` is set by the classical check
+    on a verdict that is not ``feasible``.
     """
 
     verdict: str  # "feasible" | "infeasible" | "ambiguous"
@@ -74,6 +100,7 @@ class CoarsenessCertificate:
     coarse_outcomes: OutcomeSet | None = None
     fine_outcomes: OutcomeSet | None = None
     extension: StochasticMatrix | None = field(default=None, repr=False)
+    separation: Separation | None = None
 
     @property
     def feasible(self) -> bool:
@@ -182,6 +209,47 @@ def check_coarser(
     return _decide(fine.stacked(), coarse.stacked(), tol)
 
 
+def majorization_verdicts(
+    fine: WeightedDistribution,
+    probs: np.ndarray,
+    volumes: np.ndarray,
+    tol: float = DEFAULT_FEAS_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decide the classical relation for a ``(k, m)`` stack of candidates by relative majorization.
+
+    Row ``c`` of ``probs`` and ``volumes`` is a candidate ``(p', V')``, checked
+    as :func:`~povmcoarse.distributions.weighted_rows` checks it. The slack
+    ``f(t) = sum_i (p_i - t q_i)_+ - sum_j (p'_j - t q'_j)_+`` is piecewise
+    linear in ``t`` with breaks at the ratios ``p_i / q_i`` and
+    ``p'_j / q'_j``, and vanishes from the largest ratio on, so its minimum
+    over ``t >= 0`` is its minimum over ``t = 0`` and the ratios. The
+    verdict applies the simplex's band to ``max(-slack, volume_gap)``.
+
+    Returns ``(verdicts, thresholds, slacks, volume_gaps)``, each of shape
+    ``(k,)``; see :class:`Separation` for the last three.
+    """
+    _check_tol(tol)
+    total = fine.total_volume
+    q = fine.volumes / total
+    totals = volumes.sum(axis=-1)
+    quotas = volumes / totals[:, None]
+    k = len(probs)
+    ratios = np.concatenate(
+        [np.zeros((k, 1)), np.broadcast_to(fine.probs / q, (k, fine.n)), probs / quotas], axis=1
+    )
+    t = ratios[:, :, None]
+    values = (
+        np.clip(fine.probs - t * q, 0.0, None).sum(axis=-1)
+        - np.clip(probs[:, None, :] - t * quotas[:, None, :], 0.0, None).sum(axis=-1)
+    )
+    worst = np.argmin(values, axis=1)[:, None]
+    slacks = np.take_along_axis(values, worst, axis=1)[:, 0]
+    thresholds = np.take_along_axis(ratios, worst, axis=1)[:, 0]
+    gaps = np.abs(totals - total) / total
+    verdicts = np.array([_verdict_band(v, tol) for v in np.maximum(-slacks, gaps).tolist()])
+    return verdicts, thresholds, slacks, gaps
+
+
 def check_coarser_classical(
     fine: WeightedDistribution,
     coarse: WeightedDistribution,
@@ -190,11 +258,30 @@ def check_coarser_classical(
     """Decide whether ``coarse`` arises from ``fine`` by stochastic processing.
 
     Feasible iff some left stochastic ``P`` maps both the probabilities and
-    the volumes: ``p' = P p`` and ``V' = P V``.
+    the volumes: ``p' = P p`` and ``V' = P V``. The verdict is the ``k = 1``
+    case of :func:`majorization_verdicts`, so it does not depend on the
+    volume scale; a verdict that is not ``feasible`` carries its
+    :class:`Separation` and no LP runs. A ``feasible`` verdict gets its
+    witness from the processing LP on the rows ``(p_i, V_i / sum(V))``; if
+    that LP yields no valid witness the verdict is ``ambiguous``.
     """
-    return _decide(
-        np.array([fine.probs, fine.volumes]).T, np.array([coarse.probs, coarse.volumes]).T, tol
+    verdicts, thresholds, slacks, gaps = majorization_verdicts(
+        fine, coarse.probs[None], coarse.volumes[None], tol
     )
+    separation = Separation(float(thresholds[0]), float(slacks[0]), float(gaps[0]))
+    if verdicts[0] != "feasible":
+        return CoarsenessCertificate(
+            str(verdicts[0]), None, math.inf, math.nan, separation=separation
+        )
+    total = fine.total_volume
+    cert = _decide(
+        np.array([fine.probs, fine.volumes / total]).T,
+        np.array([coarse.probs, coarse.volumes / total]).T,
+        tol,
+    )
+    if cert.feasible:
+        return cert
+    return replace(cert, verdict="ambiguous", separation=separation)
 
 
 def possible_outcomes(

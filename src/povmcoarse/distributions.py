@@ -18,19 +18,33 @@ DEFAULT_COLUMN_TOL = 1e-8
 _NEGATIVE_TOL = 1e-12
 
 
-def _as_probabilities(values, *, name: str, norm_tol: float) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} has non-finite entries")
-    if np.any(arr < -_NEGATIVE_TOL):
-        raise ValidationError(f"{name} has negative entries (min {arr.min():.3e})")
-    arr = np.clip(arr, 0.0, None)
-    total = float(arr.sum())
-    if abs(total - 1.0) > norm_tol:
-        raise NotNormalizedError(f"{name} sums to {total!r}, expected 1 within {norm_tol:.1e}")
-    return arr
+def weighted_rows(probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Check ``(p, V)`` pairs held as ``(..., n)`` rows, each by the rules of :class:`WeightedDistribution`.
+
+    Every row of ``probs`` must be finite, non-negative up to rounding noise
+    and sum to one within ``norm_tol``; ``volumes`` must have the same shape
+    and be finite and strictly positive. Returns float copies, the
+    probabilities clipped at zero. A failure names the worst row's value.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.size == 0:
+        raise ValidationError("probs must be non-empty")
+    if not np.isfinite(p).all():
+        raise ValidationError("probs has non-finite entries")
+    if (p < -_NEGATIVE_TOL).any():
+        raise ValidationError(f"probs has negative entries (min {p.min():.3e})")
+    p = np.clip(p, 0.0, None)
+    totals = p.sum(axis=-1)
+    errors = np.abs(totals - 1.0)
+    if errors.max() > norm_tol:
+        total = float(np.ravel(totals)[np.argmax(errors)])
+        raise NotNormalizedError(f"probs sums to {total!r}, expected 1 within {norm_tol:.1e}")
+    v = np.array(volumes, dtype=float)  # a copy, not a view of the caller's array
+    if v.shape != p.shape:
+        raise LengthMismatchError(f"{p.size} probabilities vs {v.size} volumes")
+    if not np.isfinite(v).all() or (v <= 0.0).any():
+        raise ValidationError("volumes must be finite and strictly positive")
+    return p, v
 
 
 class WeightedDistribution:
@@ -39,12 +53,11 @@ class WeightedDistribution:
     __slots__ = ("probs", "volumes")
 
     def __init__(self, probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL):
-        p = _as_probabilities(probs, name="probs", norm_tol=norm_tol)
-        v = np.array(volumes, dtype=float).reshape(-1)  # a copy, not a view of the caller's array
-        if v.size != p.size:
-            raise LengthMismatchError(f"{p.size} probabilities vs {v.size} volumes")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValidationError("volumes must be finite and strictly positive")
+        p, v = weighted_rows(
+            np.asarray(probs, dtype=float).reshape(-1),
+            np.asarray(volumes, dtype=float).reshape(-1),
+            norm_tol=norm_tol,
+        )
         p.setflags(write=False)
         v.setflags(write=False)
         self.probs = p

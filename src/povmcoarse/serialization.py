@@ -12,11 +12,14 @@ File schemas:
 * distribution: ``{"probs": [...], "volumes": [...]}``
 * joint: ``{"matrix": [[...]]}``
 * certificate: ``{"feasible": bool, "P": [[...]] | null, "residual": r,
-  "phase1_optimum": v, "volume_slack": [...] | null, ...}``
+  "phase1_optimum": v, "volume_slack": [...] | null, ...}``; ``phase1_optimum``
+  is ``null`` when no LP ran, and a non-feasible classical certificate adds
+  ``"separation": {"threshold": t, "slack": s, "volume_gap": g}``
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -174,6 +177,10 @@ def certificate_to_dict(cert: CoarsenessCertificate) -> dict[str, Any]:
         payload["fine_outcomes"] = list(cert.fine_outcomes)
     if cert.extension is not None:
         payload["extension"] = [[float(x) for x in row] for row in cert.extension.matrix]
+    if cert.separation is not None:
+        payload["separation"] = {
+            name: _jsonable_float(value) for name, value in dataclasses.asdict(cert.separation).items()
+        }
     return payload
 
 

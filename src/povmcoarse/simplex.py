@@ -52,6 +52,19 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
+def _verdict_band(violation: float, tol: float) -> str:
+    """Three-valued verdict of a non-negative violation against ``tol``.
+
+    ``feasible`` at most ``tol``, ``infeasible`` above ``10 * tol`` and
+    ``ambiguous`` between (or for ``nan``).
+    """
+    if violation <= tol:
+        return "feasible"
+    if violation > _AMBIGUOUS_FACTOR * tol:
+        return "infeasible"
+    return "ambiguous"
+
+
 def _as_system(a, b, n_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     if a is None or b is None:
         if (a is None) != (b is None):
@@ -190,13 +203,7 @@ def lp_feasible(
     x = x_struct[:n_vars]
     residual = _residual(x, a_eq, b_eq, a_ub, b_ub)
 
-    if optimum <= tol:
-        verdict = "feasible"
-    elif optimum > _AMBIGUOUS_FACTOR * tol:
-        verdict = "infeasible"
-    else:
-        verdict = "ambiguous"
-
+    verdict = _verdict_band(optimum, tol)
     if verdict == "feasible":
         # refine the basic solution against the original system; tableau round-off
         # accumulates over pivots while a direct least-squares solve does not

@@ -89,7 +89,7 @@ from .measurements import (
     outcome_probability_stack,
     validate_measurement,
 )
-from .operators import DensityMatrix, Subspace, dagger, frobenius
+from .operators import DensityMatrix, Subspace, frobenius
 from .randomgen import (
     random_density_matrix,
     random_density_stack,
@@ -291,10 +291,9 @@ def _suite_dpi_mi(trials, dim, seed):
 # quantum construction helpers
 
 
-def _embedded_povm(basis: np.ndarray, n_outcomes: int, rng) -> np.ndarray:
-    """Elements of a random POVM on the span of ``basis`` columns, lifted to the ambient space."""
-    small = random_povm(basis.shape[1], n_outcomes, rng, with_kraus=False)
-    return basis @ small.stacked() @ dagger(basis)
+def _embedded_povm(subspace: Subspace, n_outcomes: int, rng) -> np.ndarray:
+    """Elements of a random POVM on ``subspace``, lifted to the ambient space."""
+    return subspace.embed(random_povm(subspace.rank, n_outcomes, rng, with_kraus=False).stacked())
 
 
 def _random_coarser_pair(rng, dim) -> tuple[GeneralizedMeasurement, GeneralizedMeasurement, StochasticMatrix]:
@@ -320,15 +319,14 @@ def _random_subspace_coarser_pair(rng, dim):
     g = int(rng.integers(1, dim))
     u = random_unitary(dim, rng)
     inside = Subspace(u[:, :g])
-    outside_basis = u[:, g:]
     if rng.random() < 0.5:
         n = int(rng.integers(2, min(dim + 2, 6)))
         fine = random_povm(dim, n, rng, with_kraus=False)
     else:
         n_in = int(rng.integers(1, 4))
         n_out = int(rng.integers(1, 4))
-        elements = np.concatenate([_embedded_povm(inside.basis, n_in, rng),
-                                   _embedded_povm(outside_basis, n_out, rng)])
+        elements = np.concatenate([_embedded_povm(inside, n_in, rng),
+                                   _embedded_povm(Subspace(u[:, g:]), n_out, rng)])
         fine = validate_measurement(elements[rng.permutation(len(elements))], atol=1e-9)
 
     o1 = possible_outcomes(fine, inside)
@@ -423,7 +421,7 @@ def _suite_projective_equiv(trials, dim, seed):
             for proj in coarse.elements:
                 rank = int(round(np.trace(proj).real))
                 w, v = np.linalg.eigh(proj)
-                parts.append(_embedded_povm(v[:, -rank:], int(rng.integers(1, 4)), rng))
+                parts.append(_embedded_povm(Subspace(v[:, -rank:]), int(rng.integers(1, 4)), rng))
             fine_elements = np.concatenate(parts)
             fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
             expected_coarser = True

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ class TestRegionScanCommand:
         for r in rows:
             if r["feasible"] == "1":
                 assert r["s_greater"] == "1"
+
+    def test_default_grid_matches_recorded_reference(self, capsys):
+        reference = json.loads(
+            (Path(__file__).parents[1] / "perfbench" / "region_reference.json").read_text()
+        )
+        assert main(list(reference["argv"])) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "p2,v2,s_greater,feasible"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == reference["cells"]
+        assert "".join(r[2] for r in rows) == reference["s_greater"]
+        assert "".join(r[3] for r in rows) == reference["feasible"]
 
     def test_invalid_range_exit_2(self, capsys):
         assert main(["region-scan", "--p1", "1.5"]) == 2

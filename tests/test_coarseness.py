@@ -18,6 +18,7 @@ from povmcoarse import (
     check_coarser_projective,
     coarsen,
     lp_feasible,
+    majorization_verdicts,
     mixture_residual,
     observational_entropy,
     outcome_probabilities,
@@ -27,7 +28,7 @@ from povmcoarse import (
     restrict_transition_matrix,
     validate_measurement,
 )
-from povmcoarse.coarseness import _component_rows, _extension_from, _processing_system
+from povmcoarse.coarseness import Separation, _component_rows, _extension_from, _processing_system
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
@@ -189,7 +190,8 @@ class TestToleranceRange:
     """A tolerance that is not positive and finite is rejected before any solve."""
 
     @pytest.mark.parametrize(
-        "kind", ["global", "subspace", "classical", "projective", "restrict", "preserves"]
+        "kind",
+        ["global", "subspace", "classical", "majorization", "projective", "restrict", "preserves"],
     )
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejected(self, z_measurement, x_measurement, kind, tol):
@@ -208,6 +210,8 @@ class TestToleranceRange:
                 )
             elif kind == "preserves":
                 preserves_observational_entropy(np.eye(2), w, tol=tol)
+            elif kind == "majorization":
+                majorization_verdicts(w, w.probs[None], w.volumes[None], tol=tol)
             else:
                 check_coarser_classical(w, w, tol=tol)
 
@@ -361,6 +365,144 @@ class TestCheckCoarserClassical:
             cert = check_coarser_classical(base, target)
             assert cert.verdict != "ambiguous"
             assert cert.feasible == classical_two_outcome_feasible(p1, v1, p2, v2, vtot)
+
+
+def normalized_rows_residual(mat, fine, coarse) -> float:
+    """Largest Euclidean error of ``P (p, V/sum V) - (p', V'/sum V)`` per coarse outcome."""
+    total = fine.volumes.sum()
+    err_p = mat @ fine.probs - coarse.probs
+    err_v = (mat @ fine.volumes - coarse.volumes) / total
+    return float(np.max(np.hypot(err_p, err_v)))
+
+
+class TestClassicalVolumeScale:
+    """The classical relation does not change when every volume is scaled by one factor."""
+
+    SCALES = [1e-9, 1e-8, 1e-7, 1e-6, 1.0, 1e6, 1e9]
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_converse_counterexample_infeasible(self, s):
+        w_fine = WeightedDistribution([0.75, 0.25], [s, s])
+        w_coarse = WeightedDistribution([1.0, 0.0], [1.8 * s, 0.2 * s])
+        cert = check_coarser_classical(w_fine, w_coarse)
+        assert cert.verdict == "infeasible"
+        assert cert.separation.threshold == pytest.approx(0.5)
+        assert cert.separation.slack == pytest.approx(-0.05, abs=1e-12)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_push_forward_feasible_with_normalized_witness(self, s):
+        rng = np.random.default_rng(4100)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, 7))
+            w = random_weighted_distribution(n, rng)
+            w = WeightedDistribution(w.probs, s * w.volumes)
+            out = push_forward(random_left_stochastic(m, n, rng), w)
+            cert = check_coarser_classical(w, out)
+            assert cert.verdict == "feasible"
+            assert cert.separation is None
+            assert cert.residual <= 1e-7
+            assert normalized_rows_residual(cert.witness.matrix, w, out) <= 1e-7
+
+
+def direct_lp_verdict(fine, coarse, tol=1e-8) -> str:
+    """``lp_feasible`` on ``P p = p'``, ``P q = V'/sum V``, unit column sums, assembled here."""
+    n, m = fine.n, coarse.n
+    total = fine.volumes.sum()
+    a_eq = np.vstack([
+        np.kron(np.eye(m), fine.probs[None]),
+        np.kron(np.eye(m), fine.volumes[None] / total),
+        np.kron(np.ones((1, m)), np.eye(n)),
+    ])
+    b_eq = np.concatenate([coarse.probs, coarse.volumes / total, np.ones(n)])
+    return lp_feasible(a_eq, b_eq, n_vars=m * n, tol=tol).verdict
+
+
+class TestMajorizationAgreesWithLP:
+    """The majorization verdict equals a direct phase-1 solve of the processing system."""
+
+    def test_region_grid(self):
+        grid, vtot = 21, 2.0
+        base = WeightedDistribution([0.75, 0.25], [1.0, vtot - 1.0])
+        v_values = np.linspace(0.0, vtot, grid)
+        v_values[0], v_values[-1] = 0.05, vtot - 0.05
+        verdicts = []
+        for p2 in np.linspace(0.0, 1.0, grid):
+            for v2 in v_values:
+                target = WeightedDistribution([p2, 1.0 - p2], [v2, vtot - v2])
+                lp = direct_lp_verdict(base, target)
+                assert check_coarser_classical(base, target).verdict == lp, (p2, v2)
+                verdicts.append(lp)
+        assert "feasible" in verdicts and "infeasible" in verdicts
+
+    def test_push_forward_and_swapped_pairs(self):
+        rng = np.random.default_rng(4101)
+        counts = {"feasible": 0, "infeasible": 0, "ambiguous": 0}
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(2, 7))
+            w = random_weighted_distribution(n, rng)
+            out = push_forward(random_left_stochastic(m, n, rng), w)
+            for fine, coarse in ((w, out), (out, w)):
+                lp = direct_lp_verdict(fine, coarse)
+                assert check_coarser_classical(fine, coarse).verdict == lp
+                counts[lp] += 1
+        assert counts["feasible"] >= 150 and counts["infeasible"] > 0
+        assert counts["ambiguous"] == 0
+
+
+class TestMajorizationKernel:
+    def test_stack_entries_match_single_checks(self):
+        rng = np.random.default_rng(4102)
+        base = random_weighted_distribution(3, rng)
+        rows = [push_forward(random_left_stochastic(4, 3, rng), base) for _ in range(5)]
+        rows += [random_weighted_distribution(4, rng) for _ in range(5)]
+        probs = np.stack([w.probs for w in rows])
+        volumes = np.stack([w.volumes for w in rows])
+        verdicts, thresholds, slacks, gaps = majorization_verdicts(base, probs, volumes)
+        for c, w in enumerate(rows):
+            single = majorization_verdicts(base, w.probs[None], w.volumes[None])
+            assert [a[0] for a in single] == [verdicts[c], thresholds[c], slacks[c], gaps[c]]
+            assert check_coarser_classical(base, w).verdict == verdicts[c]
+
+    def test_volume_total_gap_separates(self):
+        base = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        # the same dichotomy with every volume scaled up: only the totals differ
+        scales = np.array([1.0, 1.0 + 2e-8, 1.1])
+        verdicts, _, slacks, gaps = majorization_verdicts(
+            base, np.array([[0.75, 0.25]] * 3), scales[:, None] * base.volumes
+        )
+        assert list(verdicts) == ["feasible", "ambiguous", "infeasible"]
+        np.testing.assert_allclose(gaps, [0.0, 2e-8, 0.1], rtol=1e-6)
+        assert np.all(np.abs(slacks) < 1e-12)
+
+    def test_non_feasible_verdict_runs_no_lp(self, monkeypatch):
+        import povmcoarse.coarseness as coarseness_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no LP should run")
+
+        monkeypatch.setattr(coarseness_module, "lp_feasible", refuse)
+        cert = check_coarser_classical(
+            WeightedDistribution([0.75, 0.25], [1.0, 1.0]), WeightedDistribution([1.0, 0.0], [1.8, 0.2])
+        )
+        assert cert.verdict == "infeasible"
+        assert math.isnan(cert.phase1_optimum) and cert.residual == math.inf
+        assert isinstance(cert.separation, Separation)
+
+    def test_lp_without_witness_downgrades_to_ambiguous(self, monkeypatch):
+        import povmcoarse.coarseness as coarseness_module
+
+        def infeasible(*args, n_vars, **kwargs):
+            return FeasibilityResult("infeasible", None, math.inf, 1.0, 3)
+
+        monkeypatch.setattr(coarseness_module, "lp_feasible", infeasible)
+        w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        cert = check_coarser_classical(w, w)
+        assert cert.verdict == "ambiguous"
+        assert cert.witness is None
+        assert cert.phase1_optimum == 1.0
+        assert cert.separation.slack >= -1e-12 and cert.separation.volume_gap == 0.0
 
 
 class TestPossibleOutcomes:

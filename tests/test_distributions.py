@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmcoarse import JointDistribution, StochasticMatrix, WeightedDistribution, push_forward
+from povmcoarse import (
+    JointDistribution,
+    StochasticMatrix,
+    WeightedDistribution,
+    push_forward,
+    weighted_rows,
+)
 from povmcoarse.errors import (
     LengthMismatchError,
     NotNormalizedError,
@@ -45,6 +51,44 @@ class TestWeightedDistribution:
         v[0] = -1.0
         assert np.array_equal(w.volumes, [1.0, 1.0])
         assert v.flags.writeable
+
+
+class TestWeightedRows:
+    """A stack of rows is checked by exactly the rules of one WeightedDistribution."""
+
+    GOOD_P = [[0.75, 0.25], [1.0, 0.0], [-1e-13, 1.0]]
+    GOOD_V = [[1.0, 1.0], [1.8, 0.2], [0.5, 2.0]]
+
+    def test_rows_equal_single_distributions(self):
+        probs, volumes = weighted_rows(self.GOOD_P, self.GOOD_V)
+        for c in range(3):
+            w = WeightedDistribution(self.GOOD_P[c], self.GOOD_V[c])
+            assert np.array_equal(probs[c], w.probs)
+            assert np.array_equal(volumes[c], w.volumes)
+        assert probs[2, 0] == 0.0  # rounding noise below zero is clipped
+
+    @pytest.mark.parametrize(
+        "row_p, row_v, error",
+        [
+            ([0.7, 0.2], [1.0, 1.0], NotNormalizedError),
+            ([0.5, 0.5], [1.0, 0.0], ValidationError),
+            ([0.5, 0.5], [1.0, -1.0], ValidationError),
+            ([0.5, 0.5], [1.0, np.inf], ValidationError),
+            ([np.nan, 1.0], [1.0, 1.0], ValidationError),
+            ([1.1, -0.1], [1.0, 1.0], ValidationError),
+        ],
+    )
+    def test_one_bad_row_fails_like_its_distribution(self, row_p, row_v, error):
+        with pytest.raises(error):
+            WeightedDistribution(row_p, row_v)
+        with pytest.raises(error):
+            weighted_rows(self.GOOD_P + [row_p], self.GOOD_V + [row_v])
+
+    def test_shape_mismatch_and_empty(self):
+        with pytest.raises(LengthMismatchError):
+            weighted_rows(self.GOOD_P, self.GOOD_V[:2])
+        with pytest.raises(ValidationError):
+            weighted_rows(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestJointDistribution:

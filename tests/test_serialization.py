@@ -13,6 +13,7 @@ from povmcoarse import (
     Subspace,
     WeightedDistribution,
     check_coarser,
+    check_coarser_classical,
     check_coarser_in_subspace,
 )
 from povmcoarse.errors import DimensionMismatchError, ValidationError
@@ -157,3 +158,24 @@ class TestCertificatePayload:
         assert payload["volume_slack"] is not None
         assert "extension" in payload
         json.dumps(payload)
+
+    def test_classical_separation_round_trips_through_json_text(self):
+        cert = check_coarser_classical(
+            WeightedDistribution([0.75, 0.25], [1.0, 1.0]), WeightedDistribution([1.0, 0.0], [1.8, 0.2])
+        )
+        payload = certificate_to_dict(cert)
+        back = json.loads(json.dumps(payload))
+        assert back == payload
+        assert back["verdict"] == "infeasible"
+        assert back["phase1_optimum"] is None  # no LP ran
+        assert back["separation"] == {
+            "threshold": cert.separation.threshold,
+            "slack": cert.separation.slack,
+            "volume_gap": cert.separation.volume_gap,
+        }
+
+    def test_feasible_classical_certificate_has_no_separation(self):
+        w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        payload = certificate_to_dict(check_coarser_classical(w, w))
+        assert payload["verdict"] == "feasible"
+        assert "separation" not in payload

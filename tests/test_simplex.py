@@ -84,6 +84,15 @@ class TestBasics:
         assert res.feasible
 
 
+class TestVerdictBand:
+    def test_band_edges(self):
+        tol = 1e-8
+        violations = [0.0, tol, 2 * tol, 10 * tol, 11 * tol, np.nan]
+        assert [simplex._verdict_band(v, tol) for v in violations] == [
+            "feasible", "feasible", "ambiguous", "ambiguous", "infeasible", "ambiguous"
+        ]
+
+
 class TestTinyPivotRegression:
     def test_constructed_coarse_graining_systems_stay_feasible(self):
         """Feasible mixture systems whose ratio tests meet near-zero pivots.
