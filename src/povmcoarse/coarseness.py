@@ -8,8 +8,17 @@ outcomes possible in ``G``, and adds the volume inequality
 ``V^(2)_j >= sum_i P_ji V^(1)_i``. On bare ``(p, V)`` data the elements are
 the pairs ``(p_i, V_i)``.
 
-The operator checks solve one linear feasibility problem over the entries of
-``P``, laid out by :func:`_processing_system`: ``P_ji`` is variable
+The operator checks first look at the span of the fine elements' real
+components (one QR of the ``(D, n)`` component matrix). A coarse element
+farther than ``10 * tol`` from that span is ``infeasible`` with no LP. When
+the fine elements are linearly independent and every coarse element lies in
+the span within ``tol``, ``P`` is unique; it is solved for directly and, if it
+is non-negative, meets the volume rows and passes the verdict rule below, the
+verdict is ``feasible``. Neither decision runs the LP, so both leave
+``phase1_optimum`` ``nan``. Every other input (a gap in the band between, a
+dependent fine side, a negative or rejected unique solution) goes to one
+linear feasibility problem over the entries of ``P``, laid out by
+:func:`_processing_system`: ``P_ji`` is variable
 ``j * n + i``; the equalities are one block of ``D`` rows per coarse outcome
 (the ``D`` real components of its element), then one column sum per fine
 outcome; the subspace check appends one volume inequality per coarse outcome.
@@ -28,8 +37,9 @@ for every threshold ``t >= 0``. The classical check solves the LP, on the
 scale-free rows ``(p_i, V_i / sum(V))``, only to produce the witness of a
 ``feasible`` verdict.
 
-One verdict rule turns an LP solve into a :class:`CoarsenessCertificate`: the
-phase-1 solution, clipped at zero, must be left stochastic, and its residual
+One verdict rule (:func:`_witness_verdict`) turns a candidate ``P``, from the
+span solve or from the LP, into a :class:`CoarsenessCertificate`: the
+candidate, clipped at zero, must be left stochastic, and its residual
 (the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``) must be at
 most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
 """
@@ -153,8 +163,58 @@ def _check_tol(tol: float) -> None:
         raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
 
 
+def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertificate:
+    """The verdict rule: a candidate ``(m, n)`` matrix is a witness or gives ``ambiguous``.
+
+    The candidate is clipped at zero, must be left stochastic within
+    ``max(DEFAULT_FEAS_TOL, tol)``, and must reproduce every coarse element
+    within ``max(tol, 1e-7)``.
+    """
+    try:
+        witness = StochasticMatrix(np.clip(mat, 0.0, None), col_tol=max(DEFAULT_FEAS_TOL, tol))
+    except NotStochasticError:
+        return CoarsenessCertificate("ambiguous", None, math.inf, phase1_optimum)
+    residual = _residual(witness.matrix, fine, coarse)
+    if residual > max(tol, 1e-7):
+        return CoarsenessCertificate("ambiguous", None, residual, phase1_optimum)
+    return CoarsenessCertificate("feasible", witness, residual, phase1_optimum)
+
+
+def _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse):
+    """The certificate that the span of the fine components settles without an LP, or ``None``.
+
+    With ``F = QR`` the thin QR of the ``(D, n)`` fine component matrix, a
+    coarse row ``c_j`` at distance ``g`` from the span of ``Q`` leaves every
+    ``P`` a component residual of Euclidean norm at least ``g``, so the LP's
+    L1 phase-1 optimum is at least ``g``: a gap above ``10 * tol`` is
+    ``infeasible``. When the fine components are independent and every gap is
+    at most ``tol``, ``P = R^-1 Q^T C`` is the only candidate; it is returned
+    when no entry is below ``-tol``, it meets the volume rows within ``tol``
+    and it passes :func:`_witness_verdict`. Anything else is left to the LP.
+    """
+    n, big_d = comp_fine.shape
+    if n > big_d:  # Q would span all of R^D
+        return None
+    q, r = np.linalg.qr(comp_fine.T)
+    coords = comp_coarse @ q
+    gap = float(np.max(np.linalg.norm(comp_coarse - coords @ q.T, axis=1)))
+    band = _verdict_band(gap, tol)
+    if band == "infeasible":
+        return CoarsenessCertificate("infeasible", None, math.inf, math.nan)
+    scale = np.abs(np.diag(r))
+    if band != "feasible" or scale.min() <= 1e-10 * scale.max():
+        return None
+    mat = np.linalg.solve(r, coords.T).T
+    if mat.min() < -tol:
+        return None
+    if v_fine is not None and np.max(np.clip(mat, 0.0, None) @ v_fine - v_coarse) > tol:
+        return None
+    cert = _witness_verdict(mat, fine, coarse, tol, math.nan)
+    return cert if cert.feasible else None
+
+
 def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertificate:
-    """Solve the processing LP for two element stacks and apply the verdict rule.
+    """Decide ``coarse = P @ fine`` for two element stacks: by their span, else by the LP.
 
     The stacks hold operators, ``(n, d, d)`` and ``(m, d, d)``, or rows of
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
@@ -165,21 +225,15 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
         comp_fine, comp_coarse = fine, coarse
     else:
         comp_fine, comp_coarse = _component_rows(fine), _component_rows(coarse)
+    decided = _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse)
+    if decided is not None:
+        return decided
     m, n = len(coarse), len(fine)
     system = _processing_system(comp_fine, comp_coarse, v_fine, v_coarse)
     result = lp_feasible(*system, n_vars=m * n, tol=tol)
     if not result.feasible:
-        return CoarsenessCertificate(result.verdict, None, float("inf"), result.phase1_optimum)
-    try:
-        witness = StochasticMatrix(
-            np.clip(result.x.reshape(m, n), 0.0, None), col_tol=max(DEFAULT_FEAS_TOL, tol)
-        )
-    except NotStochasticError:
-        return CoarsenessCertificate("ambiguous", None, float("inf"), result.phase1_optimum)
-    residual = _residual(witness.matrix, fine, coarse)
-    if residual > max(tol, 1e-7):
-        return CoarsenessCertificate("ambiguous", None, residual, result.phase1_optimum)
-    return CoarsenessCertificate("feasible", witness, residual, result.phase1_optimum)
+        return CoarsenessCertificate(result.verdict, None, math.inf, result.phase1_optimum)
+    return _witness_verdict(result.x.reshape(m, n), fine, coarse, tol, result.phase1_optimum)
 
 
 def mixture_residual(coarse: GeneralizedMeasurement, fine: GeneralizedMeasurement, p) -> float:
@@ -200,9 +254,12 @@ def check_coarser(
 ) -> CoarsenessCertificate:
     """Decide ``coarse = P @ fine`` elementwise for some left stochastic ``P``.
 
-    Encodes one equality per Hermitian component of each coarse element plus
-    one column-sum equality per fine outcome, and solves phase-1 feasibility
-    over the ``m x n`` non-negative unknowns ``P_ji``.
+    The span of the fine elements decides first: a coarse element more than
+    ``10 * tol`` outside it gives ``infeasible``, and linearly independent fine
+    elements give the unique ``P``, ``feasible`` when it passes the verdict
+    rule; neither runs an LP. Otherwise one equality per Hermitian component
+    of each coarse element plus one column-sum equality per fine outcome go to
+    a phase-1 solve over the ``m x n`` non-negative unknowns ``P_ji``.
     """
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")
@@ -332,7 +389,12 @@ def check_coarser_in_subspace(
     (:meth:`~povmcoarse.operators.Subspace.compress`). The extra inequality
     ``V^(2)_j >= sum_i P_ji V^(1)_i`` reflects an observer who does not know
     that states are confined to the subspace. With the full space this reduces
-    exactly to :func:`check_coarser`.
+    exactly to :func:`check_coarser`. As there, the span of the fine blocks
+    decides first: a coarse block more than ``10 * tol`` outside it gives
+    ``infeasible``, and independent fine blocks give the unique ``P``, which is
+    ``feasible`` when it also meets the volume rows within ``tol``; the LP runs
+    for everything else, for instance when more than ``r^2`` fine outcomes are
+    possible.
     """
     if coarse.dim != fine.dim or coarse.dim != subspace.dim:
         raise DimensionMismatchError(

@@ -233,9 +233,13 @@ class DensityMatrix:
 
 
 class Subspace:
-    """Subspace given by an orthonormal basis, with its derived projector."""
+    """Subspace given by an orthonormal basis, with its derived projector.
 
-    __slots__ = ("basis", "projector")
+    The projector is built and validated on first access to :attr:`projector`;
+    :meth:`compress`, :meth:`embed` and the outcome checks read only the basis.
+    """
+
+    __slots__ = ("basis", "_atol", "_projector")
 
     def __init__(self, basis, *, atol: float = DEFAULT_ATOL):
         arr = np.array(basis, dtype=complex)  # a copy: the caller's array stays writable
@@ -251,7 +255,17 @@ class Subspace:
             )
         arr.setflags(write=False)
         self.basis = arr
-        self.projector = Projector(arr @ dagger(arr), rank=arr.shape[1], atol=max(atol, 1e-9))
+        self._atol = max(atol, 1e-9)
+        self._projector = None
+
+    @property
+    def projector(self) -> Projector:
+        """The orthogonal projector ``B B†`` onto the subspace."""
+        if self._projector is None:
+            self._projector = Projector(
+                self.basis @ dagger(self.basis), rank=self.rank, atol=self._atol
+            )
+        return self._projector
 
     @property
     def dim(self) -> int:

@@ -28,7 +28,13 @@ from povmcoarse import (
     restrict_transition_matrix,
     validate_measurement,
 )
-from povmcoarse.coarseness import Separation, _component_rows, _extension_from, _processing_system
+from povmcoarse.coarseness import (
+    Separation,
+    _component_rows,
+    _extension_from,
+    _processing_system,
+    _witness_verdict,
+)
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
@@ -47,6 +53,7 @@ from povmcoarse.randomgen import (
     random_weighted_distribution,
     trial_rng,
 )
+from povmcoarse.serialization import certificate_to_dict
 
 from conftest import (
     KET_PLUS,
@@ -152,8 +159,19 @@ class TestProcessingSystem:
         )
 
 
+def dependent_fine():
+    """A qubit measurement whose first two elements are equal, so its span cannot decide."""
+    p0, p1 = proj(ket(1, 0)), proj(ket(0, 1))
+    return validate_measurement([0.5 * p0, 0.5 * p0, p1])
+
+
 class TestVerdictRule:
-    """All three checks downgrade a solver witness that does not reproduce the targets."""
+    """All three checks downgrade a solver witness that does not reproduce the targets.
+
+    Each input has three fine outcomes whose span leaves the LP to decide:
+    dependent elements for the operator checks, three pairs in a plane for
+    the classical one.
+    """
 
     @staticmethod
     def fake_solver(x):
@@ -165,7 +183,7 @@ class TestVerdictRule:
     @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
     @pytest.mark.parametrize(
         "x, residual_finite",
-        [([0.5, 0.5, 0.5, 0.5], True), ([1.0, 0.0, 0.5, 0.0], False)],
+        [([0.5] * 6, True), ([1.0, 0.0, 0.5, 0.0, 0.0, 0.0], False)],
         ids=["off-target", "not-stochastic"],
     )
     def test_bad_witness_is_ambiguous(self, monkeypatch, z_measurement, kind, x, residual_finite):
@@ -173,17 +191,37 @@ class TestVerdictRule:
 
         monkeypatch.setattr(coarseness_module, "lp_feasible", self.fake_solver(x))
         if kind == "global":
-            cert = check_coarser(z_measurement, z_measurement)
+            cert = check_coarser(z_measurement, dependent_fine())
         elif kind == "subspace":
-            cert = check_coarser_in_subspace(z_measurement, z_measurement, Subspace.full(2))
+            cert = check_coarser_in_subspace(z_measurement, dependent_fine(), Subspace.full(2))
         else:
-            w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
-            cert = check_coarser_classical(w, w)
+            w = WeightedDistribution([0.5, 0.25, 0.25], [1.0, 1.0, 1.0])
+            cert = check_coarser_classical(w, WeightedDistribution([0.5, 0.5], [1.0, 2.0]))
         assert cert.verdict == "ambiguous"
         assert cert.witness is None
         assert math.isfinite(cert.residual) == residual_finite
         if residual_finite:
             assert cert.residual > 1e-7
+
+    @pytest.mark.parametrize("kind", ["operators", "pairs"])
+    def test_rule_on_candidate_matrices(self, z_measurement, kind):
+        """The shared rule, as the span solve and the LP both call it."""
+        if kind == "operators":
+            fine = coarse = z_measurement.stacked()
+        else:
+            fine = coarse = np.array([[0.75, 0.5], [0.25, 0.5]])
+        exact = _witness_verdict(np.eye(2), fine, coarse, 1e-8, math.nan)
+        assert exact.verdict == "feasible" and exact.residual == 0.0
+        assert math.isnan(exact.phase1_optimum)
+        # a rounding-level negative entry is clipped away
+        clipped = _witness_verdict(np.array([[1.0, -1e-12], [0.0, 1.0]]), fine, coarse, 1e-8, 0.0)
+        assert clipped.feasible and clipped.witness.matrix.min() == 0.0
+        off_target = _witness_verdict(np.full((2, 2), 0.5), fine, coarse, 1e-8, 0.5)
+        assert off_target.verdict == "ambiguous" and off_target.witness is None
+        assert 1e-7 < off_target.residual < math.inf and off_target.phase1_optimum == 0.5
+        not_stochastic = _witness_verdict(np.array([[1.0, 0.5], [0.0, 0.0]]), fine, coarse, 1e-8, 0.0)
+        assert not_stochastic.verdict == "ambiguous" and not_stochastic.witness is None
+        assert not_stochastic.residual == math.inf
 
 
 class TestToleranceRange:
@@ -329,6 +367,134 @@ class TestCheckCoarser:
                 found += 1
                 assert check_coarser(fine, coarse).verdict == "infeasible"
         assert found >= 10  # total merges genuinely lose information generically
+
+
+def highs_verdict(coarse, fine) -> str:
+    """scipy HiGHS on ``C_j = sum_i P_ji F_i``, ``P >= 0``, unit column sums.
+
+    The rows are assembled here from the complex element matrices, one real
+    and one imaginary row per matrix entry, independently of the library's
+    component encoding.
+    """
+    from scipy.optimize import linprog
+
+    f, c = fine.stacked(), coarse.stacked()
+    n, m = len(f), len(c)
+    flat = f.reshape(n, -1).T  # (d^2, n): column i holds the entries of F_i
+    block = np.concatenate([flat.real, flat.imag])
+    a_eq = np.vstack([np.kron(np.eye(m), block), np.kron(np.ones((1, m)), np.eye(n))])
+    targets = c.reshape(m, -1)
+    b_eq = np.concatenate([np.concatenate([targets.real, targets.imag], axis=1).ravel(), np.ones(n)])
+    res = linprog(np.zeros(m * n), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return "feasible" if res.status == 0 else "infeasible"
+
+
+def counting_lp(monkeypatch) -> list:
+    """Route ``lp_feasible`` calls from the checks through a spy; returns the call log."""
+    import povmcoarse.coarseness as coarseness_module
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["n_vars"])
+        return lp_feasible(*args, **kwargs)
+
+    monkeypatch.setattr(coarseness_module, "lp_feasible", spy)
+    return calls
+
+
+def negative_unique_pair(rng, d, n, m):
+    """A fine POVM with independent elements and a valid coarse POVM in its span whose
+    unique mixing matrix has a negative entry, so no left stochastic ``P`` exists."""
+    fine = random_povm(d, n, rng, with_kraus=False)
+    while True:
+        mix = random_left_stochastic(m, n, rng).matrix.copy()
+        i = int(rng.integers(n))
+        shift = mix[0, i] + 0.02
+        mix[0, i] -= shift
+        mix[1, i] += shift
+        elements = np.einsum("ji,iab->jab", mix, fine.stacked())
+        if np.linalg.eigvalsh(elements).min() > 1e-6:
+            return validate_measurement(elements, atol=1e-9), fine
+
+
+class TestSpanDecision:
+    """Independent fine elements decide the global and subspace checks without pivots."""
+
+    def test_agrees_with_highs(self, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+        calls = counting_lp(monkeypatch)
+        rng = np.random.default_rng(4103)
+        counts = {"feasible": 0, "infeasible": 0}
+        for _ in range(200):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(2, d * d + 1))
+            m = int(rng.integers(1, n))
+            fine = random_povm(d, n, rng, with_kraus=False)
+            coarse = coarsen(fine, random_left_stochastic(m, n, rng))
+            for c, f in ((coarse, fine), (fine, coarse)):
+                want = highs_verdict(c, f)
+                assert check_coarser(c, f).verdict == want
+                counts[want] += 1
+        assert counts["feasible"] >= 200 and counts["infeasible"] >= 150
+        spanned = len(calls)
+        for _ in range(60):
+            d = int(rng.integers(2, 4))
+            n = int(rng.integers(3, d * d + 1))
+            coarse, fine = negative_unique_pair(rng, d, n, int(rng.integers(2, n)))
+            assert check_coarser(coarse, fine).verdict == highs_verdict(coarse, fine) == "infeasible"
+        # every pair with a negative unique solution went on to the LP
+        assert len(calls) - spanned == 60
+
+    @pytest.mark.parametrize("eps", [2e-8, 4.5e-8])
+    def test_gap_inside_the_band_is_ambiguous(self, monkeypatch, z_measurement, eps):
+        # the X component of each coarse element is off the diagonal span by
+        # eps: the span gap is eps and the L1 phase-1 optimum is 2 * eps, both
+        # in (tol, 10 * tol]
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        coarse = validate_measurement([0.5 * np.eye(2) + eps * x, 0.5 * np.eye(2) - eps * x])
+        calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, z_measurement)
+        assert cert.verdict == "ambiguous"
+        assert len(calls) == 1
+
+    def test_gap_above_the_band_is_infeasible_without_lp(self, monkeypatch, z_measurement):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        coarse = validate_measurement([0.5 * np.eye(2) + 2e-7 * x, 0.5 * np.eye(2) - 2e-7 * x])
+        calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, z_measurement)
+        assert cert.verdict == "infeasible" and calls == []
+        assert math.isnan(cert.phase1_optimum) and cert.residual == math.inf
+
+    def test_swapped_generic_pair_runs_no_lp(self, monkeypatch):
+        calls = counting_lp(monkeypatch)
+        fine = random_povm(3, 6, seed=4104, with_kraus=False)
+        coarse = coarsen(fine, random_left_stochastic(3, 6, seed=4105))
+        sub = random_subspace(3, 2, seed=4106)
+        assert check_coarser(fine, coarse).verdict == "infeasible"
+        assert check_coarser_in_subspace(fine, coarse, sub).verdict == "infeasible"
+        assert calls == []
+
+    def test_unique_witness_runs_no_lp(self, monkeypatch):
+        calls = counting_lp(monkeypatch)
+        fine = random_povm(3, 6, seed=4107, with_kraus=False)
+        mix = random_left_stochastic(3, 6, seed=4108)
+        cert = check_coarser(coarsen(fine, mix), fine)
+        assert cert.feasible and cert.residual <= 1e-12
+        np.testing.assert_allclose(cert.witness.matrix, mix.matrix, atol=1e-10)
+        assert math.isnan(cert.phase1_optimum)
+        # a rank-2 subspace gives r^2 = 4 components for 4 fine outcomes
+        fine = random_povm(3, 4, seed=4109, with_kraus=False)
+        sub = random_subspace(3, 2, seed=4110)
+        sub_cert = check_coarser_in_subspace(coarsen(fine, random_left_stochastic(2, 4, seed=4111)), fine, sub)
+        assert sub_cert.feasible and np.all(sub_cert.volume_slack >= -1e-8)
+        assert calls == []
+
+    def test_span_certificate_serializes_null_optimum(self, z_measurement):
+        cert = check_coarser(z_measurement, z_measurement)
+        assert cert.feasible and math.isnan(cert.phase1_optimum)
+        assert certificate_to_dict(cert)["phase1_optimum"] is None
 
 
 class TestCheckCoarserClassical:
@@ -497,7 +663,8 @@ class TestMajorizationKernel:
             return FeasibilityResult("infeasible", None, math.inf, 1.0, 3)
 
         monkeypatch.setattr(coarseness_module, "lp_feasible", infeasible)
-        w = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        # three fine pairs in the plane: their span cannot pick the witness
+        w = WeightedDistribution([0.5, 0.25, 0.25], [1.0, 1.0, 1.0])
         cert = check_coarser_classical(w, w)
         assert cert.verdict == "ambiguous"
         assert cert.witness is None
@@ -566,8 +733,10 @@ class TestCheckCoarserInSubspace:
             return lp_feasible(a_eq, *args, **kwargs)
 
         monkeypatch.setattr(coarseness_module, "lp_feasible", recording)
-        fine = random_povm(dim, 4, seed=dim, with_kraus=False)
-        coarse = coarsen(fine, random_left_stochastic(3, 4, seed=rank))
+        # more outcomes than r^2: the projected elements are dependent, so the LP runs
+        n = max(4, rank**2 + 1)
+        fine = random_povm(dim, n, seed=dim, with_kraus=False)
+        coarse = coarsen(fine, random_left_stochastic(3, n, seed=rank))
         cert = check_coarser_in_subspace(coarse, fine, random_subspace(dim, rank, seed=7))
         m, n = len(cert.coarse_outcomes), len(cert.fine_outcomes)
         assert cert.feasible

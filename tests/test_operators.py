@@ -96,6 +96,27 @@ class TestValidation:
         assert np.array_equal(sub.basis, np.eye(3)[:, :2])
         assert np.array_equal(sub.projector.matrix, np.diag([1.0, 1.0, 0.0]))
 
+    def test_subspace_builds_its_projector_on_first_access(self, monkeypatch):
+        import povmcoarse.operators as operators_module
+
+        built = []
+
+        class Recording(Projector):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(operators_module, "Projector", Recording)
+        u = np.linalg.qr(np.arange(1.0, 13.0).reshape(4, 3) + 1j * np.eye(4, 3))[0]
+        sub = Subspace(u[:, :2])
+        sub.compress(np.eye(4))
+        sub.embed(np.eye(2))
+        assert built == []
+        first = sub.projector
+        assert len(built) == 1 and sub.projector is first
+        assert first.rank == 2 and not first.matrix.flags.writeable
+        np.testing.assert_array_equal(first.matrix, u[:, :2] @ dagger(u[:, :2]))
+
     def test_subspace_leaves_a_complex_input_writable(self):
         basis = np.eye(2, dtype=complex)[:, :1]
         Subspace(basis)
