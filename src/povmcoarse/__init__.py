@@ -54,7 +54,6 @@ from .operators import (
     Projector,
     Subspace,
     eigendecompose,
-    phase_fixed_eigh,
     require_density,
 )
 from .randomgen import (
@@ -106,7 +105,6 @@ __all__ = [
     "observational_entropy",
     "outcome_probabilities",
     "outcome_probability_stack",
-    "phase_fixed_eigh",
     "possible_outcomes",
     "post_measurement_state",
     "preserves_observational_entropy",

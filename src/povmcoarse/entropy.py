@@ -3,7 +3,7 @@
 Implements observational entropy ``S = sum_i p_i (ln V_i - ln p_i)`` for both
 quantum measurements and bare (probability, volume) pairs, von Neumann
 entropy, Kullback-Leibler divergence, mutual information, and the joint
-distribution between a state's eigenbasis and measurement outcomes.
+distribution between a state's eigenspaces and measurement outcomes.
 
 Conventions: all logarithms are natural; ``0 ln 0 = 0`` with probabilities
 below ``1e-14`` treated as zero; a KL divergence against a reference that
@@ -26,7 +26,7 @@ from .measurements import (
     outcome_probabilities,
     outcome_probability_stack,
 )
-from .operators import DEFAULT_ATOL, DensityMatrix
+from .operators import DEFAULT_ATOL, DensityMatrix, _eigenspace_ids
 
 ZERO_PROB_TOL = 1e-14
 
@@ -84,11 +84,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def _eigen_joints(measurement: GeneralizedMeasurement, states) -> np.ndarray:
-    """Joints ``p_xi = λ_x <x|Π_i|x>`` of a ``(S, d, d)`` stack of states, shape ``(S, d, n)``.
+    """Joints ``p_gi = sum_{x in g} λ_x <x|Π_i|x>`` of a ``(S, d, d)`` stack of states, shape ``(S, d, n)``.
 
-    Row ``x`` of joint ``s`` is the eigenvector of state ``s`` with the
-    ``x``-th largest eigenvalue, from one stacked ``eigh``. Each state's joint
-    is computed on its own, so it does not depend on the rest of the stack.
+    Row ``g`` of joint ``s`` sums the eigenvectors ``x`` of the ``g``-th
+    eigenspace of state ``s``, counted down from the largest eigenvalue and
+    grouped by the rule of :func:`eigendecompose`; rows past the last
+    eigenspace are zero. The sum over an eigenspace does not depend on the
+    basis that the stacked ``eigh`` picks inside it. Each state's joint is
+    computed on its own, so it does not depend on the rest of the stack.
     """
     states = _checked_state_stack(measurement, states)
     eigvals, eigvecs = np.linalg.eigh(states)
@@ -97,7 +100,10 @@ def _eigen_joints(measurement: GeneralizedMeasurement, states) -> np.ndarray:
     bras = np.swapaxes(eigvecs.conj(), 1, 2)[:, None] @ measurement.stacked()[None]
     conditional = np.sum(bras * np.swapaxes(eigvecs, 1, 2)[:, None], axis=-1).real
     joints = np.clip(eigvals, 0.0, None)[:, None, :] * np.clip(conditional, 0.0, None)
-    return np.ascontiguousarray(np.swapaxes(joints, 1, 2))
+    # one_hot[s, g, x] = 1 when eigenvector x of state s lies in eigenspace g
+    ids = _eigenspace_ids(eigvals)
+    one_hot = (ids[:, None, :] == np.arange(ids.shape[1])[:, None]).astype(float)
+    return one_hot @ np.swapaxes(joints, 1, 2)
 
 
 def s_obs_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
@@ -117,9 +123,9 @@ def mutual_information_stack(measurement: GeneralizedMeasurement, states: np.nda
 
     Entry ``s`` is bit-identical to
     ``mutual_information(measurement_state_joint(measurement, ρ_s))``,
-    whatever ``S`` is: both build the joint with the same kernel. On a
-    repeated nonzero eigenvalue the rows inside that eigenspace, and so the
-    mutual information, follow the basis that ``eigh`` returns.
+    whatever ``S`` is: both build the joint with the same kernel, which sums
+    each eigenspace's rows, so a repeated eigenvalue gives one value whatever
+    basis ``eigh`` returns inside it.
     """
     return _information(_eigen_joints(measurement, states))
 
@@ -175,15 +181,15 @@ def measurement_state_joint(
     *,
     atol: float = DEFAULT_ATOL,
 ) -> JointDistribution:
-    """Joint distribution ``p_xi = <x|Π_i|x> <x|ρ|x>`` over eigenbasis and outcomes.
+    """Joint distribution ``p_gi = Tr[Π_i P_g ρ]`` over the eigenspaces ``P_g`` of ``ρ`` and outcomes.
 
-    Rows are indexed by the state's eigenvectors in descending eigenvalue
-    order; columns by measurement outcomes. Column marginals reproduce the
-    Born-rule probabilities. The one-state case of the joint kernel behind
+    Rows are indexed by the state's eigenspaces in descending eigenvalue
+    order, grouped by the rule of :func:`eigendecompose`, and each sums the
+    rows of its eigenvectors; rows past the last eigenspace are zero. Columns
+    are measurement outcomes. Column marginals reproduce the Born-rule
+    probabilities. The one-state case of the joint kernel behind
     :func:`mutual_information_stack`, so it is bit-identical to that stack's
-    entry. Eigenvector phases do not enter ``<x|Π_i|x>``. On a repeated nonzero
-    eigenvalue the rows inside that eigenspace follow the basis that ``eigh``
-    returns, so the joint (and its mutual information) can move with
-    rounding-level changes to ``rho``.
+    entry. Neither eigenvector phases nor the basis chosen inside a repeated
+    eigenvalue's eigenspace enter the joint.
     """
     return JointDistribution(_eigen_joints(measurement, rho.matrix[None])[0], norm_tol=max(atol, 1e-10))

@@ -28,10 +28,6 @@ from .errors import (
 DEFAULT_ATOL = 1e-10
 DEFAULT_DEGENERACY_TOL = 1e-8
 
-# Components smaller than this are treated as exactly zero when fixing
-# eigenvector phases. Unit vectors always have a component >= 1/sqrt(d).
-_PHASE_TOL = 1e-12
-
 
 def _square_stack(a, name: str) -> np.ndarray:
     """Coerce ``a`` to a finite complex array of square matrices, shape ``(..., d, d)``."""
@@ -137,26 +133,19 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def phase_fixed_eigh(a, *, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with a deterministic output convention.
+def _eigenspace_ids(eigvals: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> np.ndarray:
+    """Eigenspace index of each eigenvalue, for one descending spectrum or a ``(..., d)`` stack of them.
 
-    Eigenvalues are sorted in descending order; each eigenvector is rotated by
-    a global phase so that its first component above ``1e-12`` in magnitude is
-    real and positive. For a fixed input this makes the output reproducible,
-    which keeps golden files stable.
+    A gap above ``degeneracy_tol`` times the spectral scale (max of spectral
+    range and largest magnitude) starts a new eigenspace, so the ids run
+    ``0, 1, ...`` down the spectrum. This is the one grouping rule of
+    :func:`eigendecompose` and of the entropy joints.
     """
-    arr = _one_matrix(require_hermitian(a, atol=atol), "operator")
-    w, v = np.linalg.eigh(arr)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        phase = col[pivot] / abs(col[pivot])
-        v[:, k] = col * np.conj(phase)
-    return w, v
+    scale = np.maximum(eigvals[..., 0] - eigvals[..., -1], np.max(np.abs(eigvals), axis=-1))
+    starts = eigvals[..., :-1] - eigvals[..., 1:] > degeneracy_tol * scale[..., None]
+    ids = np.zeros(eigvals.shape, dtype=int)
+    np.cumsum(starts, axis=-1, out=ids[..., 1:])
+    return ids
 
 
 class Projector:
@@ -332,18 +321,14 @@ def eigendecompose(
     returned in descending eigenvalue order and their projectors sum to the
     identity.
     """
-    w, v = phase_fixed_eigh(a, atol=atol)
-    scale = max(float(w[0] - w[-1]), float(np.max(np.abs(w))) if w.size else 0.0)
-    threshold = degeneracy_tol * scale
-    groups: list[list[int]] = [[0]]
-    for k in range(1, w.size):
-        if w[k - 1] - w[k] > threshold:
-            groups.append([k])
-        else:
-            groups[-1].append(k)
+    w, v = np.linalg.eigh(_one_matrix(require_hermitian(a, atol=atol), "operator"))
+    order = np.argsort(-w, kind="stable")
+    w, v = w[order], v[:, order]
+    ids = _eigenspace_ids(w, degeneracy_tol)
     pairs = []
-    for idx in groups:
-        block = v[:, idx]
-        proj = Projector(block @ dagger(block), rank=len(idx), atol=max(atol, 1e-9))
-        pairs.append((float(np.mean(w[idx])), proj))
+    for g in range(ids[-1] + 1):
+        members = ids == g
+        block = v[:, members]
+        proj = Projector(block @ dagger(block), rank=block.shape[1], atol=max(atol, 1e-9))
+        pairs.append((float(np.mean(w[members])), proj))
     return pairs

@@ -3,7 +3,9 @@
 Every generator accepts either an integer seed or a ``numpy.random.Generator``
 and is deterministic for a fixed seed. Suites derive one child generator per
 trial from ``(seed, trial)`` so that trials are independent and reproducible
-regardless of execution order.
+regardless of execution order: everything a trial draws, its states included,
+comes from ``trial_rng(seed, t)``. States are drawn as one ``(k, d, d)`` stack
+from one Gaussian call; the one-state draws are its one-row case.
 """
 
 from __future__ import annotations
@@ -45,37 +47,53 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     return q * (phases / np.abs(phases))
 
 
-def _gaussian_gram(dim: int, rank: int | None, rng) -> np.ndarray:
-    """``BB†`` with ``B`` a ``dim x rank`` complex Gaussian; ``rank=None`` means ``dim``."""
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise InvalidRankError(f"rank {rank} outside [1, {dim}]")
-    b = complex_gaussian(rng, (dim, rank))
-    return b @ dagger(b)
+def _checked_ranks(dim: int, ranks) -> np.ndarray:
+    """``ranks`` as a 1-D integer array with entries in ``[1, dim]``; anything else is an error.
+
+    Floats are refused rather than truncated, so a rank of ``2.5`` is an error
+    and not a rank-2 state.
+    """
+    try:
+        arr = np.asarray(ranks)
+    except (TypeError, ValueError) as exc:
+        raise InvalidRankError(f"ranks must be a 1-D sequence of integers: {exc}") from None
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise InvalidRankError(f"ranks must be a nonempty 1-D sequence of integers, got {ranks!r}")
+    bad = (arr < 1) | (arr > dim)
+    if bad.any():
+        raise InvalidRankError(f"rank {arr[bad][0]} outside [1, {dim}]")
+    return arr
 
 
-def _unit_trace(raw: np.ndarray) -> np.ndarray:
-    """``raw / Tr raw`` for one matrix or a ``(k, d, d)`` stack; every state draw normalizes here."""
-    return raw / np.trace(raw, axis1=-2, axis2=-1).real[..., None, None]
+def _state_draws(dim: int, ranks, seed) -> np.ndarray:
+    """``BB†/Tr[BB†]`` for every rank, from one ``(k, dim, dim)`` complex Gaussian draw; not yet validated.
+
+    State ``s`` keeps the first ``ranks[s]`` columns of its ``B``, so it has
+    rank ``ranks[s]``. Every state draw of this module goes through here.
+    """
+    ranks = _checked_ranks(dim, ranks)
+    b = complex_gaussian(seed, (ranks.size, dim, dim)) * (np.arange(dim) < ranks[:, None])[:, None, :]
+    raw = b @ b.conj().swapaxes(1, 2)
+    return raw / np.trace(raw, axis1=1, axis2=2).real[:, None, None]
+
+
+def random_density_stack(dim: int, ranks, seed=0) -> np.ndarray:
+    """Random states as one validated ``(k, dim, dim)`` stack, state ``s`` of rank ``ranks[s]``.
+
+    ``ranks`` is a 1-D sequence of integers in ``[1, dim]``, else
+    :class:`InvalidRankError`. One ``(k, dim, dim)`` complex Gaussian draw from
+    ``seed`` gives every state, and the stack passes the checks of
+    :class:`DensityMatrix` once, through ``require_density``.
+    """
+    return require_density(_state_draws(dim, ranks, seed), atol=1e-9)
 
 
 def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
-    """Random state ``BB†/Tr[BB†]`` with ``B`` a ``dim x rank`` complex Gaussian."""
-    raw = _gaussian_gram(dim, rank, rng_from(seed))
-    return DensityMatrix(_unit_trace(raw), atol=1e-9)
+    """One random state of rank ``rank`` (``None`` means ``dim``): the one-row stack draw.
 
-
-def random_density_stack(dim: int, draws) -> np.ndarray:
-    """Random states as one validated ``(k, dim, dim)`` stack, one per ``(rank, seed)`` pair.
-
-    Slice ``s`` equals ``random_density_matrix(dim, rank_s, seed_s).matrix``
-    bit for bit, and the stack passes the checks of :class:`DensityMatrix`
-    once. ``draws`` is consumed one pair per state, so a pair may draw its
-    rank from the generator that then draws the state.
+    Equal bit for bit to ``random_density_stack(dim, [rank], seed)[0]``.
     """
-    raw = np.stack([_gaussian_gram(dim, rank, rng_from(seed)) for rank, seed in draws])
-    return require_density(_unit_trace(raw), atol=1e-9)
+    return DensityMatrix(_state_draws(dim, [dim if rank is None else rank], seed)[0], atol=1e-9)
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -> GeneralizedMeasurement:
@@ -181,18 +199,12 @@ def random_subspace_of(parent: Subspace, rank: int, seed=0) -> Subspace:
     return Subspace(parent.basis @ rotation[:, :rank])
 
 
+def random_subspace_state_stack(subspace: Subspace, ranks, seed=0) -> np.ndarray:
+    """The draw of :func:`random_density_stack` on the subspace, embedded and validated once."""
+    return require_density(subspace.embed(_state_draws(subspace.rank, ranks, seed)), atol=1e-9)
+
+
 def random_state_in_subspace(subspace: Subspace, seed=0, rank: int | None = None) -> DensityMatrix:
-    """Random state supported exactly inside the subspace."""
-    rng = rng_from(seed)
-    small = random_density_matrix(subspace.rank, rank, rng)
-    return DensityMatrix(subspace.embed(small.matrix), atol=1e-9)
-
-
-def random_subspace_state_stack(subspace: Subspace, draws) -> np.ndarray:
-    """Random states inside the subspace as one validated stack, one per ``(rank, seed)`` pair.
-
-    Slice ``s`` equals ``random_state_in_subspace(subspace, seed_s, rank_s).matrix``
-    bit for bit.
-    """
-    small = random_density_stack(subspace.rank, draws)
-    return require_density(subspace.embed(small), atol=1e-9)
+    """One random state supported exactly inside the subspace: the one-row subspace stack draw."""
+    small = _state_draws(subspace.rank, [subspace.rank if rank is None else rank], seed)[0]
+    return DensityMatrix(subspace.embed(small), atol=1e-9)

@@ -10,19 +10,21 @@ Trial ``t`` of a theorem suite draws its instance from ``trial_rng`` at ``(seed,
 and reports at most one record, for the first statement found violated: keys
 ``trial``, ``violated``, the compared values, then ``state`` for a per-state
 statement, then the inputs (``subspace``, ``coarse``, ``fine`` for pairs). A
-per-state statement reports its first violating state. ``coarser_entropy``
-and ``coarser_mi`` draw five states, each after its rank, from the trial
-generator; the other per-state suites draw state ``s`` from
-``trial_rng(seed, trials + k * t + s)`` (``k = 5`` in ``subspace_processing``,
-else 50), so it replays alone. The four subspace suites check nothing below
-dimension 2, which has no proper nonzero subspace.
+per-state statement reports its first violating state. Everything a trial
+draws comes from ``trial_rng(seed, t)``, the pair first and then the states,
+so a record replays from ``(seed, t)`` alone. The four subspace suites check
+nothing below dimension 2, which has no proper nonzero subspace.
 
-The six per-state suites draw a trial's states up front, from those same
-generators, as one ``(k, d, d)`` stack that is validated once. The stack
-kernels (Born probabilities, ``S_obs``, mutual information) evaluate every
-state in one pass, and the first violating state's record is built from those
-values. Each stack entry is bit-identical to the public one-state function on
-that state, so the records are those of a state-by-state sweep.
+The six per-state suites draw a trial's states after the pair as one
+``(k, d, d)`` stack, in one Gaussian call (:func:`random_density_stack`) that
+is validated once: ``lemma_processing`` draws 50 full-rank states,
+``coarser_entropy`` and ``coarser_mi`` five states of random ranks (the five
+ranks first), and the subspace suites full-rank states of the subspace (5 in
+``subspace_processing``, else 50). The stack kernels (Born probabilities,
+``S_obs``, mutual information) evaluate every state in one pass, and the
+first violating state's record is built from those values. Each stack entry is
+bit-identical to the public one-state function on that state, so the records
+are those of a state-by-state sweep.
 
 The registry names are part of the CLI contract:
 
@@ -158,11 +160,6 @@ def _trials(trials, seed, check) -> list[dict]:
         if record is not None:
             fails.append({"trial": t, **record})
     return fails
-
-
-def _replayed_draws(seed, trials, t, k):
-    """The ``(rank, generator)`` draws of trial ``t``'s ``k`` full-rank states, each replayable alone."""
-    return ((None, trial_rng(seed, trials + k * t + s)) for s in range(k))
 
 
 def _sweep_states(statement, states, check, coarse, fine, subspace=None):
@@ -372,37 +369,28 @@ def _information_shrinks(fine, coarse, states):
     return mi_coarse - (mi_fine + INEQ_TOL), {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
 
 
-def _coarser_pairs(rng, dim):
+def _coarser_trial(rng, dim):
+    """A coarser pair, then five states whose ranks are drawn first."""
     fine, coarse, _ = _random_coarser_pair(rng, dim)
-    return fine, coarse, None
+    return fine, coarse, None, random_density_stack(dim, rng.integers(1, dim + 1, size=5), rng)
 
 
-def _subspace_pairs(rng, dim):
+def _subspace_trial(rng, dim):
+    """A pair coarser inside a subspace, then 50 full-rank states of that subspace."""
     fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-    return fine, coarse, inside
+    return fine, coarse, inside, random_subspace_state_stack(inside, [inside.rank] * 50, rng)
 
 
-def _drawn_states(rng, dim, subspace, replay):
-    """Five states from the trial generator, each drawn right after its rank."""
-    return random_density_stack(dim, ((int(rng.integers(1, dim + 1)), rng) for _ in range(5)))
-
-
-def _replayed_subspace_states(rng, dim, subspace, replay):
-    return random_subspace_state_stack(subspace, replay(50))
-
-
-def _monotone(statement, check, pairs, states):
+def _monotone(statement, check, draw):
     """A suite whose every trial sweeps its states with ``check`` on one pair.
 
-    ``pairs(rng, dim)`` gives ``(fine, coarse, subspace or None)``, and
-    ``states(rng, dim, subspace, replay)`` the state stack, where ``replay(k)``
-    is the trial's :func:`_replayed_draws`.
+    ``draw(rng, dim)`` gives ``(fine, coarse, subspace or None, states)``,
+    all from the trial generator.
     """
     def suite(trials, dim, seed):
         def check_trial(t, rng):
-            fine, coarse, subspace = pairs(rng, dim)
-            stack = states(rng, dim, subspace, lambda k: _replayed_draws(seed, trials, t, k))
-            return _sweep_states(statement, stack, check, coarse, fine, subspace)
+            fine, coarse, subspace, states = draw(rng, dim)
+            return _sweep_states(statement, states, check, coarse, fine, subspace)
         return _trials(trials, seed, check_trial)
     return suite
 
@@ -451,17 +439,15 @@ def _suite_lemma_processing(trials, dim, seed):
         if cert.residual > 1e-7:
             return _fail("witness residual <= 1e-7", residual=cert.residual,
                          **_pair_payload(coarse, fine))
-        states = random_density_stack(dim, _replayed_draws(seed, trials, t, 50))
+        states = random_density_stack(dim, [dim] * 50, rng)
         return _sweep_states("p_coarse == witness @ p_fine for every state", states,
                              _mapped_probabilities(cert.witness.matrix, INEQ_TOL),
                              coarse, fine)
     return _trials(trials, seed, check)
 
 
-_suite_coarser_entropy = _monotone(
-    "S_coarse >= S_fine", _entropy_grows, _coarser_pairs, _drawn_states)
-_suite_coarser_mi = _monotone(
-    "I_coarse <= I_fine", _information_shrinks, _coarser_pairs, _drawn_states)
+_suite_coarser_entropy = _monotone("S_coarse >= S_fine", _entropy_grows, _coarser_trial)
+_suite_coarser_mi = _monotone("I_coarse <= I_fine", _information_shrinks, _coarser_trial)
 
 
 @_in_proper_subspaces
@@ -480,7 +466,7 @@ def _suite_subspace_processing(trials, dim, seed):
         if v_gap > EQ_TOL:
             return _fail("extension maps volumes exactly", gap=v_gap,
                          **_pair_payload(coarse, fine, inside))
-        states = random_subspace_state_stack(inside, _replayed_draws(seed, trials, t, 5))
+        states = random_subspace_state_stack(inside, [inside.rank] * 5, rng)
         return _sweep_states("extension maps probabilities on subspace states", states,
                              _mapped_probabilities(extension.matrix, EQ_TOL),
                              coarse, fine, inside)
@@ -488,11 +474,9 @@ def _suite_subspace_processing(trials, dim, seed):
 
 
 _suite_subspace_entropy = _in_proper_subspaces(_monotone(
-    "S_coarse >= S_fine on subspace states",
-    _entropy_grows, _subspace_pairs, _replayed_subspace_states))
+    "S_coarse >= S_fine on subspace states", _entropy_grows, _subspace_trial))
 _suite_subspace_mi = _in_proper_subspaces(_monotone(
-    "I_coarse <= I_fine on subspace states",
-    _information_shrinks, _subspace_pairs, _replayed_subspace_states))
+    "I_coarse <= I_fine on subspace states", _information_shrinks, _subspace_trial))
 
 
 @_in_proper_subspaces

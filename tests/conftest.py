@@ -50,15 +50,14 @@ def kernel_cases():
     Random POVMs on states of every rank, rank-1 states, degenerate spectra
     (maximally mixed, a repeated nonzero eigenvalue) and outcomes whose
     probability falls below ``ZERO_PROB_TOL`` (a state inside one projector).
-    Every stack is validated, as the kernels expect: on a degenerate spectrum
-    the eigenbasis, and so the mutual information, depends on the exact bits.
+    Every stack is validated, as the kernels expect.
     """
     rng = np.random.default_rng(2022)
     cases = []
     for d in range(1, 7):
         povm = random_povm(d, int(rng.integers(1, 6)), rng, with_kraus=False)
-        cases.append((povm, random_density_stack(d, ((int(rng.integers(1, d + 1)), rng) for _ in range(40)))))
-        cases.append((povm, random_density_stack(d, ((1, rng) for _ in range(10)))))
+        cases.append((povm, random_density_stack(d, rng.integers(1, d + 1, size=40), rng)))
+        cases.append((povm, random_density_stack(d, [1] * 10, rng)))
         u = random_unitary(d, rng)
         spectra = [np.full(d, 1.0 / d)]
         if d >= 3:

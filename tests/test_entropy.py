@@ -28,11 +28,13 @@ from povmcoarse import (
     von_neumann_entropy,
 )
 from povmcoarse.errors import LengthMismatchError, NotNormalizedError, ValidationError
+from povmcoarse.operators import require_density
 from povmcoarse.randomgen import (
     random_density_matrix,
     random_left_stochastic,
     random_povm,
     random_simplex,
+    random_unitary,
     random_weighted_distribution,
 )
 
@@ -201,6 +203,59 @@ class TestJointDistributionFromMeasurement:
                 j.col_marginal(), outcome_probabilities(povm, rho).probs, atol=1e-10
             )
 
+    def test_repeated_eigenvalue_gives_one_row(self):
+        # the maximally mixed state is one eigenspace: a single row of Born probabilities
+        povm = random_povm(3, 4, seed=8, with_kraus=False)
+        j = measurement_state_joint(povm, DensityMatrix.maximally_mixed(3))
+        np.testing.assert_allclose(j.matrix[0], povm.volumes() / 3, atol=1e-15)
+        assert np.all(j.matrix[1:] == 0.0)
+        assert abs(mutual_information(j)) <= 1e-15
+
+
+class TestUnitaryInvariance:
+    """The mutual information is a function of the state and the measurement, not of a basis."""
+
+    SPECTRA = [[0.4, 0.4, 0.2], [0.5, 0.25, 0.25], [1 / 3] * 3, [0.6, 0.4, 0.0], [0.7, 0.2, 0.1]]
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    def test_rotations_inside_an_eigenspace(self, spectrum):
+        rng = np.random.default_rng(31)
+        povm = random_povm(3, 4, rng, with_kraus=False)
+        u = random_unitary(3, rng)
+        states = []
+        for _ in range(20):
+            # a unitary that acts inside each eigenspace writes the same state another way
+            w = np.eye(3, dtype=complex)
+            for block in _eigenspace_blocks(spectrum):
+                w[np.ix_(block, block)] = random_unitary(len(block), rng)
+            v = u @ w
+            states.append((v * np.asarray(spectrum)) @ v.conj().T)
+        values = mutual_information_stack(povm, require_density(np.stack(states), atol=1e-9))
+        assert np.ptp(values) <= 1e-12
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    def test_conjugating_state_and_measurement(self, spectrum):
+        rng = np.random.default_rng(32)
+        povm = random_povm(3, 4, rng, with_kraus=False)
+        u = random_unitary(3, rng)
+        rho = DensityMatrix((u * np.asarray(spectrum)) @ u.conj().T, atol=1e-9)
+        base = mutual_information(measurement_state_joint(povm, rho))
+        for _ in range(10):
+            g = random_unitary(3, rng)
+            moved = validate_measurement(g @ povm.stacked() @ g.conj().T, atol=1e-9)
+            moved_rho = DensityMatrix(g @ rho.matrix @ g.conj().T, atol=1e-9)
+            assert abs(mutual_information(measurement_state_joint(moved, moved_rho)) - base) <= 1e-12
+
+
+def _eigenspace_blocks(spectrum):
+    """Index blocks of equal entries in a descending spectrum."""
+    blocks = [[0]]
+    for x in range(1, len(spectrum)):
+        if spectrum[x] != spectrum[x - 1]:
+            blocks.append([])
+        blocks[-1].append(x)
+    return blocks
+
 
 class TestProcessingInequalities:
     """Module-level checks of the three processing inequalities."""
@@ -264,12 +319,24 @@ def reference_s_obs(povm, rho):
 
 
 def reference_mutual_information(povm, rho):
-    """``sum p_xi ln(p_xi / (p_x p_i))`` with ``p_xi = λ_x <x|Π_i|x>`` from this state's own ``eigh``."""
+    """``sum p_gi ln(p_gi / (p_g p_i))`` with ``p_gi = Tr[Π_i P_g ρ]`` over the eigenspaces ``P_g`` of ``ρ``.
+
+    Eigenvalues (descending) closer than ``1e-8`` times the spectral scale
+    share an eigenspace, the grouping rule of ``eigendecompose``.
+    """
     eigvals, eigvecs = np.linalg.eigh(rho)
-    joint = [
-        [max(float(lam), 0.0) * max(float((vec.conj() @ element @ vec).real), 0.0) for element in povm.elements]
-        for lam, vec in zip(eigvals, eigvecs.T)
-    ]
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    scale = max(eigvals[0] - eigvals[-1], max(abs(eigvals)))
+    groups = [[0]]
+    for x in range(1, len(eigvals)):
+        if eigvals[x - 1] - eigvals[x] > 1e-8 * scale:
+            groups.append([])
+        groups[-1].append(x)
+    joint = []
+    for group in groups:
+        block = eigvecs[:, group]
+        weighted = block @ np.diag(np.clip(eigvals[group], 0.0, None)) @ block.conj().T
+        joint.append([max(float(np.trace(element @ weighted).real), 0.0) for element in povm.elements])
     rows = [sum(row) for row in joint]
     cols = [sum(column) for column in zip(*joint)]
     return sum(

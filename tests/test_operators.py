@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from povmcoarse import DensityMatrix, Projector, Subspace, eigendecompose, phase_fixed_eigh
+from povmcoarse import DensityMatrix, Projector, Subspace, eigendecompose
 from povmcoarse.errors import (
     DimensionMismatchError,
     InvalidRankError,
@@ -179,21 +179,11 @@ class TestEigendecompose:
 
     def test_deterministic_for_fixed_input(self):
         rho = random_density_matrix(4, 3, seed=99)
-        first = phase_fixed_eigh(rho.matrix)
-        second = phase_fixed_eigh(rho.matrix)
-        np.testing.assert_array_equal(first[0], second[0])
-        np.testing.assert_array_equal(first[1], second[1])
-
-    def test_phase_fix_makes_first_component_real_positive(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = a + dagger(a)
-        _, vectors = phase_fixed_eigh(a)
-        for k in range(4):
-            col = vectors[:, k]
-            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-            assert abs(lead.imag) <= 1e-12
-            assert lead.real > 0
+        first = eigendecompose(rho.matrix)
+        second = eigendecompose(rho.matrix)
+        assert [v for v, _ in first] == [v for v, _ in second]
+        for (_, p), (_, q) in zip(first, second):
+            np.testing.assert_array_equal(p.matrix, q.matrix)
 
 
 class TestHelpers:
@@ -263,34 +253,66 @@ class TestStackValidation:
 
 
 class TestStackDraws:
-    """Stack draws equal the scalar draws bit for bit."""
+    """One ``(k, d, d)`` Gaussian draw per stack; everything comes from the given generator."""
+
+    @staticmethod
+    def assert_states(stack, ranks):
+        dim = stack.shape[-1]
+        assert stack.shape == (len(ranks), dim, dim)
+        np.testing.assert_allclose(np.trace(stack, axis1=1, axis2=2), 1.0, atol=1e-12)
+        assert np.linalg.eigvalsh(stack).min() >= -1e-12
+        assert [int(np.linalg.matrix_rank(rho)) for rho in stack] == list(ranks)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 6])
     def test_replayed_full_rank_draws(self, dim):
-        stack = random_density_stack(dim, ((None, trial_rng(9, s)) for s in range(20)))
-        assert stack.shape == (20, dim, dim)
-        for s in range(20):
-            assert np.array_equal(stack[s], random_density_matrix(dim, None, trial_rng(9, s)).matrix)
+        rng, twin = trial_rng(9, 0), trial_rng(9, 0)
+        stack = random_density_stack(dim, [dim] * 20, rng)
+        self.assert_states(stack, [dim] * 20)
+        assert np.array_equal(stack, random_density_stack(dim, [dim] * 20, twin))
+        assert rng.random() == twin.random()  # both generators end in the same place
 
     @pytest.mark.parametrize("dim", [2, 4, 5])
     def test_rank_then_state_from_one_generator(self, dim):
         rng, twin = trial_rng(4, 1), trial_rng(4, 1)
-        stack = random_density_stack(dim, ((int(rng.integers(1, dim + 1)), rng) for _ in range(8)))
-        for got in stack:
-            want = random_density_matrix(dim, int(twin.integers(1, dim + 1)), twin)
-            assert np.array_equal(got, want.matrix)
-        assert rng.random() == twin.random()  # both generators end in the same place
+        ranks = rng.integers(1, dim + 1, size=8)
+        stack = random_density_stack(dim, ranks, rng)
+        self.assert_states(stack, ranks)
+        assert np.array_equal(stack, random_density_stack(dim, twin.integers(1, dim + 1, size=8), twin))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("dim, rank", [(1, 1), (3, 1), (4, 2), (4, None)])
+    def test_one_state_is_row_zero_of_the_stack(self, dim, rank):
+        want = random_density_stack(dim, [dim if rank is None else rank], trial_rng(3, dim))[0]
+        assert np.array_equal(random_density_matrix(dim, rank, trial_rng(3, dim)).matrix, want)
 
     @pytest.mark.parametrize("dim, rank", [(2, 1), (4, 2), (6, 5)])
     def test_subspace_draws(self, dim, rank):
         sub = random_subspace(dim, rank, seed=dim)
-        stack = random_subspace_state_stack(sub, ((None, trial_rng(2, s)) for s in range(10)))
-        for s in range(10):
-            assert np.array_equal(stack[s], random_state_in_subspace(sub, trial_rng(2, s)).matrix)
+        ranks = [rank] * 9 + [1]
+        stack = random_subspace_state_stack(sub, ranks, trial_rng(2, 0))
+        self.assert_states(stack, ranks)
+        p = sub.projector.matrix
+        np.testing.assert_allclose(p @ stack @ p, stack, atol=1e-12)
+        one = random_state_in_subspace(sub, trial_rng(2, 0)).matrix
+        assert np.array_equal(one, random_subspace_state_stack(sub, [rank], trial_rng(2, 0))[0])
 
     def test_invalid_rank(self):
         with pytest.raises(InvalidRankError):
-            random_density_stack(3, [(None, 0), (4, 1)])
+            random_density_stack(3, [3, 4])
+
+    @pytest.mark.parametrize("ranks", [
+        [2.5], [2.0], [0], [4], [-1], [[1, 2], [2, 3]], np.ones((2, 2), dtype=int), [], 3, [True], ["2"],
+    ])
+    def test_ranks_outside_one_to_dim_are_refused(self, ranks):
+        with pytest.raises(InvalidRankError):
+            random_density_stack(3, ranks)
+
+    @pytest.mark.parametrize("rank", [2.5, 0, 4])
+    def test_one_state_rank_is_checked(self, rank):
+        with pytest.raises(InvalidRankError):
+            random_density_matrix(3, rank)
+        with pytest.raises(InvalidRankError):
+            random_state_in_subspace(random_subspace(4, 3, seed=1), rank=rank)
 
 
 class TestCompress:

@@ -23,11 +23,11 @@ from povmcoarse.entropy import measurement_state_joint, mutual_information
 from povmcoarse.errors import InvalidRangeError, UnknownSuiteError
 from povmcoarse.measurements import outcome_probabilities
 from povmcoarse.randomgen import (
-    random_density_matrix,
+    random_density_stack,
     random_left_stochastic,
     random_povm,
     random_projective,
-    random_state_in_subspace,
+    random_subspace_state_stack,
     trial_rng,
 )
 from povmcoarse.serialization import measurement_from_dict, state_from_dict, subspace_from_dict
@@ -226,7 +226,7 @@ class TestFailurePayloads:
             self.assert_same_measurement(record["fine"], fine)
 
     def test_coarser_entropy_state_record(self, monkeypatch):
-        """States come from the trial generator: the rank, then the state."""
+        """The pair and the state rebuild from trial_rng(seed, t) alone: pair, five ranks, states."""
         import povmcoarse.suites as suites
 
         monkeypatch.setattr(suites, "INEQ_TOL", -1.0)  # every state violates, the first is kept
@@ -239,9 +239,9 @@ class TestFailurePayloads:
             assert record["trial"] == t
             rng = trial_rng(9, t)
             fine, coarse, _ = suites._random_coarser_pair(rng, 2)
-            rho = random_density_matrix(2, int(rng.integers(1, 3)), rng)
+            rho = random_density_stack(2, rng.integers(1, 3, size=5), rng)[0]
             state = state_from_dict(record["state"])
-            assert np.array_equal(state.matrix, rho.matrix)
+            assert np.array_equal(state.matrix, rho)
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
             rebuilt_fine = measurement_from_dict(record["fine"])
@@ -250,7 +250,7 @@ class TestFailurePayloads:
             assert record["coarse_entropy"] == observational_entropy(rebuilt_coarse, state).s_obs
 
     def test_subspace_mi_state_record(self, monkeypatch):
-        """State s of trial t replays alone from trial_rng(seed, trials + 50 t + s)."""
+        """The pair and the state rebuild from trial_rng(seed, t) alone: pair, then 50 states."""
         import povmcoarse.suites as suites
 
         monkeypatch.setattr(suites, "INEQ_TOL", -1.0)
@@ -261,10 +261,11 @@ class TestFailurePayloads:
                 "trial", "violated", "fine_mi", "coarse_mi", "state", "subspace", "coarse", "fine",
             ]
             assert record["trial"] == t
-            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
-            rho = random_state_in_subspace(inside, trial_rng(9, 4 + 50 * t))
+            rng = trial_rng(9, t)
+            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(rng, 3)
+            rho = random_subspace_state_stack(inside, [inside.rank] * 50, rng)[0]
             state = state_from_dict(record["state"])
-            assert np.array_equal(state.matrix, rho.matrix)
+            assert np.array_equal(state.matrix, rho)
             subspace = subspace_from_dict(record["subspace"])
             assert np.array_equal(subspace.basis, inside.basis)
             self.assert_same_measurement(record["coarse"], coarse)
@@ -277,7 +278,7 @@ class TestFailurePayloads:
             )
 
     def test_lemma_processing_state_record(self, monkeypatch):
-        """The per-state gap record carries the state from trial_rng(seed, trials + 50 t + s)."""
+        """The pair and the state rebuild from trial_rng(seed, t) alone: pair, then 50 states."""
         import povmcoarse.suites as suites
 
         monkeypatch.setattr(suites, "INEQ_TOL", -1.0)
@@ -286,10 +287,11 @@ class TestFailurePayloads:
         for t, record in enumerate(report.details):
             assert list(record) == ["trial", "violated", "gap", "state", "coarse", "fine"]
             assert record["trial"] == t
-            fine, coarse, _ = suites._random_coarser_pair(trial_rng(9, t), 3)
-            rho = random_density_matrix(3, None, trial_rng(9, 4 + 50 * t))
+            rng = trial_rng(9, t)
+            fine, coarse, _ = suites._random_coarser_pair(rng, 3)
+            rho = random_density_stack(3, [3] * 50, rng)[0]
             state = state_from_dict(record["state"])
-            assert np.array_equal(state.matrix, rho.matrix)
+            assert np.array_equal(state.matrix, rho)
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
             witness = check_coarser(
@@ -308,7 +310,7 @@ class TestSweepStates:
         import povmcoarse.suites as suites
 
         fine = coarse = random_povm(2, 2, 0, with_kraus=False)
-        states = suites.random_density_stack(2, ((None, s) for s in range(len(excess))))
+        states = suites.random_density_stack(2, [2] * len(excess))
         values = np.arange(len(excess)) / 10.0
 
         def check(fine, coarse, states):
