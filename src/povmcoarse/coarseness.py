@@ -56,7 +56,6 @@ from .errors import (
     BrokenColumnSumError,
     DimensionMismatchError,
     EmptyOutcomeSetError,
-    InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
     ShapeMismatchError,
@@ -64,7 +63,7 @@ from .errors import (
 )
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DEFAULT_ATOL, Subspace, frobenius
-from .simplex import _verdict_band, lp_feasible
+from .simplex import _check_tol, _verdict_band, lp_feasible
 
 DEFAULT_FEAS_TOL = 1e-8
 
@@ -156,11 +155,6 @@ def _residual(mat: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> float:
     """Largest per-outcome norm of ``sum_i mat[j, i] fine[i] - coarse[j]``, elements flattened."""
     diff = mat @ fine.reshape(len(fine), -1) - coarse.reshape(len(coarse), -1)
     return float(np.max(np.linalg.norm(diff, axis=1)))
-
-
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
 
 
 def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertificate:

@@ -6,13 +6,24 @@ reduced cost) and switches to Bland's rule permanently once the objective
 stalls, which guarantees termination on the degenerate systems that projected
 subspace constraints produce.
 
-The tableau holds only the structural columns: the ``n_vars`` unknowns and one
-slack per inequality row. Artificial columns are not stored, because the solver
-never reads them. Every artificial starts in the basis; while it stays basic
-its column is a unit vector with reduced cost exactly zero, so it is never
-chosen to enter, and once it leaves it is not wanted back. The basis records
-artificial ``k`` by the id ``n_vars + n_ineq + k``, which is all that Bland's
-leaving tie-break and the phase-1 objective need.
+The tableau ``T`` is one ``(m + 1, n_struct + 1)`` array. Rows ``0 .. m-1``
+hold the constraints, sign-flipped so that every right-hand side starts
+non-negative, and row ``m`` holds the phase-1 reduced costs. Columns
+``0 .. n_struct-1`` are the structural columns (the ``n_vars`` unknowns, then
+one slack per inequality row) and the last column holds the right-hand side,
+so ``rhs`` and ``obj`` are views into ``T``. A pivot on ``(r, j)`` is one
+in-place rank-1 update of the whole tableau: divide row ``r`` by its pivot,
+then subtract ``T[i, j]`` times row ``r`` from every other row ``i``. Rows with
+``T[i, j] == 0`` are updated too; they subtract ``±0``, which leaves every value
+unchanged (at most the sign of an exact zero flips, and no comparison here can
+see it), so the result is the one a row-by-row update that skips them gives.
+
+Artificial columns are not stored, because the solver never reads them. Every
+artificial starts in the basis; while it stays basic its column is a unit
+vector with reduced cost exactly zero, so it is never chosen to enter, and
+once it leaves it is not wanted back. The basis records artificial ``k`` by the
+id ``n_struct + k``, which is all that Bland's leaving tie-break and the
+phase-1 objective need.
 
 Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
 ``tol``, ``infeasible`` when it exceeds ``10 * tol``, and ``ambiguous`` in
@@ -21,11 +32,12 @@ the band between, so borderline systems are reported instead of guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationLimitError, ShapeMismatchError
+from .errors import InvalidRangeError, IterationLimitError, ShapeMismatchError, ValidationError
 
 _ENTER_TOL = 1e-9
 # entries below this never serve as pivots: dividing a tableau by a tiny pivot
@@ -52,6 +64,12 @@ class FeasibilityResult:
         return self.verdict == "feasible"
 
 
+def _check_tol(tol: float) -> None:
+    """Raise :class:`InvalidRangeError` unless ``tol`` is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
+
+
 def _verdict_band(violation: float, tol: float) -> str:
     """Three-valued verdict of a non-negative violation against ``tol``.
 
@@ -76,6 +94,10 @@ def _as_system(a, b, n_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatchError(f"{what}: expected shape (*, {n_vars}), got {mat.shape}")
     if mat.shape[0] != vec.size:
         raise ShapeMismatchError(f"{what}: {mat.shape[0]} rows vs {vec.size} right-hand sides")
+    for part, arr in (("matrix", mat), ("vector", vec)):
+        if not np.isfinite(arr).all():
+            at = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
+            raise ValidationError(f"{what}: {part} entry {list(at)} is {arr[at]}, not finite")
     return mat, vec
 
 
@@ -102,7 +124,9 @@ def lp_feasible(
 
     Returns a witness and its constraint residual when feasible; the reported
     ``phase1_optimum`` is the minimized total constraint violation either way.
+    ``tol`` must be positive and finite, and every entry of the system finite.
     """
+    _check_tol(tol)
     a_eq, b_eq = _as_system(a_eq, b_eq, n_vars, "equalities")
     a_ub, b_ub = _as_system(a_ub, b_ub, n_vars, "inequalities")
     me, mu = a_eq.shape[0], a_ub.shape[0]
@@ -110,81 +134,69 @@ def lp_feasible(
     if m == 0:
         return FeasibilityResult("feasible", np.zeros(n_vars), 0.0, 0.0, 0)
 
-    # canonical form with slack variables on the inequality rows
-    canon = np.zeros((m, n_vars + mu))
-    canon[:me, :n_vars] = a_eq
-    if mu:
-        canon[me:, :n_vars] = a_ub
-        canon[me:, n_vars:] = np.eye(mu)
-    rhs = np.concatenate([b_eq, b_ub]).astype(float)
-    flipped = rhs < 0
-    canon[flipped] *= -1.0
-    rhs = np.where(flipped, -rhs, rhs)
-
-    # initial basis: slack where its coefficient stayed +1, artificial elsewhere
-    art_rows = [r for r in range(m) if r < me or flipped[r]]
+    # canonical form with slack variables on the inequality rows, then the objective row
     n_struct = n_vars + mu
-    n_art = len(art_rows)
+    T = np.zeros((m + 1, n_struct + 1))
+    T[:me, :n_vars] = a_eq
+    T[me:m, :n_vars] = a_ub
+    T[me:m, n_vars:n_struct] = np.eye(mu)
+    T[:m, -1] = np.concatenate([b_eq, b_ub])
+    flipped = T[:m, -1] < 0
+    T[:m][flipped] *= -1.0
+    canon = T[:m].copy()  # the sign-flipped system, for the refinement below
 
-    # structural columns only; basis[r] = n_struct + k names artificial k
-    T = canon.copy()
+    # initial basis: slack where its coefficient stayed +1, artificial elsewhere;
+    # basis[r] = n_struct + k names artificial k
+    art_rows = [r for r in range(m) if r < me or flipped[r]]
+    n_art = len(art_rows)
     basis = n_vars - me + np.arange(m)  # the slack of row r >= me is column n_vars + r - me
     basis[art_rows] = n_struct + np.arange(n_art)
-    obj = -T[art_rows].sum(axis=0)
+    T[m] = -T[art_rows].sum(axis=0)
+    rhs, obj = T[:m, -1], T[m, :n_struct]
 
     if max_iter is None:
         max_iter = 10 * (m + n_struct + n_art) ** 2
 
     bland = False
     stall = 0
-    best_value = float(rhs[art_rows].sum()) if art_rows else 0.0
+    best_value = float(rhs[art_rows].sum())
     iterations = 0
-    barred = np.zeros(n_struct, dtype=bool)  # columns without a usable pivot entry
+    barred = []  # columns without a usable pivot entry since the last pivot
 
     while True:
-        window = np.where(barred, 0.0, obj)
-        eligible = np.flatnonzero(window < -_ENTER_TOL)
+        window = obj
+        if barred:
+            window = obj.copy()
+            window[barred] = 0.0
+        eligible = (window < -_ENTER_TOL).nonzero()[0]
         if eligible.size == 0:
             break
-        j = int(eligible[0]) if bland else int(np.argmin(window))
+        j = int(eligible[0]) if bland else int(window.argmin())
 
-        col = T[:, j]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
+        col = T[:m, j]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             # phase-1 is bounded below, so a negative reduced cost without a
             # usable pivot entry is numerical; bar the column and try others
-            barred[j] = True
+            barred.append(j)
             continue
         ratios = rhs[rows] / col[rows]
         rmin = float(ratios.min())
         tie = rows[ratios <= rmin + 1e-12 + 1e-9 * abs(rmin)]
-        if bland:
-            r = int(tie[np.argmin(basis[tie])])
-        else:
-            r = int(tie[np.argmax(col[tie])])
+        r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
 
         iterations += 1
         if iterations > max_iter:
             raise IterationLimitError(iterations)
 
-        piv = T[r, j]
-        T[r] /= piv
-        rhs[r] /= piv
-        other = col.copy()
+        T[r] /= T[r, j]
+        other = T[:, j].copy()
         other[r] = 0.0
-        nz = np.flatnonzero(np.abs(other) > 0)
-        if nz.size:
-            T[nz] -= np.outer(other[nz], T[r])
-            rhs[nz] -= other[nz] * rhs[r]
-        coeff = obj[j]
-        if coeff != 0.0:
-            obj -= coeff * T[r]
-
+        T -= other[:, None] * T[r]
         basis[r] = j
-        barred[:] = False  # the pivot changed every reduced cost
+        barred = []  # the pivot changed every reduced cost
 
-        art_basic = basis >= n_struct
-        value = float(rhs[art_basic].sum()) if np.any(art_basic) else 0.0
+        value = float(rhs[basis >= n_struct].sum())
         if value < best_value - 1e-12:
             best_value = value
             stall = 0
@@ -194,7 +206,7 @@ def lp_feasible(
                 bland = True
 
     art_basic = basis >= n_struct
-    optimum = float(np.clip(rhs[art_basic], 0.0, None).sum()) if np.any(art_basic) else 0.0
+    optimum = float(np.clip(rhs[art_basic], 0.0, None).sum())
 
     # read the structural solution off the tableau
     x_struct = np.zeros(n_struct)
@@ -209,10 +221,8 @@ def lp_feasible(
         # accumulates over pivots while a direct least-squares solve does not
         cols = np.sort(basis[structural])
         if cols.size:
-            # canon rows were already sign-flipped; flip the target the same way
-            target = np.concatenate([b_eq, b_ub])
-            target = np.where(flipped, -target, target)
-            sol, *_ = np.linalg.lstsq(canon[:, cols], target, rcond=None)
+            # the target is the sign-flipped right-hand side, like the rows
+            sol, *_ = np.linalg.lstsq(canon[:, cols], canon[:, -1], rcond=None)
             if sol.size and float(sol.min()) > -1e-9:
                 refined = np.zeros(n_struct)
                 refined[cols] = np.clip(sol, 0.0, None)

@@ -229,7 +229,10 @@ class TestToleranceRange:
 
     @pytest.mark.parametrize(
         "kind",
-        ["global", "subspace", "classical", "majorization", "projective", "restrict", "preserves"],
+        [
+            "global", "subspace", "classical", "majorization", "projective", "restrict", "preserves",
+            "lp_feasible",
+        ],
     )
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_rejected(self, z_measurement, x_measurement, kind, tol):
@@ -248,6 +251,8 @@ class TestToleranceRange:
                 )
             elif kind == "preserves":
                 preserves_observational_entropy(np.eye(2), w, tol=tol)
+            elif kind == "lp_feasible":
+                lp_feasible([[1.0, 1.0]], [1.0], n_vars=2, tol=tol)
             elif kind == "majorization":
                 majorization_verdicts(w, w.probs[None], w.volumes[None], tol=tol)
             else:

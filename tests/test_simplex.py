@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from povmcoarse import lp_feasible, simplex
-from povmcoarse.errors import IterationLimitError, ShapeMismatchError
+from povmcoarse.errors import IterationLimitError, ShapeMismatchError, ValidationError
 
 
 def scipy_feasible(a_eq, b_eq, a_ub=None, b_ub=None, n_vars=None) -> bool:
@@ -63,6 +63,15 @@ class TestBasics:
         with pytest.raises(ShapeMismatchError):
             lp_feasible([[1.0, 2.0, 3.0]], [1.0], n_vars=2)
 
+    @pytest.mark.parametrize("part", ["a_eq", "b_eq", "a_ub", "b_ub"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, part, bad):
+        system = {"a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_ub": [[1.0, 0.0]], "b_ub": [2.0]}
+        system[part] = np.array(system[part])
+        system[part].flat[-1] = bad
+        with pytest.raises(ValidationError, match=r"entry \[0(, 1)?\] is .*not finite"):
+            lp_feasible(**system, n_vars=2)
+
     def test_converse_counterexample_system(self):
         # p' = P p, V' = P V for p=(3/4,1/4), V=(1,1) vs p'=(1,0), V'=(9/5,1/5):
         # writing the four unknown entries of P column-major by target outcome
@@ -82,6 +91,26 @@ class TestBasics:
         # redundant zero equalities must not disturb feasibility
         res = lp_feasible([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], [0.0, 1.0, 0.0], n_vars=2)
         assert res.feasible
+
+
+class TestBarredColumn:
+    def test_column_without_usable_pivot_is_barred(self):
+        """Five rows ``5e-8 x0 + 2e-7 x_k = 2e-7`` (k = 1..5).
+
+        ``x0`` has the most negative reduced cost (-2.5e-7), but none of its
+        entries reaches ``_PIVOT_TOL``, so the first pricing bars it and
+        another column enters. HiGHS finds the system feasible (``x0 = 4``).
+        """
+        a = np.zeros((5, 6))
+        a[:, 0] = 5e-8
+        a[np.arange(5), np.arange(1, 6)] = 2e-7
+        b = np.full(5, 2e-7)
+        assert a[:, 0].max() < simplex._PIVOT_TOL
+        res = lp_feasible(a, b, n_vars=6)
+        assert res.verdict == "feasible"
+        assert res.residual <= 1e-7
+        assert np.all(res.x >= 0)
+        assert scipy_feasible(a, b, n_vars=6)
 
 
 class TestVerdictBand:
