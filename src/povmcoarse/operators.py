@@ -127,10 +127,14 @@ def require_density(a, *, atol: float = DEFAULT_ATOL, name: str = "density matri
 
 
 def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix (tiny negative eigenvalues clipped)."""
+    """Principal square root of a PSD matrix, or of each matrix of a ``(..., d, d)`` stack.
+
+    Tiny negative eigenvalues are clipped. Each slice of a stack is bit for bit
+    the root of that matrix alone.
+    """
     w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _eigenspace_ids(eigvals: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> np.ndarray:

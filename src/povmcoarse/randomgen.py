@@ -5,7 +5,10 @@ and is deterministic for a fixed seed. Suites derive one child generator per
 trial from ``(seed, trial)`` so that trials are independent and reproducible
 regardless of execution order: everything a trial draws, its states included,
 comes from ``trial_rng(seed, t)``. States are drawn as one ``(k, d, d)`` stack
-from one Gaussian call; the one-state draws are its one-row case.
+from one Gaussian call; the one-state draws are its one-row case. A random
+POVM draws all its outcomes in one Gaussian call too; that call gives the
+numbers of one :func:`complex_gaussian` call per outcome and leaves the
+generator where they leave it, so the one-call draw keeps every seeded stream.
 """
 
 from __future__ import annotations
@@ -99,15 +102,20 @@ def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityM
 def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -> GeneralizedMeasurement:
     """Random POVM ``Π_i = S^{-1/2} A_i S^{-1/2}`` with PSD Gaussian ``A_i``.
 
-    The normalizer ``S = sum_i A_i`` is redrawn on (practically impossible)
-    singular draws, at most ``_POVM_DRAWS`` times in all. With ``with_kraus``
-    each outcome gets the single Kraus operator ``Π_i^{1/2}``.
+    Each attempt draws every ``A_i = G_i G_i†`` from one ``(n, 2, dim, dim)``
+    Gaussian call, real then imaginary part of each ``G_i`` in turn: the
+    numbers, and the generator state after, of ``n`` :func:`complex_gaussian`
+    calls of shape ``(dim, dim)``. The normalizer ``S = sum_i A_i`` is redrawn
+    on (practically impossible) singular draws, at most ``_POVM_DRAWS`` times in
+    all. With ``with_kraus`` each outcome gets the single Kraus operator
+    ``Π_i^{1/2}``, all from one stacked square root.
     """
     if n_outcomes < 1:
         raise ValidationError("need at least one outcome")
     rng = rng_from(seed)
     for _ in range(_POVM_DRAWS):
-        blocks = np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(n_outcomes)])
+        parts = rng.standard_normal((n_outcomes, 2, dim, dim))
+        blocks = parts[:, 0] + 1j * parts[:, 1]
         raw = blocks @ blocks.conj().swapaxes(1, 2)
         # sum() adds in draw order; raw.sum(axis=0) may add pairwise and change the bits
         w, v = np.linalg.eigh(sum(raw))
@@ -115,7 +123,7 @@ def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -
             continue
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
         elements = inv_sqrt @ raw @ inv_sqrt
-        kraus = [[matrix_sqrt_psd(e)] for e in elements] if with_kraus else None
+        kraus = matrix_sqrt_psd(elements)[:, None] if with_kraus else None
         return validate_measurement(elements, kraus, atol=1e-9)
     raise SingularSumError(f"no well-conditioned normalizer after {_POVM_DRAWS} draws")
 

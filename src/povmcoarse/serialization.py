@@ -32,45 +32,35 @@ from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DensityMatrix, Subspace, _vector_columns
 
 
-def complex_matrix_to_json(mat) -> list[list[list[float]]]:
+def complex_matrix_to_json(mat) -> list:
+    """A complex matrix, or a stack of them, as nested lists ending in ``[re, im]`` pairs."""
     arr = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def complex_matrix_from_json(rows, *, name: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: malformed complex matrix") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValidationError(f"{name}: expected rows of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
-
-
-def complex_vector_to_json(vec) -> list[list[float]]:
-    arr = np.asarray(vec, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in arr]
-
-
-def complex_vector_from_json(entries, *, name: str = "vector") -> np.ndarray:
+def _complex_from_json(entries, ndim: int, name: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs nested ``ndim`` deep: 2 for a matrix, 1 for a vector."""
+    what, shape = ("matrix", "rows of [re, im] pairs") if ndim == 2 else ("vector", "[re, im] pairs")
     try:
         arr = np.asarray(entries, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: malformed complex vector") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
+        raise ValidationError(f"{name}: malformed complex {what}") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValidationError(f"{name}: expected {shape}, got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def complex_matrix_from_json(rows, *, name: str = "matrix") -> np.ndarray:
+    return _complex_from_json(rows, 2, name)
 
 
 def measurement_to_dict(measurement: GeneralizedMeasurement) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "dim": measurement.dim,
-        "elements": [complex_matrix_to_json(e) for e in measurement.elements],
+        "elements": complex_matrix_to_json(measurement.stacked()),
     }
     if measurement.kraus is not None:
-        payload["kraus"] = [
-            [complex_matrix_to_json(k) for k in group] for group in measurement.kraus
-        ]
+        payload["kraus"] = [complex_matrix_to_json(group) for group in measurement.kraus]
     return payload
 
 
@@ -121,7 +111,7 @@ def state_from_dict(payload: dict, *, atol: float = 1e-9) -> DensityMatrix:
 def subspace_to_dict(subspace: Subspace) -> dict[str, Any]:
     return {
         "dim": subspace.dim,
-        "basis": [complex_vector_to_json(subspace.basis[:, k]) for k in range(subspace.rank)],
+        "basis": complex_matrix_to_json(subspace.basis.T),
     }
 
 
@@ -129,7 +119,7 @@ def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
     if not isinstance(payload, dict) or "basis" not in payload:
         raise ValidationError("subspace file needs a 'basis' array")
     vectors = [
-        complex_vector_from_json(v, name=f"basis vector {k}")
+        _complex_from_json(v, 1, f"basis vector {k}")
         for k, v in enumerate(_json_list(payload["basis"], "'basis'"))
     ]
     basis = _vector_columns(vectors)

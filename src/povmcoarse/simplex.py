@@ -83,6 +83,16 @@ def _verdict_band(violation: float, tol: float) -> str:
     return "ambiguous"
 
 
+def _check_n_vars(n_vars) -> int:
+    """``n_vars`` as an ``int``; :class:`InvalidRangeError` unless it is a non-negative integer.
+
+    Python and numpy integers pass; ``bool`` and floats (``2.5``, ``2.0``) do not.
+    """
+    if isinstance(n_vars, bool) or not isinstance(n_vars, (int, np.integer)) or n_vars < 0:
+        raise InvalidRangeError(f"n_vars must be a non-negative integer, got {n_vars!r}")
+    return int(n_vars)
+
+
 def _as_system(a, b, n_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     if a is None or b is None:
         if (a is None) != (b is None):
@@ -124,9 +134,11 @@ def lp_feasible(
 
     Returns a witness and its constraint residual when feasible; the reported
     ``phase1_optimum`` is the minimized total constraint violation either way.
-    ``tol`` must be positive and finite, and every entry of the system finite.
+    ``tol`` must be positive and finite, ``n_vars`` a non-negative integer, and
+    every entry of the system finite.
     """
     _check_tol(tol)
+    n_vars = _check_n_vars(n_vars)
     a_eq, b_eq = _as_system(a_eq, b_eq, n_vars, "equalities")
     a_ub, b_ub = _as_system(a_ub, b_ub, n_vars, "inequalities")
     me, mu = a_eq.shape[0], a_ub.shape[0]

@@ -15,6 +15,16 @@ draws comes from ``trial_rng(seed, t)``, the pair first and then the states,
 so a record replays from ``(seed, t)`` alone. The four subspace suites check
 nothing below dimension 2, which has no proper nonzero subspace.
 
+The eight quantum pair suites (``projective_equiv`` to ``restriction``)
+share one trial: ``draw(rng, dim)`` makes every random draw of the trial, the
+pair first, and gives ``(fine, coarse, subspace or None, extra)``; then
+``verify`` decides the pair, checks the witness and sweeps the states, and
+draws nothing. ``extra`` is the trial's states, the smaller subspace in
+``restriction``, or whether ``projective_equiv``'s pair is coarser by
+construction (its odd trials draw a pair whose relation is not known). A pair
+built to be coarser that is not decided ``feasible`` gives one record shape:
+the statement, the verdict, then the pair.
+
 The six per-state suites draw a trial's states after the pair as one
 ``(k, d, d)`` stack, in one Gaussian call (:func:`random_density_stack`) that
 is validated once: ``lemma_processing`` draws 50 full-rank states,
@@ -62,6 +72,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .coarseness import (
+    _residual,
     check_coarser,
     check_coarser_classical,
     check_coarser_in_subspace,
@@ -91,7 +102,7 @@ from .measurements import (
     outcome_probability_stack,
     validate_measurement,
 )
-from .operators import DensityMatrix, Subspace, frobenius
+from .operators import DensityMatrix, Subspace
 from .randomgen import (
     random_density_matrix,
     random_density_stack,
@@ -190,6 +201,15 @@ def _in_proper_subspaces(suite):
 # classical data-processing suites
 
 
+def _proportional_in_blocks(block, ref, weights):
+    """``ref`` rescaled so that the outcomes with ``block == j`` carry total mass ``weights[j]``.
+
+    ``ref`` is strictly positive, so every block that occurs has positive mass.
+    """
+    mass = np.bincount(block, weights=ref, minlength=len(weights))
+    return ref * weights[block] / mass[block]
+
+
 def _suite_dpi_kl(trials, dim, seed):
     n = max(2, dim)
 
@@ -209,13 +229,8 @@ def _suite_dpi_kl(trials, dim, seed):
             merge = random_left_stochastic(k, n, rng, merge=True)
             block = merge.matrix.argmax(axis=0)
             q2 = random_simplex(n, rng)
-            weights = random_simplex(k, rng)
-            present = np.zeros(k, dtype=bool)
-            present[block] = True
-            weights = weights * present
-            weights = weights / weights.sum()
-            block_mass = np.array([q2[block == j].sum() for j in range(k)])
-            p2 = q2 * weights[block] / np.where(block_mass[block] > 0, block_mass[block], 1.0)
+            weights = random_simplex(k, rng) * (np.bincount(block, minlength=k) > 0)
+            p2 = _proportional_in_blocks(block, q2, weights / weights.sum())
             before = kl_divergence(p2, q2)
             after = kl_divergence(merge.matrix @ p2, merge.matrix @ q2)
             if abs(before - after) > EQ_TOL:
@@ -244,9 +259,7 @@ def _suite_obs_monotone(trials, dim, seed):
             merge = random_left_stochastic(k, n, rng, merge=True, surjective=k <= n)
             block = merge.matrix.argmax(axis=0)
             volumes = rng.exponential(size=n) + 0.05
-            weights = random_simplex(k, rng)
-            block_volume = np.array([volumes[block == j].sum() for j in range(k)])
-            probs = volumes * weights[block] / block_volume[block]
+            probs = _proportional_in_blocks(block, volumes, random_simplex(k, rng))
             w_eq = WeightedDistribution(probs, volumes)
             d_s = s_obs_classical(push_forward(merge, w_eq)) - s_obs_classical(w_eq)
             if not preserves_observational_entropy(merge, w_eq) or abs(d_s) > EQ_TOL:
@@ -369,144 +382,154 @@ def _information_shrinks(fine, coarse, states):
     return mi_coarse - (mi_fine + INEQ_TOL), {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
 
 
+# ---------------------------------------------------------------------------
+# quantum pair suites: a trial is draw(rng, dim), which makes every random draw
+# of the trial (the pair first) and gives (fine, coarse, subspace or None,
+# extra), then verify(fine, coarse, subspace, extra), which draws nothing and
+# gives the trial's record or None.
+
+
+def _pair_suite(draw, verify, odd_draw=None):
+    """The suite whose trial is ``verify(*draw(rng, dim))``; odd trials use ``odd_draw`` when given."""
+    def suite(trials, dim, seed):
+        def trial(t, rng):
+            return verify(*(odd_draw if odd_draw and t % 2 else draw)(rng, dim))
+        return _trials(trials, seed, trial)
+    return suite
+
+
+def _sweeping(statement, check):
+    """The verify that sweeps the drawn states with ``check``."""
+    def verify(fine, coarse, subspace, states):
+        return _sweep_states(statement, states, check, coarse, fine, subspace)
+    return verify
+
+
+def _decide(statement, coarse, fine, subspace=None):
+    """The certificate of a pair built to be coarser (inside ``subspace`` when given).
+
+    The second value is ``None`` when it is feasible, else the ``statement`` record.
+    """
+    if subspace is None:
+        cert = check_coarser(coarse, fine)
+    else:
+        cert = check_coarser_in_subspace(coarse, fine, subspace)
+    if cert.feasible:
+        return cert, None
+    return cert, _fail(statement, verdict=cert.verdict, **_pair_payload(coarse, fine, subspace))
+
+
 def _coarser_trial(rng, dim):
     """A coarser pair, then five states whose ranks are drawn first."""
     fine, coarse, _ = _random_coarser_pair(rng, dim)
     return fine, coarse, None, random_density_stack(dim, rng.integers(1, dim + 1, size=5), rng)
 
 
-def _subspace_trial(rng, dim):
-    """A pair coarser inside a subspace, then 50 full-rank states of that subspace."""
+def _lemma_trial(rng, dim):
+    """A coarser pair, then 50 full-rank states."""
+    fine, coarse, _ = _random_coarser_pair(rng, dim)
+    return fine, coarse, None, random_density_stack(dim, [dim] * 50, rng)
+
+
+def _subspace_trial(rng, dim, n_states=50):
+    """A pair coarser inside a subspace, then ``n_states`` full-rank states of that subspace."""
     fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-    return fine, coarse, inside, random_subspace_state_stack(inside, [inside.rank] * 50, rng)
+    return fine, coarse, inside, random_subspace_state_stack(inside, [inside.rank] * n_states, rng)
 
 
-def _monotone(statement, check, draw):
-    """A suite whose every trial sweeps its states with ``check`` on one pair.
+def _restriction_trial(rng, dim):
+    """A pair coarser inside a subspace, then a random subspace of that subspace."""
+    fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
+    return fine, coarse, inside, random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
 
-    ``draw(rng, dim)`` gives ``(fine, coarse, subspace or None, states)``,
-    all from the trial generator.
-    """
-    def suite(trials, dim, seed):
-        def check_trial(t, rng):
-            fine, coarse, subspace, states = draw(rng, dim)
-            return _sweep_states(statement, states, check, coarse, fine, subspace)
-        return _trials(trials, seed, check_trial)
-    return suite
+
+def _projective_trial(rng, dim):
+    """A projective measurement and a POVM refining each of its eigenspaces; coarser by construction."""
+    coarse = random_projective(dim, int(rng.integers(1, min(dim, 4) + 1)), rng)
+    parts = []
+    for proj in coarse.elements:
+        rank = int(round(np.trace(proj).real))
+        eigenspace = Subspace(np.linalg.eigh(proj)[1][:, -rank:])
+        parts.append(_embedded_povm(eigenspace, int(rng.integers(1, 4)), rng))
+    fine_elements = np.concatenate(parts)
+    fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
+    return fine, coarse, None, True
+
+
+def _generic_projective_trial(rng, dim):
+    """A projective measurement and an unrelated POVM; whether it is coarser is not known."""
+    coarse = random_projective(dim, int(rng.integers(1, dim + 1)), rng)
+    fine = random_povm(dim, int(rng.integers(2, min(dim + 2, 6))), rng, with_kraus=False)
+    return fine, coarse, None, None
+
+
+def _verify_projective(fine, coarse, _, expected_coarser):
+    partition = check_coarser_projective(coarse, fine)
+    cert = check_coarser(coarse, fine)
+    agree = (partition is not None) == cert.feasible
+    if not (agree and (expected_coarser is None or cert.feasible == expected_coarser)):
+        return _fail("partition fast path == feasibility check",
+                     partition=None if partition is None else [list(b) for b in partition],
+                     verdict=cert.verdict, **_pair_payload(coarse, fine))
+
+
+def _verify_lemma(fine, coarse, _, states):
+    cert, record = _decide("constructed coarse-graining must be feasible", coarse, fine)
+    if record is not None:
+        return record
+    if cert.residual > 1e-7:
+        return _fail("witness residual <= 1e-7", residual=cert.residual, **_pair_payload(coarse, fine))
+    return _sweep_states("p_coarse == witness @ p_fine for every state", states,
+                         _mapped_probabilities(cert.witness.matrix, INEQ_TOL), coarse, fine)
+
+
+def _verify_subspace_processing(fine, coarse, inside, states):
+    cert, record = _decide("constructed subspace coarse-graining must be feasible", coarse, fine, inside)
+    if record is not None:
+        return record
+    extension = cert.extension
+    if extension is None:
+        return _fail("feasible certificate carries a stochastic extension",
+                     **_pair_payload(coarse, fine, inside))
+    v_gap = float(np.max(np.abs(coarse.volumes() - extension.matrix @ fine.volumes())))
+    if v_gap > EQ_TOL:
+        return _fail("extension maps volumes exactly", gap=v_gap, **_pair_payload(coarse, fine, inside))
+    return _sweep_states("extension maps probabilities on subspace states", states,
+                         _mapped_probabilities(extension.matrix, EQ_TOL), coarse, fine, inside)
+
+
+def _verify_restriction(fine, coarse, inside, smaller):
+    big, record = _decide("constructed subspace coarse-graining must be feasible", coarse, fine, inside)
+    if record is None:
+        small, record = _decide("coarseness is preserved when the subspace shrinks", coarse, fine, smaller)
+    if record is not None:
+        return record
+    o2, o1 = small.coarse_outcomes, small.fine_outcomes
+    restricted = restrict_transition_matrix(big.witness, o2, o1, big.coarse_outcomes, big.fine_outcomes).matrix
+    source = smaller.compress(fine.stacked()[list(o1)])
+    residual = _residual(restricted, source, smaller.compress(coarse.stacked()[list(o2)]))
+    slack = coarse.volumes()[list(o2)] - restricted @ fine.volumes()[list(o1)]
+    if residual > 1e-6 or float(slack.min()) < -1e-6:
+        return _fail("restricted witness satisfies the smaller subspace relation",
+                     residual=residual, volume_slack=slack.tolist(),
+                     **_pair_payload(coarse, fine, smaller))
+
+
+_suite_projective_equiv = _pair_suite(_projective_trial, _verify_projective, _generic_projective_trial)
+_suite_lemma_processing = _pair_suite(_lemma_trial, _verify_lemma)
+_suite_coarser_entropy = _pair_suite(_coarser_trial, _sweeping("S_coarse >= S_fine", _entropy_grows))
+_suite_coarser_mi = _pair_suite(_coarser_trial, _sweeping("I_coarse <= I_fine", _information_shrinks))
+_suite_subspace_processing = _in_proper_subspaces(_pair_suite(
+    lambda rng, dim: _subspace_trial(rng, dim, n_states=5), _verify_subspace_processing))
+_suite_subspace_entropy = _in_proper_subspaces(_pair_suite(
+    _subspace_trial, _sweeping("S_coarse >= S_fine on subspace states", _entropy_grows)))
+_suite_subspace_mi = _in_proper_subspaces(_pair_suite(
+    _subspace_trial, _sweeping("I_coarse <= I_fine on subspace states", _information_shrinks)))
+_suite_restriction = _in_proper_subspaces(_pair_suite(_restriction_trial, _verify_restriction))
 
 
 # ---------------------------------------------------------------------------
-# coarseness suites
-
-
-def _suite_projective_equiv(trials, dim, seed):
-    def check(t, rng):
-        if t % 2 == 0:
-            # constructed coarser pair with projective coarse measurement
-            k = int(rng.integers(1, min(dim, 4) + 1))
-            coarse = random_projective(dim, k, rng)
-            parts = []
-            for proj in coarse.elements:
-                rank = int(round(np.trace(proj).real))
-                w, v = np.linalg.eigh(proj)
-                parts.append(_embedded_povm(Subspace(v[:, -rank:]), int(rng.integers(1, 4)), rng))
-            fine_elements = np.concatenate(parts)
-            fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
-            expected_coarser = True
-        else:
-            coarse = random_projective(dim, int(rng.integers(1, dim + 1)), rng)
-            fine = random_povm(dim, int(rng.integers(2, min(dim + 2, 6))), rng, with_kraus=False)
-            expected_coarser = None
-        partition = check_coarser_projective(coarse, fine)
-        cert = check_coarser(coarse, fine)
-        agree = (partition is not None) == cert.feasible
-        ok = agree and (expected_coarser is None or cert.feasible == expected_coarser)
-        if not ok:
-            return _fail("partition fast path == feasibility check",
-                         partition=None if partition is None else [list(b) for b in partition],
-                         verdict=cert.verdict,
-                         **_pair_payload(coarse, fine))
-    return _trials(trials, seed, check)
-
-
-def _suite_lemma_processing(trials, dim, seed):
-    def check(t, rng):
-        fine, coarse, _ = _random_coarser_pair(rng, dim)
-        cert = check_coarser(coarse, fine)
-        if not cert.feasible:
-            return _fail("constructed coarse-graining must be feasible",
-                         verdict=cert.verdict, **_pair_payload(coarse, fine))
-        if cert.residual > 1e-7:
-            return _fail("witness residual <= 1e-7", residual=cert.residual,
-                         **_pair_payload(coarse, fine))
-        states = random_density_stack(dim, [dim] * 50, rng)
-        return _sweep_states("p_coarse == witness @ p_fine for every state", states,
-                             _mapped_probabilities(cert.witness.matrix, INEQ_TOL),
-                             coarse, fine)
-    return _trials(trials, seed, check)
-
-
-_suite_coarser_entropy = _monotone("S_coarse >= S_fine", _entropy_grows, _coarser_trial)
-_suite_coarser_mi = _monotone("I_coarse <= I_fine", _information_shrinks, _coarser_trial)
-
-
-@_in_proper_subspaces
-def _suite_subspace_processing(trials, dim, seed):
-    def check(t, rng):
-        fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-        cert = check_coarser_in_subspace(coarse, fine, inside)
-        if not cert.feasible:
-            return _fail("constructed subspace coarse-graining must be feasible",
-                         verdict=cert.verdict, **_pair_payload(coarse, fine, inside))
-        extension = cert.extension
-        if extension is None:
-            return _fail("feasible certificate carries a stochastic extension",
-                         **_pair_payload(coarse, fine, inside))
-        v_gap = float(np.max(np.abs(coarse.volumes() - extension.matrix @ fine.volumes())))
-        if v_gap > EQ_TOL:
-            return _fail("extension maps volumes exactly", gap=v_gap,
-                         **_pair_payload(coarse, fine, inside))
-        states = random_subspace_state_stack(inside, [inside.rank] * 5, rng)
-        return _sweep_states("extension maps probabilities on subspace states", states,
-                             _mapped_probabilities(extension.matrix, EQ_TOL),
-                             coarse, fine, inside)
-    return _trials(trials, seed, check)
-
-
-_suite_subspace_entropy = _in_proper_subspaces(_monotone(
-    "S_coarse >= S_fine on subspace states", _entropy_grows, _subspace_trial))
-_suite_subspace_mi = _in_proper_subspaces(_monotone(
-    "I_coarse <= I_fine on subspace states", _information_shrinks, _subspace_trial))
-
-
-@_in_proper_subspaces
-def _suite_restriction(trials, dim, seed):
-    def check(t, rng):
-        fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
-        cert_big = check_coarser_in_subspace(coarse, fine, inside)
-        if not cert_big.feasible:
-            return _fail("constructed subspace coarse-graining must be feasible",
-                         verdict=cert_big.verdict, **_pair_payload(coarse, fine, inside))
-        smaller = random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
-        cert_small = check_coarser_in_subspace(coarse, fine, smaller)
-        if not cert_small.feasible:
-            return _fail("coarseness is preserved when the subspace shrinks",
-                         verdict=cert_small.verdict, **_pair_payload(coarse, fine, smaller))
-        o2_small, o1_small = cert_small.coarse_outcomes, cert_small.fine_outcomes
-        restricted = restrict_transition_matrix(
-            cert_big.witness, o2_small, o1_small,
-            cert_big.coarse_outcomes, cert_big.fine_outcomes,
-        )
-        target = smaller.compress(coarse.stacked()[list(o2_small)])
-        source = smaller.compress(fine.stacked()[list(o1_small)])
-        mixed = np.einsum("ji,iab->jab", restricted.matrix, source)
-        residual = float(np.max(np.linalg.norm(mixed - target, axis=(1, 2))))
-        slack = coarse.volumes()[list(o2_small)] - restricted.matrix @ fine.volumes()[list(o1_small)]
-        if residual > 1e-6 or float(slack.min()) < -1e-6:
-            return _fail("restricted witness satisfies the smaller subspace relation",
-                         residual=residual, volume_slack=slack.tolist(),
-                         **_pair_payload(coarse, fine, smaller))
-    return _trials(trials, seed, check)
+# other suites
 
 
 def _suite_bounds(trials, dim, seed):
@@ -539,13 +562,9 @@ def _suite_composition(trials, dim, seed):
         second = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=False)
         combined = compose_measurements(first, second)
         # marginal over the second outcome reproduces the first measurement
-        worst = 0.0
-        for i in range(first.n_outcomes):
-            partial = sum(
-                (e for e, lab in zip(combined.elements, combined.labels) if lab[0] == i),
-                start=np.zeros((dim, dim), dtype=complex),
-            )
-            worst = max(worst, frobenius(partial - first.elements[i]))
+        marginal = np.zeros_like(first.stacked())
+        np.add.at(marginal, [label[0] for label in combined.labels], combined.stacked())
+        worst = float(np.max(np.linalg.norm(marginal - first.stacked(), axis=(1, 2))))
         if worst > INEQ_TOL:
             return _fail("sum_j of combined elements reproduces the first measurement",
                          gap=worst, first=measurement_to_dict(first),
@@ -695,9 +714,7 @@ def _golden_non_extendable_witness() -> dict:
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
 
     blocks = plus_span.compress(fine.stacked())
-    swap_residual = float(
-        np.max(np.linalg.norm(np.einsum("ji,iab->jab", swap, blocks) - blocks, axis=(1, 2)))
-    )
+    swap_residual = _residual(swap, blocks, blocks)
     volumes = fine.volumes()
     swap_volume_ok = bool(np.all(swap @ volumes <= volumes + 1e-12))
 

@@ -30,8 +30,13 @@ from povmcoarse.errors import (
     ZeroElementError,
     ZeroProbabilityOutcomeError,
 )
-from povmcoarse.operators import frobenius
-from povmcoarse.randomgen import random_density_matrix, random_povm, random_projective
+from povmcoarse.operators import frobenius, matrix_sqrt_psd
+from povmcoarse.randomgen import (
+    complex_gaussian,
+    random_density_matrix,
+    random_povm,
+    random_projective,
+)
 
 from conftest import KET_MINUS, KET_PLUS, kernel_cases, ket, proj
 
@@ -126,20 +131,27 @@ class TestValidateMeasurement:
             validate_measurement(elements)
         assert label in str(caught.value)
 
-    @pytest.mark.parametrize("dim, n, seed", [(1, 5, 3), (2, 3, 8), (3, 4, 19), (5, 2, 40)])
+    @pytest.mark.parametrize("dim, n, seed", [(1, 5, 3), (2, 3, 8), (3, 4, 19), (5, 2, 40), (4, 7, 2), (6, 1, 5)])
     def test_random_povm_matches_per_element_construction(self, dim, n, seed):
-        rng = np.random.default_rng(seed)
-        raw = []
-        for _ in range(n):
-            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            raw.append(b @ b.conj().T)
-        w, v = np.linalg.eigh(sum(raw))
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        povm = random_povm(dim, n, seed, with_kraus=False)
-        assert povm.n_outcomes == n
-        for element, a in zip(povm.elements, raw):
-            e = inv_sqrt @ a @ inv_sqrt
-            assert np.array_equal(element, 0.5 * (e + e.conj().T))
+        # one complex_gaussian draw per outcome, one square root per Kraus operator
+        for with_kraus in (False, True):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            raw = []
+            for _ in range(n):
+                b = complex_gaussian(twin, (dim, dim))
+                raw.append(b @ b.conj().T)
+            w, v = np.linalg.eigh(sum(raw))
+            inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+            povm = random_povm(dim, n, rng, with_kraus=with_kraus)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert povm.n_outcomes == n
+            assert (povm.kraus is not None) == with_kraus
+            for k, a in enumerate(raw):
+                e = inv_sqrt @ a @ inv_sqrt
+                assert np.array_equal(povm.elements[k], 0.5 * (e + e.conj().T))
+                if with_kraus:
+                    assert len(povm.kraus[k]) == 1
+                    assert np.array_equal(povm.kraus[k][0], matrix_sqrt_psd(e))
 
     def test_coarsen_matches_per_element_construction(self):
         fine = random_povm(3, 4, seed=11, with_kraus=False)

@@ -194,6 +194,18 @@ class TestHelpers:
         root = matrix_sqrt_psd(a)
         np.testing.assert_allclose(root @ root, a, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(1,), (6,), (2, 3)])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 6])
+    def test_matrix_sqrt_psd_stack_is_the_one_matrix_root_per_slice(self, shape, dim):
+        rng = np.random.default_rng(dim)
+        b = rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+        b[..., -1] = 0.0  # rank dim - 1, so a rounding-level eigenvalue is clipped
+        stack = b @ b.conj().swapaxes(-1, -2)
+        roots = matrix_sqrt_psd(stack)
+        assert roots.shape == stack.shape
+        for index in np.ndindex(*shape):
+            assert np.array_equal(roots[index], matrix_sqrt_psd(stack[index]))
+
     def test_random_unitary_is_unitary(self):
         u = random_unitary(5, seed=8)
         np.testing.assert_allclose(dagger(u) @ u, np.eye(5), atol=1e-12)

@@ -45,6 +45,15 @@ class TestMatrixRoundTrip:
         back = complex_matrix_from_json(json.loads(text))
         np.testing.assert_array_equal(back, mat)  # repr round-trips float64 exactly
 
+    def test_stack_is_the_list_of_its_matrices_and_keeps_signed_zeros(self):
+        signed = [[complex(-0.0, 1.0), 2.5], [complex(1e-300, -0.0), complex(0.0, -3.0)]]
+        stack = np.array([signed, np.eye(2)], dtype=complex)
+        expected = [[[[float(z.real), float(z.imag)] for z in row] for row in mat] for mat in stack]
+        assert complex_matrix_to_json(stack) == expected
+        assert complex_matrix_to_json(stack[0]) == expected[0]
+        assert json.dumps(expected).count("-0.0") == 2
+        assert json.dumps(complex_matrix_to_json(stack)) == json.dumps(expected)
+
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValidationError):
             complex_matrix_from_json([[1.0, 2.0]])

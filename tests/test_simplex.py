@@ -7,7 +7,12 @@ import pytest
 from scipy.optimize import linprog
 
 from povmcoarse import lp_feasible, simplex
-from povmcoarse.errors import IterationLimitError, ShapeMismatchError, ValidationError
+from povmcoarse.errors import (
+    InvalidRangeError,
+    IterationLimitError,
+    ShapeMismatchError,
+    ValidationError,
+)
 
 
 def scipy_feasible(a_eq, b_eq, a_ub=None, b_ub=None, n_vars=None) -> bool:
@@ -62,6 +67,17 @@ class TestBasics:
             lp_feasible([[1.0, 2.0]], [1.0, 2.0], n_vars=2)
         with pytest.raises(ShapeMismatchError):
             lp_feasible([[1.0, 2.0, 3.0]], [1.0], n_vars=2)
+
+    @pytest.mark.parametrize("n_vars", [-1, 2.5, 2.0, True, np.bool_(True), "2", None, np.int64(-3)])
+    def test_n_vars_must_be_a_non_negative_integer(self, n_vars):
+        with pytest.raises(InvalidRangeError, match="n_vars must be a non-negative integer"):
+            lp_feasible([[1.0, 1.0]], [1.0], n_vars=n_vars)
+
+    @pytest.mark.parametrize("n_vars", [0, np.int64(0), np.uint8(2)])
+    def test_numpy_and_zero_n_vars_accepted(self, n_vars):
+        res = lp_feasible(a_ub=np.zeros((1, int(n_vars))), b_ub=[1.0], n_vars=n_vars)
+        assert res.feasible
+        assert res.x.shape == (int(n_vars),)
 
     @pytest.mark.parametrize("part", ["a_eq", "b_eq", "a_ub", "b_ub"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -44,7 +44,7 @@ class TestRegistry:
             assert report.passed, f"{report.suite}: {report.details[:1]}"
 
     def test_deterministic_reports(self):
-        for name in ("dpi_kl", "obs_monotone", "lemma_processing", "subspace_processing"):
+        for name in SUITE_NAMES:
             first = run_suite(name, trials=15, dim=3, seed=21)
             second = run_suite(name, trials=15, dim=3, seed=21)
             assert first.trials == second.trials
@@ -334,3 +334,26 @@ class TestSweepStates:
 
     def test_no_violation_no_record(self):
         assert self.sweep([-1.0, -2.0, -1e-300])[1] is None
+
+
+class TestProportionalInBlocks:
+    """The equality-case construction against the masked per-block sums it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 8, 12])
+    def test_matches_masked_block_sums(self, n):
+        import povmcoarse.suites as suites
+
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            k = int(rng.integers(1, n + 1))
+            block = rng.integers(0, k, size=n)
+            ref = rng.exponential(size=n) + 0.05
+            weights = rng.exponential(size=k)
+            mass = np.array([ref[block == j].sum() for j in range(k)])
+            want = ref * weights[block] / mass[block]
+            got = suites._proportional_in_blocks(block, ref, weights)
+            if n < 8:
+                # fewer than 8 terms: numpy's sum adds in index order, like bincount
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=n * np.finfo(float).eps, atol=0.0)
