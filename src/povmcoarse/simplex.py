@@ -6,6 +6,16 @@ reduced cost) and switches to Bland's rule permanently once the objective
 stalls, which guarantees termination on the degenerate systems that projected
 subspace constraints produce.
 
+The leaving row comes from Harris's two-pass ratio test (Harris, *Math.
+Programming* 5, 1 (1973)). Pass 1 relaxes every right-hand side by the
+feasibility tolerance ``_HARRIS_DELTA`` and takes the smallest relaxed ratio
+as a bound; pass 2 lets every row whose exact ratio is within that bound leave
+and, under Dantzig's rule, takes the one with the largest pivot entry (under
+Bland's rule, the smallest basis id). A tie band around the exact minimum
+alone would force a pivot on whatever entry the minimizing row has, however
+small against the rest of its column; the tableau growth that follows such
+pivots can turn feasible systems infeasible.
+
 The tableau ``T`` is one ``(m + 1, n_struct + 1)`` array. Rows ``0 .. m-1``
 hold the constraints, sign-flipped so that every right-hand side starts
 non-negative, and row ``m`` holds the phase-1 reduced costs. Columns
@@ -27,7 +37,10 @@ phase-1 objective need.
 
 Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
 ``tol``, ``infeasible`` when it exceeds ``10 * tol``, and ``ambiguous`` in
-the band between, so borderline systems are reported instead of guessed.
+the band between, so borderline systems are reported instead of guessed. A
+``feasible`` witness is the basic solution read off the final tableau, with
+its negative round-off clipped to zero; its residual is recomputed against the
+original system.
 """
 
 from __future__ import annotations
@@ -44,6 +57,9 @@ _ENTER_TOL = 1e-9
 # amplifies accumulated round-off enough to corrupt later verdicts (the
 # constraint matrices handled here are O(1)-scaled, so 1e-7 loses nothing)
 _PIVOT_TOL = 1e-7
+# feasibility tolerance of Harris's ratio test: how far below zero a
+# right-hand side may be pushed so that a larger pivot can leave instead
+_HARRIS_DELTA = 1e-9
 _STALL_LIMIT = 200
 # optima in (tol, _AMBIGUOUS_FACTOR * tol] are reported as ambiguous
 _AMBIGUOUS_FACTOR = 10.0
@@ -111,15 +127,6 @@ def _as_system(a, b, n_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     return mat, vec
 
 
-def _residual(x, a_eq, b_eq, a_ub, b_ub) -> float:
-    res = 0.0
-    if a_eq.shape[0]:
-        res = max(res, float(np.max(np.abs(a_eq @ x - b_eq))))
-    if a_ub.shape[0]:
-        res = max(res, max(0.0, float(np.max(a_ub @ x - b_ub))))
-    return res
-
-
 def lp_feasible(
     a_eq=None,
     b_eq=None,
@@ -155,7 +162,6 @@ def lp_feasible(
     T[:m, -1] = np.concatenate([b_eq, b_ub])
     flipped = T[:m, -1] < 0
     T[:m][flipped] *= -1.0
-    canon = T[:m].copy()  # the sign-flipped system, for the refinement below
 
     # initial basis: slack where its coefficient stayed +1, artificial elsewhere;
     # basis[r] = n_struct + k names artificial k
@@ -192,9 +198,10 @@ def lp_feasible(
             # usable pivot entry is numerical; bar the column and try others
             barred.append(j)
             continue
-        ratios = rhs[rows] / col[rows]
-        rmin = float(ratios.min())
-        tie = rows[ratios <= rmin + 1e-12 + 1e-9 * abs(rmin)]
+        # Harris's ratio test (module docstring)
+        head, piv = rhs[rows], col[rows]
+        bound = float(((head + _HARRIS_DELTA) / piv).min())
+        tie = rows[head / piv <= bound]
         r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
 
         iterations += 1
@@ -225,23 +232,12 @@ def lp_feasible(
     structural = ~art_basic
     x_struct[basis[structural]] = np.clip(rhs[structural], 0.0, None)
     x = x_struct[:n_vars]
-    residual = _residual(x, a_eq, b_eq, a_ub, b_ub)
+    residual = 0.0
+    if me:
+        residual = float(np.max(np.abs(a_eq @ x - b_eq)))
+    if mu:
+        residual = max(residual, float(np.max(a_ub @ x - b_ub)))
 
     verdict = _verdict_band(optimum, tol)
-    if verdict == "feasible":
-        # refine the basic solution against the original system; tableau round-off
-        # accumulates over pivots while a direct least-squares solve does not
-        cols = np.sort(basis[structural])
-        if cols.size:
-            # the target is the sign-flipped right-hand side, like the rows
-            sol, *_ = np.linalg.lstsq(canon[:, cols], canon[:, -1], rcond=None)
-            if sol.size and float(sol.min()) > -1e-9:
-                refined = np.zeros(n_struct)
-                refined[cols] = np.clip(sol, 0.0, None)
-                cand = refined[:n_vars]
-                cand_res = _residual(cand, a_eq, b_eq, a_ub, b_ub)
-                if cand_res < residual:
-                    x, residual = cand, cand_res
-        return FeasibilityResult("feasible", x, residual, optimum, iterations)
-
-    return FeasibilityResult(verdict, None, residual, optimum, iterations)
+    witness = x if verdict == "feasible" else None
+    return FeasibilityResult(verdict, witness, residual, optimum, iterations)

@@ -306,14 +306,12 @@ def _embedded_povm(subspace: Subspace, n_outcomes: int, rng) -> np.ndarray:
     return subspace.embed(random_povm(subspace.rank, n_outcomes, rng, with_kraus=False).stacked())
 
 
-def _random_coarser_pair(rng, dim) -> tuple[GeneralizedMeasurement, GeneralizedMeasurement, StochasticMatrix]:
-    """A fine measurement, a coarse-graining of it, and the transition matrix."""
+def _random_coarser_pair(rng, dim) -> tuple[GeneralizedMeasurement, GeneralizedMeasurement]:
+    """A fine measurement and a coarse-graining of it."""
     n = int(rng.integers(2, min(dim + 2, 6)))
     m = int(rng.integers(1, n + 1))
     fine = random_povm(dim, n, rng, with_kraus=False)
-    p_mat = random_left_stochastic(m, n, rng)
-    coarse = coarsen(fine, p_mat)
-    return fine, coarse, p_mat
+    return fine, coarsen(fine, random_left_stochastic(m, n, rng))
 
 
 def _random_subspace_coarser_pair(rng, dim):
@@ -352,7 +350,7 @@ def _random_subspace_coarser_pair(rng, dim):
     extra = deficits + max(leftover, 0.0) * random_simplex(m, rng)
     complement = np.eye(dim) - inside.projector.matrix
     coarse = validate_measurement(mixed + (extra / (dim - g))[:, None, None] * complement, atol=1e-9)
-    return fine, coarse, inside, StochasticMatrix(mix)
+    return fine, coarse, inside
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +419,25 @@ def _decide(statement, coarse, fine, subspace=None):
 
 def _coarser_trial(rng, dim):
     """A coarser pair, then five states whose ranks are drawn first."""
-    fine, coarse, _ = _random_coarser_pair(rng, dim)
+    fine, coarse = _random_coarser_pair(rng, dim)
     return fine, coarse, None, random_density_stack(dim, rng.integers(1, dim + 1, size=5), rng)
 
 
 def _lemma_trial(rng, dim):
     """A coarser pair, then 50 full-rank states."""
-    fine, coarse, _ = _random_coarser_pair(rng, dim)
+    fine, coarse = _random_coarser_pair(rng, dim)
     return fine, coarse, None, random_density_stack(dim, [dim] * 50, rng)
 
 
 def _subspace_trial(rng, dim, n_states=50):
     """A pair coarser inside a subspace, then ``n_states`` full-rank states of that subspace."""
-    fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
+    fine, coarse, inside = _random_subspace_coarser_pair(rng, dim)
     return fine, coarse, inside, random_subspace_state_stack(inside, [inside.rank] * n_states, rng)
 
 
 def _restriction_trial(rng, dim):
     """A pair coarser inside a subspace, then a random subspace of that subspace."""
-    fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, dim)
+    fine, coarse, inside = _random_subspace_coarser_pair(rng, dim)
     return fine, coarse, inside, random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
 
 

@@ -332,7 +332,7 @@ def test_criterion_witness_soundness():
 
     for k in range(60):
         d = int(rng.integers(2, 7))
-        fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, d)
+        fine, coarse, inside = _random_subspace_coarser_pair(rng, d)
         cert = check_coarser_in_subspace(coarse, fine, inside)
         assert cert.feasible
         pg = inside.projector.matrix

@@ -502,6 +502,57 @@ class TestSpanDecision:
         assert certificate_to_dict(cert)["phase1_optimum"] is None
 
 
+def seeded_rng(seed, family, index, draw):
+    """The generator of one benchmark draw: ``(seed, family, grid index, draw)``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, family, index, draw)))
+
+
+def refined_projective_pair(rng, dim, ranks):
+    """A projective measurement and a refinement of each block into rank + 1 diagonal pieces."""
+    u = random_unitary(dim, rng)
+    projectors, pieces = [], []
+    start = 0
+    for r in ranks:
+        basis = u[:, start : start + r]
+        start += r
+        projectors.append(basis @ basis.conj().T)
+        for row in random_left_stochastic(r + 1, r, rng).matrix:
+            pieces.append((basis * row) @ basis.conj().T)
+    order = rng.permutation(len(pieces))
+    fine = validate_measurement([pieces[i] for i in order], atol=1e-9)
+    return validate_measurement(projectors, atol=1e-9), fine
+
+
+class TestDegenerateLPVerdicts:
+    """Feasible-by-construction rank-deficient pairs that go to the LP.
+
+    Each pair is a draw of the benchmark's rank-deficient family. A ratio test
+    that keeps only the rows tied at the minimum ratio pivots on entries down
+    to 1e-10 of their column's largest entry here, and the drifted tableau
+    calls the pair ``infeasible`` or ``ambiguous``.
+    """
+
+    def assert_feasible(self, monkeypatch, coarse, fine):
+        pytest.importorskip("scipy.optimize")
+        calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, fine)
+        assert len(calls) == 1
+        assert cert.verdict == highs_verdict(coarse, fine) == "feasible"
+        assert cert.residual <= 1e-7
+        assert mixture_residual(coarse, fine, cert.witness.matrix) <= 1e-7
+
+    @pytest.mark.parametrize("seed, draw", [(1, 1), (15, 1), (36, 0), (74, 1)])
+    def test_overcomplete_merge(self, monkeypatch, seed, draw):
+        rng = seeded_rng(seed, 1, 6, draw)
+        fine = random_povm(4, 20, rng, with_kraus=False)
+        coarse = coarsen(fine, random_left_stochastic(8, 20, rng, merge=True, surjective=True))
+        self.assert_feasible(monkeypatch, coarse, fine)
+
+    def test_refined_projective(self, monkeypatch):
+        coarse, fine = refined_projective_pair(seeded_rng(20, 2, 4, 0), 10, (2, 3, 5))
+        self.assert_feasible(monkeypatch, coarse, fine)
+
+
 class TestCheckCoarserClassical:
     def test_reflexive(self):
         w = random_weighted_distribution(4, seed=5)
@@ -762,7 +813,7 @@ class TestCheckCoarserInSubspace:
 
         for t in range(30):
             rng = trial_rng(4549, t)
-            fine, coarse, inside, _ = _random_subspace_coarser_pair(rng, int(rng.integers(2, 6)))
+            fine, coarse, inside = _random_subspace_coarser_pair(rng, int(rng.integers(2, 6)))
             assert self.basis_invariant_verdict(coarse, fine, inside, t) == "feasible"
             self.basis_invariant_verdict(fine, coarse, inside, t)
 

@@ -207,7 +207,7 @@ class TestFailurePayloads:
             assert list(record) == ["trial", "violated", "verdict", "coarse", "fine"]
             assert record["trial"] == t
             assert record["verdict"] == "infeasible"
-            fine, coarse, _ = suites._random_coarser_pair(trial_rng(9, t), 3)
+            fine, coarse = suites._random_coarser_pair(trial_rng(9, t), 3)
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
 
@@ -220,7 +220,7 @@ class TestFailurePayloads:
         for t, record in enumerate(report.details):
             assert list(record) == ["trial", "violated", "verdict", "subspace", "coarse", "fine"]
             assert record["trial"] == t
-            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
+            fine, coarse, inside = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
             assert np.array_equal(subspace_from_dict(record["subspace"]).basis, inside.basis)
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
@@ -238,7 +238,7 @@ class TestFailurePayloads:
             ]
             assert record["trial"] == t
             rng = trial_rng(9, t)
-            fine, coarse, _ = suites._random_coarser_pair(rng, 2)
+            fine, coarse = suites._random_coarser_pair(rng, 2)
             rho = random_density_stack(2, rng.integers(1, 3, size=5), rng)[0]
             state = state_from_dict(record["state"])
             assert np.array_equal(state.matrix, rho)
@@ -262,7 +262,7 @@ class TestFailurePayloads:
             ]
             assert record["trial"] == t
             rng = trial_rng(9, t)
-            fine, coarse, inside, _ = suites._random_subspace_coarser_pair(rng, 3)
+            fine, coarse, inside = suites._random_subspace_coarser_pair(rng, 3)
             rho = random_subspace_state_stack(inside, [inside.rank] * 50, rng)[0]
             state = state_from_dict(record["state"])
             assert np.array_equal(state.matrix, rho)
@@ -288,7 +288,7 @@ class TestFailurePayloads:
             assert list(record) == ["trial", "violated", "gap", "state", "coarse", "fine"]
             assert record["trial"] == t
             rng = trial_rng(9, t)
-            fine, coarse, _ = suites._random_coarser_pair(rng, 3)
+            fine, coarse = suites._random_coarser_pair(rng, 3)
             rho = random_density_stack(3, [3] * 50, rng)[0]
             state = state_from_dict(record["state"])
             assert np.array_equal(state.matrix, rho)
