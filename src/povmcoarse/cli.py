@@ -130,16 +130,22 @@ def cmd_region_scan(args) -> int:
             f"{inclusion_violations} grid points are feasible but lower entropy; "
             "this contradicts entropy monotonicity under processing"
         )
-    cells = list(zip(p_cells.tolist(), v_cells.tolist(), s_greater.tolist(), feasible.tolist()))
     if args.format == "json":
+        cells = zip(p_cells.tolist(), v_cells.tolist(), s_greater.tolist(), feasible.tolist())
         payload = [
             {"p2": p2, "v2": v2, "s_greater": sg, "feasible": fe}
             for p2, v2, sg, fe in cells
         ]
         _emit(dump_json(payload), args.out)
     else:
+        # each grid value is formatted once; a cell's line is its p2 string
+        # joined to its v2 string's ending for code 2 * s_greater + feasible
+        p_text = [f"{p2:.17g}," for p2 in p_values.tolist()]
+        v_text = [f"{v2:.17g}," for v2 in v_values.tolist()]
+        v_ends = [[v2 + flags for flags in ("0,0", "0,1", "1,0", "1,1")] for v2 in v_text]
+        codes = (2 * s_greater + feasible).reshape(grid, grid).tolist()
         lines = ["p2,v2,s_greater,feasible"]
-        lines += [f"{p2:.17g},{v2:.17g},{int(sg)},{int(fe)}" for p2, v2, sg, fe in cells]
+        lines += [p2 + ends[c] for p2, row in zip(p_text, codes) for ends, c in zip(v_ends, row)]
         _emit("\n".join(lines), args.out)
     return EXIT_OK
 

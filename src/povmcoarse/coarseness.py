@@ -46,6 +46,7 @@ most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -116,11 +117,20 @@ class CoarsenessCertificate:
         return self.verdict == "feasible"
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a ``d x d`` matrix, read-only."""
+    rows, cols = np.triu_indices(d, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _component_rows(mats) -> np.ndarray:
     """Flatten a stack of ``n`` Hermitian matrices into ``(n, d^2)`` real components."""
     stack = np.asarray(mats)
-    iu = np.triu_indices(stack.shape[-1], k=1)
-    upper = stack[:, iu[0], iu[1]]
+    rows, cols = _upper_indices(stack.shape[-1])
+    upper = stack[:, rows, cols]
     diag = np.diagonal(stack, axis1=1, axis2=2).real
     return np.concatenate([diag, upper.real, upper.imag], axis=1)
 
@@ -297,7 +307,7 @@ def majorization_verdicts(
     slacks = np.take_along_axis(values, worst, axis=1)[:, 0]
     thresholds = np.take_along_axis(ratios, worst, axis=1)[:, 0]
     gaps = np.abs(totals - total) / total
-    verdicts = np.array([_verdict_band(v, tol) for v in np.maximum(-slacks, gaps).tolist()])
+    verdicts = _verdict_band(np.maximum(-slacks, gaps), tol)
     return verdicts, thresholds, slacks, gaps
 
 

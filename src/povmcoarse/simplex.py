@@ -63,6 +63,8 @@ _HARRIS_DELTA = 1e-9
 _STALL_LIMIT = 200
 # optima in (tol, _AMBIGUOUS_FACTOR * tol] are reported as ambiguous
 _AMBIGUOUS_FACTOR = 10.0
+# verdicts by band index: 1 + (above the ambiguous band) - (within tol)
+_BANDS = np.array(["feasible", "ambiguous", "infeasible"])
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,15 @@ def _check_tol(tol: float) -> None:
         raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
 
 
-def _verdict_band(violation: float, tol: float) -> str:
+def _verdict_band(violation, tol: float):
     """Three-valued verdict of a non-negative violation against ``tol``.
 
     ``feasible`` at most ``tol``, ``infeasible`` above ``10 * tol`` and
-    ``ambiguous`` between (or for ``nan``).
+    ``ambiguous`` between (or for ``nan``). A scalar gives a ``str``, an array
+    a ``<U10`` array of the same shape.
     """
-    if violation <= tol:
-        return "feasible"
-    if violation > _AMBIGUOUS_FACTOR * tol:
-        return "infeasible"
-    return "ambiguous"
+    band = 1 + (violation > _AMBIGUOUS_FACTOR * tol) - (violation <= tol)
+    return str(_BANDS[band]) if np.ndim(band) == 0 else _BANDS[band]
 
 
 def _check_n_vars(n_vars) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -239,6 +240,22 @@ class TestRegionScanCommand:
         assert len(rows) == reference["cells"]
         assert "".join(r[2] for r in rows) == reference["s_greater"]
         assert "".join(r[3] for r in rows) == reference["feasible"]
+
+    # sha256 and size of the whole output, p2 and v2 text included
+    @pytest.mark.parametrize(("argv", "digest", "size"), [
+        (["--grid", "101"],
+         "bed1ee9f9498416b754cc7a815675a23a5d3ea455b12ab0dcc98ade747baa5a7", 363_625),
+        (["--grid", "101", "--format", "json"],
+         "d9c54f835b7c9f69f4daf48fc554f3c626f8791c4a143904ed8866ac50435776", 907_003),
+        (["--p1", "0.3", "--v1", "0.7", "--vtot", "2.5", "--grid", "37"],
+         "f76bf1bd6a12fd7986dd87744c91ac94a8f10c5553d2eb4baa0984ef6326b2b4", 54_896),
+    ])
+    def test_output_bytes_match_recorded_digest(self, tmp_path, argv, digest, size):
+        out_path = tmp_path / "scan.out"
+        assert main(["region-scan", *argv, "--out", str(out_path)]) == 0
+        data = out_path.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_invalid_range_exit_2(self, capsys):
         assert main(["region-scan", "--p1", "1.5"]) == 2

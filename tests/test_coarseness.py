@@ -33,6 +33,7 @@ from povmcoarse.coarseness import (
     _component_rows,
     _extension_from,
     _processing_system,
+    _upper_indices,
     _witness_verdict,
 )
 from povmcoarse.errors import (
@@ -116,6 +117,23 @@ class TestProcessingSystem:
         )
         assert np.array_equal(_component_rows(povm.elements), want)
         assert np.array_equal(_component_rows(povm.stacked()), want)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_component_rows_match_per_matrix_flattening_in_every_dim(self, d):
+        povm = random_povm(d, 3, seed=100 + d, with_kraus=False)
+        iu = np.triu_indices(d, k=1)
+        want = np.stack(
+            [np.concatenate([np.diag(e).real, e[iu].real, e[iu].imag]) for e in povm.elements]
+        )
+        assert np.array_equal(_component_rows(povm.stacked()), want)
+
+    def test_cached_upper_indices_refuse_writes(self):
+        rows, cols = _upper_indices(5)
+        assert _upper_indices(5)[0] is rows
+        for arr in (rows, cols):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert all(np.array_equal(a, b) for a, b in zip(_upper_indices(5), np.triu_indices(5, k=1)))
 
     # (m, n, D): D = 2 is the classical (p_j, V_j) layout, D = 4 and 9 are
     # qubit and qutrit components; n == D makes the fine block square, where a

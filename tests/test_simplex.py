@@ -137,6 +137,40 @@ class TestVerdictBand:
             "feasible", "feasible", "ambiguous", "ambiguous", "infeasible", "ambiguous"
         ]
 
+    def test_array_form_matches_scalar_form(self):
+        tol = 1e-8
+        violations = np.array([0.0, tol, 2 * tol, 10 * tol, 11 * tol, np.nan, np.inf])
+        bands = simplex._verdict_band(violations, tol)
+        assert bands.dtype == np.dtype("<U10") and bands.shape == violations.shape
+        assert bands.tolist() == [simplex._verdict_band(v, tol) for v in violations.tolist()]
+        grid = simplex._verdict_band(violations.reshape(1, -1).repeat(2, axis=0), tol)
+        assert grid.shape == (2, 7) and (grid == bands).all()
+
+    def test_scalar_form_returns_str(self):
+        for v in (0.0, 5e-8, 1.0, float("nan"), np.float64(1e-9), np.float64(np.inf)):
+            assert type(simplex._verdict_band(v, 1e-8)) is str
+
+    def test_majorization_verdicts_apply_the_scalar_rule(self):
+        from povmcoarse import majorization_verdicts, push_forward
+        from povmcoarse.randomgen import random_left_stochastic, random_weighted_distribution
+
+        rng = np.random.default_rng(2016)
+        seen = set()
+        for _ in range(80):
+            n, m = (int(k) for k in rng.integers(1, 13, size=2))
+            tol = float(10.0 ** rng.uniform(-9, -1))
+            fine = random_weighted_distribution(n, rng)
+            rows = [push_forward(random_left_stochastic(m, n, rng), fine) for _ in range(4)]
+            rows += [random_weighted_distribution(m, rng) for _ in range(4)]
+            verdicts, _, slacks, gaps = majorization_verdicts(
+                fine, np.stack([w.probs for w in rows]), np.stack([w.volumes for w in rows]), tol
+            )
+            assert verdicts.dtype == np.dtype("<U10")
+            want = [simplex._verdict_band(v, tol) for v in np.maximum(-slacks, gaps).tolist()]
+            assert verdicts.tolist() == want
+            seen.update(want)
+        assert seen == {"feasible", "ambiguous", "infeasible"}
+
 
 class TestTinyPivotRegression:
     def test_constructed_coarse_graining_systems_stay_feasible(self):
