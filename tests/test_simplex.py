@@ -132,23 +132,18 @@ class TestBarredColumn:
 class TestVerdictBand:
     def test_band_edges(self):
         tol = 1e-8
-        violations = [0.0, tol, 2 * tol, 10 * tol, 11 * tol, np.nan]
-        assert [simplex._verdict_band(v, tol) for v in violations] == [
-            "feasible", "feasible", "ambiguous", "ambiguous", "infeasible", "ambiguous"
+        violations = [0.0, tol, 2 * tol, 10 * tol, 11 * tol, np.nan, np.inf]
+        bands = [simplex._verdict_band(v, tol) for v in violations]
+        assert bands == [
+            "feasible", "feasible", "ambiguous", "ambiguous", "infeasible", "ambiguous", "infeasible"
         ]
-
-    def test_array_form_matches_scalar_form(self):
-        tol = 1e-8
-        violations = np.array([0.0, tol, 2 * tol, 10 * tol, 11 * tol, np.nan, np.inf])
-        bands = simplex._verdict_band(violations, tol)
-        assert bands.dtype == np.dtype("<U10") and bands.shape == violations.shape
-        assert bands.tolist() == [simplex._verdict_band(v, tol) for v in violations.tolist()]
-        grid = simplex._verdict_band(violations.reshape(1, -1).repeat(2, axis=0), tol)
-        assert grid.shape == (2, 7) and (grid == bands).all()
-
-    def test_scalar_form_returns_str(self):
-        for v in (0.0, 5e-8, 1.0, float("nan"), np.float64(1e-9), np.float64(np.inf)):
-            assert type(simplex._verdict_band(v, 1e-8)) is str
+        numpy_scalars = [simplex._verdict_band(np.float64(v), tol) for v in violations]
+        assert numpy_scalars == bands
+        assert all(type(b) is str for b in bands + numpy_scalars)
+        # the array form applies the same rule element by element
+        array = simplex._verdict_band(np.array(violations), tol)
+        assert array.dtype == np.dtype("<U10")
+        assert array.tolist() == bands
 
     def test_majorization_verdicts_apply_the_scalar_rule(self):
         from povmcoarse import majorization_verdicts, push_forward
