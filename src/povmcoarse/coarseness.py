@@ -18,11 +18,21 @@ verdict is ``feasible``. Neither decision runs the LP, so both leave
 ``phase1_optimum`` ``nan``. Every other input (a gap in the band between, a
 dependent fine side, a negative or rejected unique solution) goes to one
 linear feasibility problem over the entries of ``P``, laid out by
-:func:`_processing_system`: ``P_ji`` is variable
-``j * n + i``; the equalities are one block of ``D`` rows per coarse outcome
-(the ``D`` real components of its element), then one column sum per fine
-outcome; the subspace check appends one volume inequality per coarse outcome.
-Hermitian operators contribute ``d^2`` real components each: the diagonal plus
+:func:`_processing_system`. Both sides are complete, so the last coarse
+outcome is eliminated: its row is ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji`` and
+its ``D`` component rows follow from the others. The variables are the first
+``m - 1`` rows of ``P``, ``P_ji`` at ``j * n + i``; the equalities are one
+block of ``D`` rows per coarse outcome ``j < m - 1`` (the ``D`` real
+components of its element); the column sums are ``n`` inequalities
+``sum_{j<m-1} P_ji <= 1``, whose slacks are the last row, so phase 1 starts
+from ``P_{m-1,.} = 1`` with no artificial variable on them; the subspace
+check appends one volume inequality per coarse outcome, the last one written
+as ``-sum_{j<m-1} sum_i P_ji V_i <= V'_{m-1} - sum_i V_i``. The eliminated
+rows hold only when the components' sums agree, and any left stochastic
+``P`` leaves block residuals that sum to ``sum_j c_j - sum_i f_i``; the norm
+``g`` of that vector bounds the phase-1 optimum from below, as the span gap
+does. A ``g`` above ``10 * tol`` is ``infeasible`` with no LP, and the LP's
+verdict is the band of ``max(phase-1 optimum, g)``. Hermitian operators contribute ``d^2`` real components each: the diagonal plus
 real and imaginary parts of the strict upper triangle, which drops the
 redundant conjugate constraints. The subspace check compares the ``r x r``
 blocks ``B† Π B`` in an orthonormal basis ``B`` of a rank-``r`` subspace, so
@@ -40,8 +50,9 @@ scale-free rows ``(p_i, V_i / sum(V))``, only to produce the witness of a
 One verdict rule (:func:`_witness_verdict`) turns a candidate ``P``, from the
 span solve or from the LP, into a :class:`CoarsenessCertificate`: the
 candidate, clipped at zero, must be left stochastic, and its residual
-(the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``) must be at
-most ``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``.
+(the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``, the
+eliminated outcome included) must be at most ``max(tol, 1e-7)``; a witness
+that fails either test gives ``ambiguous``.
 """
 
 from __future__ import annotations
@@ -95,7 +106,8 @@ class CoarsenessCertificate:
     ``residual`` is then the largest per-outcome violation of the defining
     equalities recomputed from the witness: the Frobenius norm on operators,
     the Euclidean norm over the scale-free ``(p_j, V_j / sum(V))`` pairs for
-    the classical check. ``phase1_optimum`` is ``nan`` when no LP ran.
+    the classical check. ``phase1_optimum`` is the LP's phase-1 optimum, raised
+to the completeness gap when that is larger, and ``nan`` when no LP ran.
     ``volume_slack`` and the outcome sets are populated by the subspace
     variant; ``extension`` is the witness padded to the full outcome sets (left
     stochastic by construction). ``separation`` is set by the classical check
@@ -138,27 +150,34 @@ def _component_rows(mats) -> np.ndarray:
 def _processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
     """Linear system of ``comp_coarse[j] = sum_i P_ji comp_fine[i]``, ``P`` left stochastic.
 
-    ``comp_fine`` is ``(n, D)`` and ``comp_coarse`` is ``(m, D)``. Returns
-    ``(a_eq, b_eq, a_ub, b_ub)`` over the ``m * n`` variables ``P_ji`` at
-    ``j * n + i``: ``m`` blocks of ``D`` equality rows, then ``n`` column sums.
-    With volumes, ``a_ub``/``b_ub`` hold ``sum_i P_ji v_fine[i] <= v_coarse[j]``;
-    otherwise both are ``None``.
+    ``comp_fine`` is ``(n, D)`` and ``comp_coarse`` is ``(m, D)``. The last
+    coarse outcome is eliminated (``P_{m-1,i} = 1 - sum_{j<m-1} P_ji``), so
+    ``(a_eq, b_eq, a_ub, b_ub)`` is over the ``(m - 1) * n`` variables
+    ``P_ji``, ``j < m - 1``, at ``j * n + i``: ``m - 1`` blocks of ``D``
+    equality rows, then ``n`` column sums ``sum_{j<m-1} P_ji <= 1``. With
+    volumes, ``m`` inequality rows follow: ``sum_i P_ji v_fine[i] <=
+    v_coarse[j]`` for ``j < m - 1``, and for the last outcome
+    ``-sum_{j<m-1} sum_i P_ji v_fine[i] <= v_coarse[m-1] - sum(v_fine)``.
     """
     n, D = comp_fine.shape
-    m = comp_coarse.shape[0]
-    diag = np.arange(m)
-    a_eq = np.zeros((m * D + n, m * n))
-    # block (j, j) of the equality rows, viewed as (m, D, m, n), is comp_fine.T
-    a_eq[: m * D].reshape(m, D, m, n)[diag, :, diag, :] = comp_fine.T
-    # the column-sum rows are m identity blocks side by side
-    a_eq[m * D :].reshape(n, m, n)[:] = np.eye(n)[:, None, :]
-    b_eq = np.ones(m * D + n)
-    b_eq[: m * D] = comp_coarse.ravel()
-    if v_fine is None:
-        return a_eq, b_eq, None, None
-    a_ub = np.zeros((m, m * n))
-    a_ub.reshape(m, m, n)[diag, diag] = v_fine
-    return a_eq, b_eq, a_ub, v_coarse
+    k = comp_coarse.shape[0] - 1
+    diag = np.arange(k)
+    a_eq = np.zeros((k * D, k * n))
+    # block (j, j), viewed as (k, D, k, n), is comp_fine.T
+    a_eq.reshape(k, D, k, n)[diag, :, diag, :] = comp_fine.T
+    b_eq = comp_coarse[:k].ravel()
+    rows = n if v_fine is None else n + k + 1
+    a_ub = np.zeros((rows, k * n))
+    # the column-sum rows are k identity blocks side by side
+    a_ub[:n].reshape(n, k, n)[:] = np.eye(n)[:, None, :]
+    b_ub = np.ones(rows)
+    if v_fine is not None:
+        volume = a_ub[n:].reshape(k + 1, k, n)
+        volume[diag, diag] = v_fine
+        volume[k] = -v_fine
+        b_ub[n:] = v_coarse
+        b_ub[-1] -= v_fine.sum()
+    return a_eq, b_eq, a_ub, b_ub
 
 
 def _residual(mat: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> float:
@@ -232,12 +251,20 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     decided = _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse)
     if decided is not None:
         return decided
-    m, n = len(coarse), len(fine)
+    # the block residuals of any left stochastic P sum to this vector, which
+    # the eliminated last outcome's rows need to be zero
+    gap = float(np.linalg.norm(comp_coarse.sum(axis=0) - comp_fine.sum(axis=0)))
+    if _verdict_band(gap, tol) == "infeasible":
+        return CoarsenessCertificate("infeasible", None, math.inf, math.nan)
+    k, n = len(coarse) - 1, len(fine)
     system = _processing_system(comp_fine, comp_coarse, v_fine, v_coarse)
-    result = lp_feasible(*system, n_vars=m * n, tol=tol)
-    if not result.feasible:
-        return CoarsenessCertificate(result.verdict, None, math.inf, result.phase1_optimum)
-    return _witness_verdict(result.x.reshape(m, n), fine, coarse, tol, result.phase1_optimum)
+    result = lp_feasible(*system, n_vars=k * n, tol=tol)
+    optimum = max(result.phase1_optimum, gap)
+    verdict = _verdict_band(optimum, tol)
+    if verdict != "feasible":
+        return CoarsenessCertificate(verdict, None, math.inf, optimum)
+    top = result.x.reshape(k, n)
+    return _witness_verdict(np.vstack([top, 1.0 - top.sum(axis=0)]), fine, coarse, tol, optimum)
 
 
 def mixture_residual(coarse: GeneralizedMeasurement, fine: GeneralizedMeasurement, p) -> float:
@@ -262,8 +289,10 @@ def check_coarser(
     ``10 * tol`` outside it gives ``infeasible``, and linearly independent fine
     elements give the unique ``P``, ``feasible`` when it passes the verdict
     rule; neither runs an LP. Otherwise one equality per Hermitian component
-    of each coarse element plus one column-sum equality per fine outcome go to
-    a phase-1 solve over the ``m x n`` non-negative unknowns ``P_ji``.
+    of each coarse element but the last, plus one column-sum inequality per
+    fine outcome, go to a phase-1 solve over the ``(m - 1) x n`` non-negative
+    unknowns ``P_ji``, ``j < m - 1``; the last row of ``P`` is what the
+    column sums leave.
     """
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")

@@ -47,6 +47,10 @@ def _complex_from_json(entries, ndim: int, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: malformed complex {what}") from exc
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ValidationError(f"{name}: expected {shape}, got shape {arr.shape}")
+    # the float conversion above also takes "1", true and null (as nan)
+    for entry in np.asarray(entries, dtype=object).flat:
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValidationError(f"{name}: complex {what} entry {entry!r} is not a number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -62,6 +66,17 @@ def measurement_to_dict(measurement: GeneralizedMeasurement) -> dict[str, Any]:
     if measurement.kraus is not None:
         payload["kraus"] = [complex_matrix_to_json(group) for group in measurement.kraus]
     return payload
+
+
+def _check_declared_dim(payload: dict, size: int, what: str) -> None:
+    """Raise :class:`ValidationError` unless the optional ``dim`` is an integer equal to ``size``."""
+    declared = payload.get("dim")
+    if declared is None:
+        return
+    if isinstance(declared, bool) or not isinstance(declared, int):
+        raise ValidationError(f"declared dim must be an integer, got {declared!r}")
+    if declared != size:
+        raise ValidationError(f"declared dim {declared} does not match {what} {size}")
 
 
 def _json_list(value, name: str) -> list:
@@ -86,11 +101,8 @@ def measurement_from_dict(payload: dict, *, atol: float = 1e-9) -> GeneralizedMe
             ]
             for i, group in enumerate(_json_list(payload["kraus"], "'kraus'"))
         ]
-    declared = payload.get("dim")
-    if declared is not None and elements and elements[0].shape[0] != declared:
-        raise ValidationError(
-            f"declared dim {declared} does not match element dimension {elements[0].shape[0]}"
-        )
+    if elements:
+        _check_declared_dim(payload, elements[0].shape[0], "element dimension")
     return validate_measurement(elements, kraus, atol=atol)
 
 
@@ -102,9 +114,7 @@ def state_from_dict(payload: dict, *, atol: float = 1e-9) -> DensityMatrix:
     if not isinstance(payload, dict) or "rho" not in payload:
         raise ValidationError("state file needs a 'rho' matrix")
     mat = complex_matrix_from_json(payload["rho"], name="rho")
-    declared = payload.get("dim")
-    if declared is not None and mat.shape[0] != declared:
-        raise ValidationError(f"declared dim {declared} does not match matrix {mat.shape[0]}")
+    _check_declared_dim(payload, mat.shape[0], "matrix")
     return DensityMatrix(mat, atol=atol)
 
 
@@ -123,9 +133,7 @@ def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
         for k, v in enumerate(_json_list(payload["basis"], "'basis'"))
     ]
     basis = _vector_columns(vectors)
-    declared = payload.get("dim")
-    if declared is not None and basis.shape[0] != declared:
-        raise ValidationError(f"declared dim {declared} does not match vectors of length {basis.shape[0]}")
+    _check_declared_dim(payload, basis.shape[0], "vectors of length")
     return Subspace(basis, atol=atol)
 
 

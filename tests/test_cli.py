@@ -131,6 +131,37 @@ class TestMalformedFiles:
         assert captured.out == ""
 
 
+class TestNonNumberEntries:
+    """JSON strings, booleans and nulls are not numbers, in entries or in ``dim`` (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("elements", 0, 0, 0, 0), "1"), (("elements", 0, 0, 0, 0), True),
+         (("elements", 1, 1, 1, 1), None), (("dim",), True), (("dim",), "2")],
+        ids=["entry-string", "entry-true", "entry-null", "dim-true", "dim-string"],
+    )
+    def test_check_coarser_exit_2(self, files, tmp_path, capsys, path, value):
+        payload = json.loads(Path(files["z.json"]).read_text())
+        *parents, last = path
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        dump_json(payload, bad)
+        code = main(["check-coarser", str(bad), files["z.json"]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "ValidationError" in captured.err
+        assert captured.out == ""
+
+    def test_bool_dim_of_a_one_dimensional_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "trivial.json"
+        dump_json({"dim": True, "elements": [[[[1.0, 0.0]]]]}, bad)
+        assert main(["check-coarser", str(bad), str(bad)]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+
 class TestToleranceOption:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from povmcoarse.coarseness import (
 from povmcoarse.errors import (
     BrokenColumnSumError,
     EmptyOutcomeSetError,
+    IncompleteSumError,
     InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
@@ -74,27 +75,40 @@ def four_dim_pair():
 
 
 def loop_processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
-    """Reference assembly of the processing LP, one entry at a time."""
+    """Reference assembly of the processing LP, one entry at a time.
+
+    The last coarse outcome is eliminated: ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji``
+    is the slack of column sum ``i``, and its volume row is rewritten in the
+    other rows' variables.
+    """
     n, big_d = comp_fine.shape
-    m = comp_coarse.shape[0]
-    a_eq = np.zeros((m * big_d + n, m * n))
-    b_eq = np.zeros(m * big_d + n)
-    for j in range(m):
-        for k in range(big_d):
-            b_eq[j * big_d + k] = comp_coarse[j, k]
+    k = comp_coarse.shape[0] - 1
+    a_eq = np.zeros((k * big_d, k * n))
+    b_eq = np.zeros(k * big_d)
+    for j in range(k):
+        for c in range(big_d):
+            b_eq[j * big_d + c] = comp_coarse[j, c]
             for i in range(n):
-                a_eq[j * big_d + k, j * n + i] = comp_fine[i, k]
+                a_eq[j * big_d + c, j * n + i] = comp_fine[i, c]
+    rows = n if v_fine is None else n + k + 1
+    a_ub = np.zeros((rows, k * n))
+    b_ub = np.zeros(rows)
     for i in range(n):
-        b_eq[m * big_d + i] = 1.0
-        for j in range(m):
-            a_eq[m * big_d + i, j * n + i] = 1.0
+        b_ub[i] = 1.0
+        for j in range(k):
+            a_ub[i, j * n + i] = 1.0
     if v_fine is None:
-        return a_eq, b_eq, None, None
-    a_ub = np.zeros((m, m * n))
-    for j in range(m):
+        return a_eq, b_eq, a_ub, b_ub
+    for j in range(k):
+        b_ub[n + j] = v_coarse[j]
         for i in range(n):
-            a_ub[j, j * n + i] = v_fine[i]
-    return a_eq, b_eq, a_ub, np.asarray(v_coarse)
+            a_ub[n + j, j * n + i] = v_fine[i]
+    # V'_{m-1} >= sum_i (1 - sum_{j<m-1} P_ji) V_i
+    b_ub[n + k] = v_coarse[k] - np.sum(v_fine)
+    for j in range(k):
+        for i in range(n):
+            a_ub[n + k, j * n + i] = -v_fine[i]
+    return a_eq, b_eq, a_ub, b_ub
 
 
 class TestProcessingSystem:
@@ -150,12 +164,12 @@ class TestProcessingSystem:
 
     def test_classical_rows_are_outcome_major_pairs(self):
         fine = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
-        coarse = WeightedDistribution([0.5, 0.5], [1.5, 0.5])
+        coarse = WeightedDistribution([0.5, 0.25, 0.25], [1.5, 0.25, 0.25])
         pairs_fine = np.array([fine.probs, fine.volumes]).T
         pairs_coarse = np.array([coarse.probs, coarse.volumes]).T
         a_eq, b_eq, a_ub, b_ub = _processing_system(pairs_fine, pairs_coarse)
-        assert a_ub is None and b_ub is None
-        np.testing.assert_array_equal(b_eq, [0.5, 1.5, 0.5, 0.5, 1.0, 1.0])
+        # variables P_00, P_01, P_10, P_11; P_2i is the slack of column sum i
+        np.testing.assert_array_equal(b_eq, [0.5, 1.5, 0.25, 0.25])
         np.testing.assert_array_equal(
             a_eq,
             [
@@ -163,8 +177,21 @@ class TestProcessingSystem:
                 [1.0, 1.0, 0.0, 0.0],
                 [0.0, 0.0, 0.75, 0.25],
                 [0.0, 0.0, 1.0, 1.0],
+            ],
+        )
+        np.testing.assert_array_equal(b_ub, [1.0, 1.0])
+        np.testing.assert_array_equal(a_ub, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        # with volumes, the last outcome's row is 0.25 >= (1 - P_00 - P_10) + (1 - P_01 - P_11)
+        _, _, a_ub, b_ub = _processing_system(pairs_fine, pairs_coarse, fine.volumes, coarse.volumes)
+        np.testing.assert_array_equal(b_ub, [1.0, 1.0, 1.5, 0.25, -1.75])
+        np.testing.assert_array_equal(
+            a_ub,
+            [
                 [1.0, 0.0, 1.0, 0.0],
                 [0.0, 1.0, 0.0, 1.0],
+                [1.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 1.0],
+                [-1.0, -1.0, -1.0, -1.0],
             ],
         )
 
@@ -186,6 +213,8 @@ class TestVerdictRule:
     @staticmethod
     def fake_solver(x):
         def solve(*args, n_vars, **kwargs):
+            # the variables are the top row of the 2 x 3 candidate
+            assert n_vars == len(x) == 3
             return FeasibilityResult("feasible", np.asarray(x, dtype=float), 0.0, 0.0, 1)
 
         return solve
@@ -193,7 +222,9 @@ class TestVerdictRule:
     @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
     @pytest.mark.parametrize(
         "x, residual_finite",
-        [([0.5] * 6, True), ([1.0, 0.0, 0.5, 0.0, 0.0, 0.0], False)],
+        # every column of [0.5] * 3 sums to one; [1.5, 0, 0] overfills column 0,
+        # so the rebuilt last row is clipped from -0.5 to 0 and the column sums to 1.5
+        [([0.5] * 3, True), ([1.5, 0.0, 0.0], False)],
         ids=["off-target", "not-stochastic"],
     )
     def test_bad_witness_is_ambiguous(self, monkeypatch, z_measurement, kind, x, residual_finite):
@@ -232,6 +263,22 @@ class TestVerdictRule:
         not_stochastic = _witness_verdict(np.array([[1.0, 0.5], [0.0, 0.0]]), fine, coarse, 1e-8, 0.0)
         assert not_stochastic.verdict == "ambiguous" and not_stochastic.witness is None
         assert not_stochastic.residual == math.inf
+
+    @pytest.mark.parametrize(
+        "residual, tol, verdict",
+        [(5e-8, 1e-8, "feasible"), (2e-7, 1e-8, "ambiguous"), (1e-6, 1e-8, "ambiguous"),
+         (2e-7, 1e-6, "feasible"), (1e-6, 1e-6, "feasible")],
+    )
+    def test_residual_bound_on_the_eliminated_outcome(self, z_measurement, residual, tol, verdict):
+        """The rule alone bounds the last outcome, which the LP does not see: ``max(tol, 1e-7)``."""
+        fine = z_measurement.stacked()
+        coarse = fine.copy()
+        # X / sqrt(2) has unit Frobenius norm
+        coarse[-1] = coarse[-1] + residual * np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0)
+        cert = _witness_verdict(np.eye(2), fine, coarse, tol, 0.0)
+        assert cert.verdict == verdict
+        assert cert.residual == pytest.approx(residual, rel=1e-9)
+        assert (cert.witness is not None) == (verdict == "feasible")
 
 
 class TestToleranceRange:
@@ -512,6 +559,44 @@ class TestSpanDecision:
         assert certificate_to_dict(cert)["phase1_optimum"] is None
 
 
+class TestCompletenessGap:
+    """The eliminated outcome's rows hold only if both sides sum to the same operator.
+
+    Each coarse side is a mixture of a five-outcome qubit POVM (more elements
+    than components, so the span cannot decide) whose last element is shifted
+    by ``eps * I``: the component sums then differ by ``g = sqrt(2) * eps``.
+    """
+
+    @staticmethod
+    def incomplete_pair(eps):
+        fine = random_povm(2, 5, seed=4120, with_kraus=False)
+        mixed = coarsen(fine, random_left_stochastic(3, 5, seed=4130)).stacked().copy()
+        mixed[-1] += eps * np.eye(2)
+        with pytest.raises(IncompleteSumError):
+            validate_measurement(mixed)
+        # the LP without the last outcome's rows is satisfied by the mixing matrix
+        system = _processing_system(_component_rows(fine.stacked()), _component_rows(mixed))
+        assert lp_feasible(*system, n_vars=2 * 5).phase1_optimum == 0.0
+        return validate_measurement(mixed, atol=1e-5), fine
+
+    def test_gap_above_the_band_is_infeasible_without_lp(self, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+        coarse, fine = self.incomplete_pair(1e-6)
+        calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, fine)
+        assert cert.verdict == highs_verdict(coarse, fine) == "infeasible"
+        assert calls == [] and math.isnan(cert.phase1_optimum)
+
+    def test_gap_inside_the_band_is_ambiguous(self, monkeypatch):
+        # the rebuilt witness would pass the residual rule (sqrt(2) * 3e-8 <= 1e-7),
+        # so only the band on max(phase-1 optimum, g) keeps this from feasible
+        coarse, fine = self.incomplete_pair(3e-8)
+        calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, fine)
+        assert cert.verdict == "ambiguous" and len(calls) == 1
+        assert cert.phase1_optimum == pytest.approx(math.sqrt(2.0) * 3e-8, rel=1e-6)
+
+
 def seeded_rng(seed, family, index, draw):
     """The generator of one benchmark draw: ``(seed, family, grid index, draw)``."""
     return np.random.default_rng(np.random.SeedSequence((seed, family, index, draw)))
@@ -551,7 +636,13 @@ class TestDegenerateLPVerdicts:
         assert cert.residual <= 1e-7
         assert mixture_residual(coarse, fine, cert.witness.matrix) <= 1e-7
 
-    @pytest.mark.parametrize("seed, draw", [(1, 1), (15, 1), (36, 0), (74, 1)])
+    # with no relaxation in the ratio test, (9, 1), (14, 0), (27, 0) and
+    # (100, 0) come back infeasible from the full layout and (14, 1) from the
+    # layout without the last coarse outcome
+    @pytest.mark.parametrize(
+        "seed, draw",
+        [(1, 1), (9, 1), (14, 0), (14, 1), (15, 1), (27, 0), (36, 0), (74, 1), (100, 0)],
+    )
     def test_overcomplete_merge(self, monkeypatch, seed, draw):
         rng = seeded_rng(seed, 1, 6, draw)
         fine = random_povm(4, 20, rng, with_kraus=False)
@@ -752,6 +843,16 @@ class TestPossibleOutcomes:
     def test_superposition_span_sees_both(self, z_measurement):
         assert possible_outcomes(z_measurement, Subspace.span([KET_PLUS])) == (0, 1)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_threshold_is_strict(self, tol):
+        # ||Π_0 B||_F = s for B = |0>: possible only when s > tol
+        def sees_first(s):
+            povm = validate_measurement([np.diag([s, 1.0]), np.diag([1.0 - s, 0.0])])
+            return possible_outcomes(povm, Subspace.span([ket(1, 0)]), tol=tol)
+
+        assert sees_first(2.0 * tol) == (0, 1)
+        assert sees_first(0.5 * tol) == (1,)
+
 
 class TestCheckCoarserInSubspace:
     def test_x_vs_z_in_axis_span(self, x_measurement, z_measurement):
@@ -806,7 +907,7 @@ class TestCheckCoarserInSubspace:
         cert = check_coarser_in_subspace(coarse, fine, random_subspace(dim, rank, seed=7))
         m, n = len(cert.coarse_outcomes), len(cert.fine_outcomes)
         assert cert.feasible
-        assert sizes == [(m * rank**2 + n, m * n)]
+        assert sizes == [((m - 1) * rank**2, (m - 1) * n)]
 
     @staticmethod
     def basis_invariant_verdict(coarse, fine, subspace, seed):

@@ -58,6 +58,20 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValidationError):
             complex_matrix_from_json([[1.0, 2.0]])
 
+    # numpy's float conversion reads "1" and true as 1.0 and null as nan
+    @pytest.mark.parametrize("entry", ["1", True, False, None], ids=["string", "true", "false", "null"])
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    def test_non_number_entries_rejected(self, entry, part):
+        rows = complex_matrix_to_json(np.eye(2))
+        rows[1][1][part] = entry
+        with pytest.raises(ValidationError, match="not a number"):
+            complex_matrix_from_json(rows)
+        with pytest.raises(ValidationError, match="not a number"):
+            subspace_from_dict({"basis": [rows[1]]})
+
+    def test_integer_entries_accepted(self):
+        np.testing.assert_array_equal(complex_matrix_from_json([[[1, 0], [0, -2]]]), [[1, -2j]])
+
 
 class TestMeasurementFiles:
     def test_round_trip_with_kraus(self):
@@ -77,6 +91,18 @@ class TestMeasurementFiles:
         payload["dim"] = 5
         with pytest.raises(ValidationError):
             measurement_from_dict(payload)
+
+    @pytest.mark.parametrize("dim", [True, "1", 1.0], ids=["bool", "string", "float"])
+    def test_non_integer_dim_rejected(self, dim):
+        # a one-dimensional file, where true == 1 would otherwise match
+        elements = [[[[1.0, 0.0]]]]
+        with pytest.raises(ValidationError, match="must be an integer"):
+            measurement_from_dict({"dim": dim, "elements": elements})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            state_from_dict({"dim": dim, "rho": elements[0]})
+        with pytest.raises(ValidationError, match="must be an integer"):
+            subspace_from_dict({"dim": dim, "basis": elements[0]})
+        assert measurement_from_dict({"dim": 1, "elements": elements}).dim == 1
 
     def test_missing_elements_rejected(self):
         with pytest.raises(ValidationError):
