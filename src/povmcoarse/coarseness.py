@@ -18,22 +18,25 @@ verdict is ``feasible``. Neither decision runs the LP, so both leave
 ``phase1_optimum`` ``nan``. Every other input (a gap in the band between, a
 dependent fine side, a negative or rejected unique solution) goes to one
 linear feasibility problem over the entries of ``P``, laid out by
-:func:`_processing_system`. Both sides are complete, so the last coarse
-outcome is eliminated: its row is ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji`` and
-its ``D`` component rows follow from the others. The variables are the first
-``m - 1`` rows of ``P``, ``P_ji`` at ``j * n + i``; the equalities are one
-block of ``D`` rows per coarse outcome ``j < m - 1`` (the ``D`` real
-components of its element); the column sums are ``n`` inequalities
-``sum_{j<m-1} P_ji <= 1``, whose slacks are the last row, so phase 1 starts
-from ``P_{m-1,.} = 1`` with no artificial variable on them; the subspace
-check appends one volume inequality per coarse outcome, the last one written
-as ``-sum_{j<m-1} sum_i P_ji V_i <= V'_{m-1} - sum_i V_i``. The eliminated
-rows hold only when the components' sums agree, and any left stochastic
-``P`` leaves block residuals that sum to ``sum_j c_j - sum_i f_i``; the norm
-``g`` of that vector bounds the phase-1 optimum from below, as the span gap
-does. A ``g`` above ``10 * tol`` is ``infeasible`` with no LP, and the LP's
-verdict is the band of ``max(phase-1 optimum, g)``. Hermitian operators contribute ``d^2`` real components each: the diagonal plus
-real and imaginary parts of the strict upper triangle, which drops the
+:func:`_processing_system`.
+
+Both sides are complete, so the LP eliminates the last coarse outcome: its row
+is ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji`` and its ``D`` component rows follow
+from the others. The variables are the first ``m - 1`` rows of ``P``, ``P_ji``
+at ``j * n + i``; the equalities are one block of ``D`` rows per coarse
+outcome ``j < m - 1`` (the ``D`` real components of its element); the column
+sums are ``n`` inequalities ``sum_{j<m-1} P_ji <= 1``, whose slacks are the
+last row, so phase 1 starts from ``P_{m-1,.} = 1`` with no artificial variable
+on them; the subspace check appends one volume inequality per coarse outcome,
+the last one written as ``-sum_{j<m-1} sum_i P_ji V_i <= V'_{m-1} - sum_i
+V_i``. The eliminated rows hold only when the components' sums agree, and any
+left stochastic ``P`` leaves block residuals that sum to ``sum_j c_j - sum_i
+f_i``; the norm ``g`` of that vector bounds the phase-1 optimum from below, as
+the span gap does. A ``g`` above ``10 * tol`` is ``infeasible`` with no LP,
+and the LP's verdict is the band of ``max(phase-1 optimum, g)``.
+
+Hermitian operators contribute ``d^2`` real components each: the diagonal
+plus real and imaginary parts of the strict upper triangle, which drops the
 redundant conjugate constraints. The subspace check compares the ``r x r``
 blocks ``B† Π B`` in an orthonormal basis ``B`` of a rank-``r`` subspace, so
 its elements contribute ``r^2`` components each.
@@ -106,8 +109,9 @@ class CoarsenessCertificate:
     ``residual`` is then the largest per-outcome violation of the defining
     equalities recomputed from the witness: the Frobenius norm on operators,
     the Euclidean norm over the scale-free ``(p_j, V_j / sum(V))`` pairs for
-    the classical check. ``phase1_optimum`` is the LP's phase-1 optimum, raised
-to the completeness gap when that is larger, and ``nan`` when no LP ran.
+    the classical check. ``phase1_optimum`` is the LP's phase-1 optimum,
+    raised to the completeness gap when that is larger, and ``nan`` when no
+    LP ran.
     ``volume_slack`` and the outcome sets are populated by the subspace
     variant; ``extension`` is the witness padded to the full outcome sets (left
     stochastic by construction). ``separation`` is set by the classical check
@@ -241,7 +245,9 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
 
     The stacks hold operators, ``(n, d, d)`` and ``(m, d, d)``, or rows of
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
-    components.
+    components. Before the LP, the completeness gap (module docstring)
+    decides ``infeasible`` when it is above ``10 * tol``; the LP's candidate
+    is the top ``m - 1`` rows of ``P``, completed by ``1 - top.sum(0)``.
     """
     _check_tol(tol)
     if fine.ndim == 2:
@@ -251,8 +257,8 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     decided = _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse)
     if decided is not None:
         return decided
-    # the block residuals of any left stochastic P sum to this vector, which
-    # the eliminated last outcome's rows need to be zero
+    # the block residuals of any left stochastic P sum to this vector; the
+    # eliminated outcome's rows follow from the others only where it is zero
     gap = float(np.linalg.norm(comp_coarse.sum(axis=0) - comp_fine.sum(axis=0)))
     if _verdict_band(gap, tol) == "infeasible":
         return CoarsenessCertificate("infeasible", None, math.inf, math.nan)

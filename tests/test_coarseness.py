@@ -512,14 +512,16 @@ class TestSpanDecision:
     @pytest.mark.parametrize("eps", [2e-8, 4.5e-8])
     def test_gap_inside_the_band_is_ambiguous(self, monkeypatch, z_measurement, eps):
         # the X component of each coarse element is off the diagonal span by
-        # eps: the span gap is eps and the L1 phase-1 optimum is 2 * eps, both
-        # in (tol, 10 * tol]
+        # eps: the span gap is eps, and so is the L1 phase-1 optimum, whose
+        # rows are those of the first coarse outcome only; both lie in
+        # (tol, 10 * tol]
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         coarse = validate_measurement([0.5 * np.eye(2) + eps * x, 0.5 * np.eye(2) - eps * x])
         calls = counting_lp(monkeypatch)
         cert = check_coarser(coarse, z_measurement)
         assert cert.verdict == "ambiguous"
         assert len(calls) == 1
+        assert cert.phase1_optimum == pytest.approx(eps, rel=1e-6)
 
     def test_gap_above_the_band_is_infeasible_without_lp(self, monkeypatch, z_measurement):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -562,9 +564,9 @@ class TestSpanDecision:
 class TestCompletenessGap:
     """The eliminated outcome's rows hold only if both sides sum to the same operator.
 
-    Each coarse side is a mixture of a five-outcome qubit POVM (more elements
-    than components, so the span cannot decide) whose last element is shifted
-    by ``eps * I``: the component sums then differ by ``g = sqrt(2) * eps``.
+    Each coarse side mixes a five-outcome qubit POVM (more elements than
+    components, so the span cannot decide) into three outcomes and shifts the
+    last by ``eps * I``: the component sums then differ by ``g = sqrt(2) * eps``.
     """
 
     @staticmethod
@@ -843,15 +845,18 @@ class TestPossibleOutcomes:
     def test_superposition_span_sees_both(self, z_measurement):
         assert possible_outcomes(z_measurement, Subspace.span([KET_PLUS])) == (0, 1)
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("tol", [None, 1e-6], ids=["default", "1e-6"])
     def test_threshold_is_strict(self, tol):
-        # ||Π_0 B||_F = s for B = |0>: possible only when s > tol
+        # ||Π_0 B||_F = s for B = |0>: possible only when s > tol (default 1e-10)
+        threshold = 1e-10 if tol is None else tol
+        options = {} if tol is None else {"tol": tol}
+
         def sees_first(s):
             povm = validate_measurement([np.diag([s, 1.0]), np.diag([1.0 - s, 0.0])])
-            return possible_outcomes(povm, Subspace.span([ket(1, 0)]), tol=tol)
+            return possible_outcomes(povm, Subspace.span([ket(1, 0)]), **options)
 
-        assert sees_first(2.0 * tol) == (0, 1)
-        assert sees_first(0.5 * tol) == (1,)
+        assert sees_first(2.0 * threshold) == (0, 1)
+        assert sees_first(0.5 * threshold) == (1,)
 
 
 class TestCheckCoarserInSubspace:
