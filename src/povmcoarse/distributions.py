@@ -1,4 +1,21 @@
-"""Classical probability carriers: weighted distributions, joints, stochastic matrices."""
+"""Classical probability carriers: weighted distributions, joints, stochastic matrices.
+
+Every probability array here is checked by one rule, :func:`_probabilities`.
+An array fails it when it is empty, when an entry is not finite, or when an
+entry lies below ``-neg_tol`` (``1e-12``, or ``1e-9`` for a joint), and
+raises :class:`ValidationError`. Negative entries above that are rounding
+noise: they are clipped to zero, and the clipped copy is the one the value
+class stores. Only then is each sum, along the axis that the carrier
+normalizes, compared with one, and a sum too far off raises
+:class:`NotNormalizedError`:
+
+* a weighted distribution's last axis, within ``norm_tol``;
+* a joint's whole matrix, within ``norm_tol``;
+* a stochastic matrix's columns, within ``col_tol``, every failure a
+  :class:`NotStochasticError`;
+* each of the two vectors of :func:`entropy.kl_divergence`, within its
+  ``norm_tol``.
+"""
 
 from __future__ import annotations
 
@@ -18,27 +35,41 @@ DEFAULT_COLUMN_TOL = 1e-8
 _NEGATIVE_TOL = 1e-12
 
 
+def _probabilities(
+    values, name: str, tol: float, *, axis=-1, neg_tol: float = _NEGATIVE_TOL,
+    error=ValidationError, sum_error=NotNormalizedError,
+) -> np.ndarray:
+    """``values`` as a fresh float array, clipped at zero, whose sums along ``axis`` are one.
+
+    Raises ``error`` for an empty array, a non-finite entry or an entry below
+    ``-neg_tol``, and ``sum_error`` when a sum is more than ``tol`` from one,
+    naming the sum farthest from one. ``axis=None`` sums the whole array.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise error(f"{name} must be non-empty")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} has non-finite entries")
+    if (arr < -neg_tol).any():
+        raise error(f"{name} has negative entries (min {arr.min():.3e})")
+    arr = np.clip(arr, 0.0, None)
+    totals = arr.sum(axis=axis)
+    errors = np.abs(totals - 1.0)
+    if errors.max() > tol:
+        total = float(np.ravel(totals)[np.argmax(errors)])
+        raise sum_error(f"{name} has a sum of {total!r}, expected 1 within {tol:.1e}")
+    return arr
+
+
 def weighted_rows(probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Check ``(p, V)`` pairs held as ``(..., n)`` rows, each by the rules of :class:`WeightedDistribution`.
 
-    Every row of ``probs`` must be finite, non-negative up to rounding noise
-    and sum to one within ``norm_tol``; ``volumes`` must have the same shape
-    and be finite and strictly positive. Returns float copies, the
-    probabilities clipped at zero. A failure names the worst row's value.
+    Every row of ``probs`` must pass this module's probability rule within
+    ``norm_tol``; ``volumes`` must have the same shape and be finite and
+    strictly positive. Returns float copies, the probabilities
+    clipped at zero. A failure names the worst row's value.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.size == 0:
-        raise ValidationError("probs must be non-empty")
-    if not np.isfinite(p).all():
-        raise ValidationError("probs has non-finite entries")
-    if (p < -_NEGATIVE_TOL).any():
-        raise ValidationError(f"probs has negative entries (min {p.min():.3e})")
-    p = np.clip(p, 0.0, None)
-    totals = p.sum(axis=-1)
-    errors = np.abs(totals - 1.0)
-    if errors.max() > norm_tol:
-        total = float(np.ravel(totals)[np.argmax(errors)])
-        raise NotNormalizedError(f"probs sums to {total!r}, expected 1 within {norm_tol:.1e}")
+    p = _probabilities(probs, "probs", norm_tol)
     v = np.array(volumes, dtype=float)  # a copy, not a view of the caller's array
     if v.shape != p.shape:
         raise LengthMismatchError(f"{p.size} probabilities vs {v.size} volumes")
@@ -88,14 +119,7 @@ class JointDistribution:
         arr = np.asarray(matrix, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeMismatchError(f"joint distribution must be a 2-D matrix, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("joint distribution has non-finite entries")
-        if np.any(arr < -1e-9):
-            raise ValidationError(f"joint distribution has negative entries (min {arr.min():.3e})")
-        arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
-        if abs(total - 1.0) > norm_tol:
-            raise NotNormalizedError(f"joint sums to {total!r}, expected 1")
+        arr = _probabilities(arr, "joint distribution", norm_tol, axis=None, neg_tol=1e-9)
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -119,19 +143,9 @@ class StochasticMatrix:
         arr = np.asarray(matrix, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeMismatchError(f"stochastic matrix must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NotStochasticError("stochastic matrix has non-finite entries")
-        if np.any(arr < -_NEGATIVE_TOL):
-            raise NotStochasticError(
-                f"stochastic matrix has negative entries (min {arr.min():.3e})"
-            )
-        sums = arr.sum(axis=0)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > col_tol:
-            raise NotStochasticError(
-                f"column sums deviate from 1 by {worst:.3e} (tolerance {col_tol:.1e})"
-            )
-        arr = np.clip(arr, 0.0, None)
+        arr = _probabilities(
+            arr, "stochastic matrix", col_tol, axis=0, error=NotStochasticError, sum_error=NotStochasticError
+        )
         arr.setflags(write=False)
         self.matrix = arr
 

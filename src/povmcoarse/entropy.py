@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JointDistribution, WeightedDistribution
-from .errors import LengthMismatchError, NotNormalizedError, ValidationError
+from .distributions import JointDistribution, WeightedDistribution, _probabilities
+from .errors import LengthMismatchError, ValidationError
 from .measurements import (
     GeneralizedMeasurement,
     _checked_state_stack,
@@ -50,17 +50,19 @@ def kl_divergence(p, q, *, norm_tol: float = 1e-8) -> float:
     Terms with ``p_i = 0`` contribute zero. If some ``p_i > 0`` has ``q_i = 0``
     the divergence is ``+inf`` (absolute-continuity failure), returned as
     ``math.inf``.
+
+    ``p`` and ``q`` must have one length (else :class:`LengthMismatchError`)
+    and each pass the probability rule of :mod:`povmcoarse.distributions`:
+    an empty vector, a non-finite entry or one below ``-1e-12`` raises
+    :class:`ValidationError`, and a sum more than ``norm_tol`` from one
+    raises :class:`NotNormalizedError`.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.size != q.size:
         raise LengthMismatchError(f"{p.size} vs {q.size} entries")
-    for name, arr in (("p", p), ("q", q)):
-        if np.any(arr < -1e-12) or not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} is not a probability vector")
-        total = float(arr.sum())
-        if abs(total - 1.0) > norm_tol:
-            raise NotNormalizedError(f"{name} sums to {total!r}")
+    p = _probabilities(p, "p", norm_tol)
+    q = _probabilities(q, "q", norm_tol)
     if np.any(q[p > ZERO_PROB_TOL] <= ZERO_PROB_TOL):
         return math.inf
     return float(_weighted_log_ratio(p, p, q, -1))

@@ -271,8 +271,8 @@ def post_measurement_state(
     """State update after observing ``outcome``: ``ρ → sum_m K ρ K† / p``.
 
     Returns the updated state together with the outcome probability.
-    ``outcome`` must be an integer in ``[0, n_outcomes)``, else
-    :class:`InvalidRangeError` is raised.
+    ``outcome`` must be an integer in ``[0, n_outcomes)``, not a ``bool``,
+    else :class:`InvalidRangeError` is raised.
     """
     if measurement.kraus is None:
         raise MissingKrausError("state update needs Kraus operators")
@@ -280,7 +280,8 @@ def post_measurement_state(
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} vs state dimension {rho.dim}"
         )
-    if not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < measurement.n_outcomes:
+    integer = isinstance(outcome, (int, np.integer)) and not isinstance(outcome, bool)
+    if not integer or not 0 <= outcome < measurement.n_outcomes:
         raise InvalidRangeError(
             f"outcome must be an integer in [0, {measurement.n_outcomes}), got {outcome!r}"
         )

@@ -38,19 +38,29 @@ def complex_matrix_to_json(mat) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
 
 
-def _complex_from_json(entries, ndim: int, name: str) -> np.ndarray:
-    """Decode ``[re, im]`` pairs nested ``ndim`` deep: 2 for a matrix, 1 for a vector."""
-    what, shape = ("matrix", "rows of [re, im] pairs") if ndim == 2 else ("vector", "[re, im] pairs")
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name}: malformed complex {what}") from exc
-    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        raise ValidationError(f"{name}: expected {shape}, got shape {arr.shape}")
-    # the float conversion above also takes "1", true and null (as nan)
+def _json_numbers(entries, name: str) -> np.ndarray:
+    """Decode nested JSON arrays of numbers as a float array.
+
+    Raises :class:`ValidationError` unless every entry is a JSON number:
+    numpy's float conversion alone would read ``"1"``, ``true`` and ``null``
+    as 1.0, 1.0 and nan, and a ragged array leaves a list where a number
+    should be.
+    """
     for entry in np.asarray(entries, dtype=object).flat:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ValidationError(f"{name}: complex {what} entry {entry!r} is not a number")
+            raise ValidationError(f"{name}: entry {entry!r} is not a number")
+    try:
+        return np.asarray(entries, dtype=float)
+    except OverflowError as exc:
+        raise ValidationError(f"{name}: an integer entry is too large for a float") from exc
+
+
+def _complex_from_json(entries, ndim: int, name: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs nested ``ndim`` deep: 2 for a matrix, 1 for a vector."""
+    arr = _json_numbers(entries, name)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        shape = "rows of [re, im] pairs" if ndim == 2 else "[re, im] pairs"
+        raise ValidationError(f"{name}: expected {shape}, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -144,7 +154,9 @@ def distribution_to_dict(w: WeightedDistribution) -> dict[str, Any]:
 def distribution_from_dict(payload: dict) -> WeightedDistribution:
     if not isinstance(payload, dict) or "probs" not in payload or "volumes" not in payload:
         raise ValidationError("distribution file needs 'probs' and 'volumes'")
-    return WeightedDistribution(payload["probs"], payload["volumes"])
+    return WeightedDistribution(
+        _json_numbers(payload["probs"], "probs"), _json_numbers(payload["volumes"], "volumes")
+    )
 
 
 def joint_to_dict(joint: JointDistribution) -> dict[str, Any]:
@@ -154,7 +166,7 @@ def joint_to_dict(joint: JointDistribution) -> dict[str, Any]:
 def joint_from_dict(payload: dict) -> JointDistribution:
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ValidationError("joint file needs a 'matrix'")
-    return JointDistribution(payload["matrix"])
+    return JointDistribution(_json_numbers(payload["matrix"], "matrix"))
 
 
 def _jsonable_float(x: float) -> float | None:

@@ -785,9 +785,17 @@ SUITE_NAMES = tuple(SUITE_REGISTRY)
 
 
 def run_suite(name: str, trials: int = 500, dim: int = 3, seed: int = 0) -> SuiteReport:
-    """Execute one registry suite and collect its failures; needs ``dim >= 1``, ``trials >= 0``."""
+    """Execute one registry suite and collect its failures.
+
+    ``trials``, ``dim`` and ``seed`` must be Python or numpy integers, not
+    ``bool``, with ``dim >= 1`` and ``trials >= 0``; otherwise
+    :class:`InvalidRangeError` is raised.
+    """
     if name not in SUITE_REGISTRY:
         raise UnknownSuiteError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    for label, value in (("trials", trials), ("dim", dim), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidRangeError(f"{label} must be an integer, got {value!r}")
     trials, dim, seed = int(trials), int(dim), int(seed)
     if dim < 1 or trials < 0:
         raise InvalidRangeError(f"suites need dim >= 1 and trials >= 0, got {dim=}, {trials=}")

@@ -75,20 +75,28 @@ class TestWeightedRows:
             ([0.5, 0.5], [1.0, -1.0], ValidationError),
             ([0.5, 0.5], [1.0, np.inf], ValidationError),
             ([np.nan, 1.0], [1.0, 1.0], ValidationError),
+            ([np.inf, 0.0], [1.0, 1.0], ValidationError),
             ([1.1, -0.1], [1.0, 1.0], ValidationError),
+            ([0.6, 0.5], [1.0, 1.0], NotNormalizedError),
         ],
     )
     def test_one_bad_row_fails_like_its_distribution(self, row_p, row_v, error):
-        with pytest.raises(error):
+        with pytest.raises(error) as single:
             WeightedDistribution(row_p, row_v)
-        with pytest.raises(error):
+        with pytest.raises(error) as stacked:
             weighted_rows(self.GOOD_P + [row_p], self.GOOD_V + [row_v])
+        assert single.type is stacked.type is error
 
     def test_shape_mismatch_and_empty(self):
         with pytest.raises(LengthMismatchError):
             weighted_rows(self.GOOD_P, self.GOOD_V[:2])
-        with pytest.raises(ValidationError):
-            weighted_rows(np.zeros((0, 2)), np.zeros((0, 2)))
+        for empty in (np.zeros((0, 2)), []):
+            with pytest.raises(ValidationError) as excinfo:
+                weighted_rows(empty, empty)
+            assert excinfo.type is ValidationError
+        with pytest.raises(ValidationError) as excinfo:
+            WeightedDistribution([], [])
+        assert excinfo.type is ValidationError
 
 
 class TestJointDistribution:
@@ -100,6 +108,32 @@ class TestJointDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             JointDistribution([[1.1, -0.1], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ([[np.nan, 1.0], [0.0, 0.0]], ValidationError),
+            ([[np.inf, 0.0], [0.0, 0.0]], ValidationError),
+            ([[1.1, -0.1], [0.0, 0.0]], ValidationError),
+            ([[0.5, 0.2], [0.1, 0.1]], NotNormalizedError),
+            ([[0.5, 0.2], [0.2, 0.2]], NotNormalizedError),
+            (np.zeros((0, 2)), ShapeMismatchError),
+            (np.zeros((2, 0)), ShapeMismatchError),
+        ],
+        ids=["nan", "inf", "negative", "sum-0.9", "sum-1.1", "no-rows", "no-columns"],
+    )
+    def test_rejects_non_probabilities_with_the_documented_type(self, matrix, error):
+        with pytest.raises(error) as excinfo:
+            JointDistribution(matrix)
+        assert excinfo.type is error
+
+    def test_clips_rounding_noise_and_owns_its_array(self):
+        arr = np.array([[0.5, -1e-13], [0.25, 0.25]])
+        j = JointDistribution(arr)
+        assert j.matrix[0, 1] == 0.0 and arr[0, 1] == -1e-13
+        assert arr.flags.writeable and not np.shares_memory(arr, j.matrix)
+        arr[0, 0] = 9.0
+        assert j.matrix[0, 0] == 0.5
 
 
 class TestStochasticMatrix:
@@ -114,6 +148,32 @@ class TestStochasticMatrix:
     def test_rejects_negative_entries(self):
         with pytest.raises(NotStochasticError):
             StochasticMatrix([[1.5], [-0.5]])
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ([[np.nan, 1.0], [0.0, 0.0]], NotStochasticError),
+            ([[np.inf, 1.0], [0.0, 0.0]], NotStochasticError),
+            ([[1.1, 1.0], [-0.1, 0.0]], NotStochasticError),
+            ([[0.4, 1.0], [0.5, 0.0]], NotStochasticError),
+            ([[0.6, 1.0], [0.5, 0.0]], NotStochasticError),
+            (np.zeros((0, 2)), ShapeMismatchError),
+            (np.zeros((2, 0)), ShapeMismatchError),
+        ],
+        ids=["nan", "inf", "negative", "sum-0.9", "sum-1.1", "no-rows", "no-columns"],
+    )
+    def test_rejects_non_probabilities_with_the_documented_type(self, matrix, error):
+        with pytest.raises(error) as excinfo:
+            StochasticMatrix(matrix)
+        assert excinfo.type is error
+
+    def test_clips_rounding_noise_and_owns_its_array(self):
+        arr = np.array([[1.0, 0.5], [-1e-13, 0.5]])
+        m = StochasticMatrix(arr)
+        assert m.matrix[1, 0] == 0.0 and arr[1, 0] == -1e-13
+        assert arr.flags.writeable and not np.shares_memory(arr, m.matrix)
+        arr[0, 1] = 9.0
+        assert m.matrix[0, 1] == 0.5
 
 
 class TestPushForward:

@@ -79,6 +79,33 @@ class TestKLDivergence:
         with pytest.raises(NotNormalizedError):
             kl_divergence([0.9, 0.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([np.nan, 1.0], ValidationError),
+            ([np.inf, 0.0], ValidationError),
+            ([1.1, -0.1], ValidationError),
+            ([0.5, 0.4], NotNormalizedError),
+            ([0.6, 0.5], NotNormalizedError),
+        ],
+        ids=["nan", "inf", "negative", "sum-0.9", "sum-1.1"],
+    )
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_rejects_non_probabilities_with_the_documented_type(self, bad, error, side):
+        args = (bad, [0.5, 0.5]) if side == "p" else ([0.5, 0.5], bad)
+        with pytest.raises(error) as excinfo:
+            kl_divergence(*args)
+        assert excinfo.type is error
+
+    def test_rejects_empty_vectors(self):
+        with pytest.raises(ValidationError) as excinfo:
+            kl_divergence([], [])
+        assert excinfo.type is ValidationError
+
+    def test_rounding_noise_below_zero_is_a_zero_entry(self):
+        assert kl_divergence([1.0, -1e-13], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
+        assert kl_divergence([0.5, 0.5], [1.0, -1e-13]) == math.inf
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(0.001, 10.0), min_size=2, max_size=8),
            st.lists(st.floats(0.001, 10.0), min_size=2, max_size=8))

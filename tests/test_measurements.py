@@ -309,7 +309,7 @@ class TestPostMeasurementState:
         with pytest.raises(ZeroProbabilityOutcomeError):
             post_measurement_state(z_measurement, 0, DensityMatrix.pure(ket(0, 1)))
 
-    @pytest.mark.parametrize("outcome", [-1, 2, 1.0, "0", None])
+    @pytest.mark.parametrize("outcome", [-1, 2, 1.0, "0", None, True])
     def test_outcome_out_of_range(self, z_measurement, outcome):
         with pytest.raises(InvalidRangeError):
             post_measurement_state(z_measurement, outcome, DensityMatrix.maximally_mixed(2))

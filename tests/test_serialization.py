@@ -58,7 +58,8 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValidationError):
             complex_matrix_from_json([[1.0, 2.0]])
 
-    # numpy's float conversion reads "1" and true as 1.0 and null as nan
+    # numpy's float conversion reads "1" and true as 1.0 and null as nan, and every
+    # decoder of numbers (complex matrices, distributions, joints) must refuse them
     @pytest.mark.parametrize("entry", ["1", True, False, None], ids=["string", "true", "false", "null"])
     @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
     def test_non_number_entries_rejected(self, entry, part):
@@ -68,9 +69,26 @@ class TestMatrixRoundTrip:
             complex_matrix_from_json(rows)
         with pytest.raises(ValidationError, match="not a number"):
             subspace_from_dict({"basis": [rows[1]]})
+        for field in ("probs", "volumes"):
+            payload = {"probs": [0.0, 1.0], "volumes": [1.0, 1.0]}
+            payload[field][part] = entry
+            with pytest.raises(ValidationError, match="not a number"):
+                distribution_from_dict(payload)
+        matrix = [[0.0, 0.5], [0.0, 0.5]]
+        matrix[1][part] = entry
+        with pytest.raises(ValidationError, match="not a number"):
+            joint_from_dict({"matrix": matrix})
 
     def test_integer_entries_accepted(self):
         np.testing.assert_array_equal(complex_matrix_from_json([[[1, 0], [0, -2]]]), [[1, -2j]])
+        assert distribution_from_dict({"probs": [0, 1], "volumes": [1, 2]}).total_volume == 3.0
+        assert joint_from_dict({"matrix": [[0, 1], [0, 0]]}).matrix[0, 1] == 1.0
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError, match="too large"):
+            complex_matrix_from_json([[[10**400, 0]]])
+        with pytest.raises(ValidationError, match="too large"):
+            distribution_from_dict({"probs": [1], "volumes": [10**400]})
 
 
 class TestMeasurementFiles:
@@ -163,6 +181,20 @@ class TestDistributionAndJointFiles:
         j = JointDistribution([[0.5, 0.0], [0.25, 0.25]])
         back = joint_from_dict(json.loads(json.dumps(joint_to_dict(j))))
         np.testing.assert_array_equal(back.matrix, j.matrix)
+
+    @pytest.mark.parametrize(
+        "decode, payload",
+        [
+            (distribution_from_dict, {"probs": ["0.5", 0.5], "volumes": [True, 1]}),
+            (joint_from_dict, {"matrix": [["0.5", 0.5], [0, False]]}),
+            (joint_from_dict, {"matrix": [[0.5, 0.5], [0.0]]}),
+            (distribution_from_dict, {"probs": [[0.5, 0.5], [0.0]], "volumes": [1, 1]}),
+        ],
+        ids=["distribution-coercible", "joint-coercible", "joint-ragged", "distribution-ragged"],
+    )
+    def test_malformed_entries_rejected(self, decode, payload):
+        with pytest.raises(ValidationError, match="not a number"):
+            decode(payload)
 
 
 class TestCertificatePayload:

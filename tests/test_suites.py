@@ -57,11 +57,19 @@ class TestRegistry:
         assert report.passed, f"{name}: {report.details[:1]}"
         assert report.trials == 6
 
-    @pytest.mark.parametrize("trials, dim", [(3, 0), (3, -2), (-1, 2)])
+    # a float or bool is refused, not truncated: 2.5 trials must not run 2, nor True run 1
+    @pytest.mark.parametrize("trials, dim", [(3, 0), (3, -2), (-1, 2), (2.5, 2), (True, 2), (3, 2.9)])
     def test_out_of_range_dim_or_trials_raise(self, trials, dim):
         for name in SUITE_NAMES:
             with pytest.raises(InvalidRangeError):
                 run_suite(name, trials=trials, dim=dim, seed=0)
+
+    def test_seed_is_any_integer(self):
+        for seed in (1.7, True, "1"):
+            with pytest.raises(InvalidRangeError):
+                run_suite("dpi_mi", trials=2, dim=2, seed=seed)
+        report = run_suite("dpi_mi", trials=np.int64(2), dim=np.int32(2), seed=-5)
+        assert report.trials == 2 and type(report.trials) is int
 
     def test_report_dict_shape(self):
         report = run_suite("bounds", trials=5, dim=2, seed=1)
