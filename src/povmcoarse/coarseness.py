@@ -274,8 +274,12 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
 
 
 def mixture_residual(coarse: GeneralizedMeasurement, fine: GeneralizedMeasurement, p) -> float:
-    """Largest Frobenius error of ``Π^(2)_j - sum_i P_ji Π^(1)_i``."""
-    mat = as_stochastic(p).matrix if not isinstance(p, np.ndarray) else p
+    """Largest Frobenius error of ``Π^(2)_j - sum_i P_ji Π^(1)_i``.
+
+    ``p`` is a :class:`StochasticMatrix` or anything it accepts; any other
+    matrix, an array included, raises :class:`NotStochasticError`.
+    """
+    mat = as_stochastic(p).matrix
     if mat.shape != (coarse.n_outcomes, fine.n_outcomes):
         raise ShapeMismatchError(
             f"matrix shape {mat.shape} does not match "
@@ -511,10 +515,12 @@ def restrict_transition_matrix(
     the restricted rows vanish for the retained columns, so the restricted
     columns still sum to one; a violation raises
     :class:`~povmcoarse.errors.BrokenColumnSumError` since it contradicts the
-    restriction property.
+    restriction property. ``p_full`` is a :class:`StochasticMatrix` or anything
+    it accepts; any other matrix, an array included, raises
+    :class:`~povmcoarse.errors.NotStochasticError`.
     """
     _check_tol(tol)
-    mat = as_stochastic(p_full).matrix if not isinstance(p_full, np.ndarray) else p_full
+    mat = as_stochastic(p_full).matrix
     row_pos = {label: k for k, label in enumerate(coarse_all)}
     col_pos = {label: k for k, label in enumerate(fine_all)}
     try:

@@ -154,9 +154,9 @@ def distribution_to_dict(w: WeightedDistribution) -> dict[str, Any]:
 def distribution_from_dict(payload: dict) -> WeightedDistribution:
     if not isinstance(payload, dict) or "probs" not in payload or "volumes" not in payload:
         raise ValidationError("distribution file needs 'probs' and 'volumes'")
-    return WeightedDistribution(
-        _json_numbers(payload["probs"], "probs"), _json_numbers(payload["volumes"], "volumes")
-    )
+    probs = _json_numbers(_json_list(payload["probs"], "'probs'"), "probs")
+    volumes = _json_numbers(_json_list(payload["volumes"], "'volumes'"), "volumes")
+    return WeightedDistribution(probs, volumes)
 
 
 def joint_to_dict(joint: JointDistribution) -> dict[str, Any]:

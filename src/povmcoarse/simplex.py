@@ -16,24 +16,39 @@ alone would force a pivot on whatever entry the minimizing row has, however
 small against the rest of its column; the tableau growth that follows such
 pivots can turn feasible systems infeasible.
 
-The tableau ``T`` is one ``(m + 1, n_struct + 1)`` array. Rows ``0 .. m-1``
-hold the constraints, sign-flipped so that every right-hand side starts
-non-negative, and row ``m`` holds the phase-1 reduced costs. Columns
-``0 .. n_struct-1`` are the structural columns (the ``n_vars`` unknowns, then
-one slack per inequality row) and the last column holds the right-hand side,
-so ``rhs`` and ``obj`` are views into ``T``. A pivot on ``(r, j)`` is one
-in-place rank-1 update of the whole tableau: divide row ``r`` by its pivot,
-then subtract ``T[i, j]`` times row ``r`` from every other row ``i``. Rows with
-``T[i, j] == 0`` are updated too; they subtract ``±0``, which leaves every value
-unchanged (at most the sign of an exact zero flips, and no comparison here can
-see it), so the result is the one a row-by-row update that skips them gives.
+The tableau is condensed and stored column-major: one ``(w + 1, m + 1)``
+array ``C`` holds the right-hand side in row 0 and the ``w`` nonbasic
+structural columns in rows ``1 .. w`` (the structural columns are the
+``n_vars`` unknowns, then one slack per inequality row), each as its ``m``
+constraint entries followed by its phase-1 reduced cost; ``ids`` names the
+column in each row. The constraints are sign-flipped so that every
+right-hand side starts non-negative, and the initial reduced costs are the
+negated sums, taken row by row, of the rows whose artificial starts basic.
+Basic columns are unit vectors that no pivot changes and whose reduced cost
+stays exactly zero, so they are not stored; neither are the artificial
+columns, which the solver never reads: every artificial starts in the basis,
+cannot enter while it is basic, and is not wanted back once it has left. The
+basis records artificial ``k`` by the id ``n_struct + k``, which is all that
+Bland's leaving tie-break and the phase-1 objective need.
 
-Artificial columns are not stored, because the solver never reads them. Every
-artificial starts in the basis; while it stays basic its column is a unit
-vector with reduced cost exactly zero, so it is never chosen to enter, and
-once it leaves it is not wanted back. The basis records artificial ``k`` by the
-id ``n_struct + k``, which is all that Bland's leaving tie-break and the
-phase-1 objective need.
+A pivot on row ``r`` and the column in row ``q`` of ``C`` divides entry ``r``
+of every stored column by the pivot ``p``, then subtracts from each stored
+column its new entry ``r`` times the entering column (with a zero at ``r``):
+one in-place rank-1 update of the block ``C[:w + 1]``, which the column-major
+layout keeps contiguous (a column slice of a row-major tableau is strided
+and costs more per entry than the skipped basic columns save). The entering
+column then leaves the block. When an artificial leaves the basis, the last
+stored column moves into the entering column's row and ``w`` drops by one,
+so the block shrinks as phase 1 progresses and the loop ends at the latest
+when it is empty. When a structural variable leaves, its column takes the
+entering column's row, rebuilt as the full tableau would hold it: ``1/p`` at
+``r`` and ``-(c_i * (1/p))``, with ``c`` the entering column, everywhere
+else. Zero entries may differ from a full tableau only in their sign, which
+no comparison here can see and which the clipped outputs do not carry.
+Because moves reorder the columns, ties in either entering rule (exact minima
+under Dantzig's rule, the first eligible column under Bland's) go to the
+smallest column id, not the first row of ``C``, so every pivot is the one the
+full tableau makes.
 
 Verdicts are three-valued: ``feasible`` when the phase-1 optimum is at most
 ``tol``, ``infeasible`` when it exceeds ``10 * tol``, and ``ambiguous`` in
@@ -153,69 +168,102 @@ def lp_feasible(
     if m == 0:
         return FeasibilityResult("feasible", np.zeros(n_vars), 0.0, 0.0, 0)
 
-    # canonical form with slack variables on the inequality rows, then the objective row
-    n_struct = n_vars + mu
-    T = np.zeros((m + 1, n_struct + 1))
-    T[:me, :n_vars] = a_eq
-    T[me:m, :n_vars] = a_ub
-    T[me:m, n_vars:n_struct] = np.eye(mu)
-    T[:m, -1] = np.concatenate([b_eq, b_ub])
-    flipped = T[:m, -1] < 0
-    T[:m][flipped] *= -1.0
+    # the constraint rows with the right-hand side first, sign-flipped so that it is non-negative
+    rows = np.empty((m, n_vars + 1))
+    rows[:me, 0], rows[me:, 0] = b_eq, b_ub
+    rows[:me, 1:], rows[me:, 1:] = a_eq, a_ub
+    art_basic = rows[:, 0] < 0
+    np.negative(rows, out=rows, where=art_basic[:, None])
 
-    # initial basis: slack where its coefficient stayed +1, artificial elsewhere;
-    # basis[r] = n_struct + k names artificial k
-    art_rows = [r for r in range(m) if r < me or flipped[r]]
-    n_art = len(art_rows)
-    basis = n_vars - me + np.arange(m)  # the slack of row r >= me is column n_vars + r - me
-    basis[art_rows] = n_struct + np.arange(n_art)
-    T[m] = -T[art_rows].sum(axis=0)
-    rhs, obj = T[:m, -1], T[m, :n_struct]
+    # initial basis: the slack of row r >= me (column n_vars + r - me) where its
+    # coefficient stayed +1, artificial elsewhere; basis[r] = n_struct + k names artificial k
+    n_struct = n_vars + mu
+    flipped_slacks = art_basic[me:].nonzero()[0]
+    art_basic[:me] = True
+    n_art = np.count_nonzero(art_basic)
+    basis = np.arange(n_vars - me, n_struct)
+    basis[art_basic] = np.arange(n_struct, n_struct + n_art)
+
+    # the condensed tableau: the right-hand side, the unknowns, then the slacks of flipped rows
+    w = n_vars + flipped_slacks.size
+    C = np.zeros((w + 1, m + 1))
+    C[: n_vars + 1, :m] = rows.T
+    # reduced costs summed down the row-major rows, in the order a full tableau sums them
+    np.negative(np.add.reduce(rows[art_basic]), out=C[: n_vars + 1, m])
+    ids = np.arange(w)  # ids[k] names the column in row k + 1 of C
+    if flipped_slacks.size:  # -1 in its own row, so reduced cost 1
+        ids[n_vars:] = n_vars + flipped_slacks
+        C[np.arange(n_vars + 1, w + 1), me + flipped_slacks] = -1.0
+        C[n_vars + 1 :, m] = 1.0
+    rhs = C[0, :m]
 
     if max_iter is None:
         max_iter = 10 * (m + n_struct + n_art) ** 2
 
     bland = False
     stall = 0
-    best_value = float(rhs[art_rows].sum())
+    best_value = float(rhs[art_basic].sum())
     iterations = 0
-    barred = []  # columns without a usable pivot entry since the last pivot
+    barred = []  # window positions without a usable pivot entry since the last pivot
 
-    while True:
-        window = obj
+    while w:
+        window = C[1 : w + 1, m]
         if barred:
-            window = obj.copy()
+            window = window.copy()
             window[barred] = 0.0
-        eligible = (window < -_ENTER_TOL).nonzero()[0]
-        if eligible.size == 0:
-            break
-        j = int(eligible[0]) if bland else int(window.argmin())
+        if bland:
+            eligible = (window < -_ENTER_TOL).nonzero()[0]
+            if eligible.size == 0:
+                break
+            k = int(eligible[ids[eligible].argmin()])
+        else:
+            k = int(window.argmin())
+            low = window[k]
+            if not low < -_ENTER_TOL:
+                break
+            if window[::-1].argmin() != w - 1 - k:  # the minimum is tied
+                ties = (window == low).nonzero()[0]
+                k = int(ties[ids[ties].argmin()])
+        q = k + 1
 
-        col = T[:m, j]
-        rows = (col > _PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        column = C[q]
+        col = column[:m]
+        pivot_rows = (col > _PIVOT_TOL).nonzero()[0]
+        if pivot_rows.size == 0:
             # phase-1 is bounded below, so a negative reduced cost without a
             # usable pivot entry is numerical; bar the column and try others
-            barred.append(j)
+            barred.append(k)
             continue
         # Harris's ratio test (module docstring)
-        head, piv = rhs[rows], col[rows]
+        head, piv = rhs[pivot_rows], col[pivot_rows]
         bound = float(((head + _HARRIS_DELTA) / piv).min())
-        tie = rows[head / piv <= bound]
+        tie = pivot_rows[head / piv <= bound]
         r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
 
         iterations += 1
         if iterations > max_iter:
             raise IterationLimitError(iterations)
 
-        T[r] /= T[r, j]
-        other = T[:, j].copy()
-        other[r] = 0.0
-        T -= other[:, None] * T[r]
-        basis[r] = j
+        p = col[r]
+        live = C[: w + 1]
+        pivot_row = live[:, r]
+        pivot_row /= p
+        col[r] = 0.0
+        live -= pivot_row[:, None] * column
+        entering = ids[k]
+        if art_basic[r]:
+            art_basic[r] = False
+            C[q] = C[w]
+            ids[k] = ids[w - 1]
+            w -= 1
+        else:
+            column *= -1.0 / p
+            col[r] = 1.0 / p
+            ids[k] = basis[r]
+        basis[r] = entering
         barred = []  # the pivot changed every reduced cost
 
-        value = float(rhs[basis >= n_struct].sum())
+        value = float(rhs[art_basic].sum())
         if value < best_value - 1e-12:
             best_value = value
             stall = 0
@@ -224,7 +272,6 @@ def lp_feasible(
             if stall > _STALL_LIMIT:
                 bland = True
 
-    art_basic = basis >= n_struct
     optimum = float(np.clip(rhs[art_basic], 0.0, None).sum())
 
     # read the structural solution off the tableau

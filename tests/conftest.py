@@ -8,8 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from povmcoarse import require_density, validate_measurement
-from povmcoarse.randomgen import random_density_stack, random_povm, random_projective, random_unitary
+from povmcoarse import coarsen, require_density, validate_measurement
+from povmcoarse.randomgen import (
+    random_density_stack,
+    random_left_stochastic,
+    random_povm,
+    random_projective,
+    random_unitary,
+)
 
 
 def ket(*amplitudes):
@@ -115,3 +121,37 @@ def classical_two_outcome_feasible(p1, v1, p2, v2, vtot=2.0, tol=1e-12) -> bool:
         raise ValueError("degenerate source, oracle not applicable")
     row = np.linalg.solve(a, np.array([p2, v2]))
     return bool(np.all(row >= -tol) and np.all(row <= 1.0 + tol))
+
+
+def seeded_rng(seed, family, index, draw):
+    """The generator of one benchmark draw: ``(seed, family, grid index, draw)``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, family, index, draw)))
+
+
+# (seed, draw) of the benchmark's overcomplete d=4 n=20 m=8 merge family
+# (grid index 6) whose rank-deficient LPs once came back with wrong verdicts
+MERGE_DRAWS = [(1, 1), (9, 1), (14, 0), (14, 1), (15, 1), (27, 0), (36, 0), (74, 1), (100, 0)]
+
+
+def overcomplete_merge_pair(seed, draw):
+    """``(coarse, fine)``: 20 qudit (d = 4) elements merged by a 0/1 transition matrix into 8."""
+    rng = seeded_rng(seed, 1, 6, draw)
+    fine = random_povm(4, 20, rng, with_kraus=False)
+    coarse = coarsen(fine, random_left_stochastic(8, 20, rng, merge=True, surjective=True))
+    return coarse, fine
+
+
+def refined_projective_pair(rng, dim, ranks):
+    """A projective measurement and a refinement of each block into rank + 1 diagonal pieces."""
+    u = random_unitary(dim, rng)
+    projectors, pieces = [], []
+    start = 0
+    for r in ranks:
+        basis = u[:, start : start + r]
+        start += r
+        projectors.append(basis @ basis.conj().T)
+        for row in random_left_stochastic(r + 1, r, rng).matrix:
+            pieces.append((basis * row) @ basis.conj().T)
+    order = rng.permutation(len(pieces))
+    fine = validate_measurement([pieces[i] for i in order], atol=1e-9)
+    return validate_measurement(projectors, atol=1e-9), fine

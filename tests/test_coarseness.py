@@ -59,10 +59,14 @@ from povmcoarse.serialization import certificate_to_dict
 
 from conftest import (
     KET_PLUS,
+    MERGE_DRAWS,
     classical_two_outcome_feasible,
     exhaustive_partition_exists,
     ket,
+    overcomplete_merge_pair,
     proj,
+    refined_projective_pair,
+    seeded_rng,
 )
 
 
@@ -328,6 +332,17 @@ class TestMixtureResidual:
         witness = np.full(shape, 1.0 / shape[0])
         with pytest.raises(ShapeMismatchError):
             mixture_residual(coarse, fine, witness)
+
+    @pytest.mark.parametrize(
+        "bad", [[[1.5, 1.0]], [[np.nan, 1.0]], [[-0.5, 1.0]]], ids=["sum", "nan", "negative"]
+    )
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+    def test_non_stochastic_matrix_raises_in_every_form(self, bad, form):
+        # one coarse outcome, two fine outcomes: the shape matches
+        fine = random_povm(2, 2, seed=74, with_kraus=False)
+        coarse = coarsen(fine, np.array([[1.0, 1.0]]))
+        with pytest.raises(NotStochasticError):
+            mixture_residual(coarse, fine, form(bad))
 
 
 class TestCheckCoarser:
@@ -599,27 +614,6 @@ class TestCompletenessGap:
         assert cert.phase1_optimum == pytest.approx(math.sqrt(2.0) * 3e-8, rel=1e-6)
 
 
-def seeded_rng(seed, family, index, draw):
-    """The generator of one benchmark draw: ``(seed, family, grid index, draw)``."""
-    return np.random.default_rng(np.random.SeedSequence((seed, family, index, draw)))
-
-
-def refined_projective_pair(rng, dim, ranks):
-    """A projective measurement and a refinement of each block into rank + 1 diagonal pieces."""
-    u = random_unitary(dim, rng)
-    projectors, pieces = [], []
-    start = 0
-    for r in ranks:
-        basis = u[:, start : start + r]
-        start += r
-        projectors.append(basis @ basis.conj().T)
-        for row in random_left_stochastic(r + 1, r, rng).matrix:
-            pieces.append((basis * row) @ basis.conj().T)
-    order = rng.permutation(len(pieces))
-    fine = validate_measurement([pieces[i] for i in order], atol=1e-9)
-    return validate_measurement(projectors, atol=1e-9), fine
-
-
 class TestDegenerateLPVerdicts:
     """Feasible-by-construction rank-deficient pairs that go to the LP.
 
@@ -641,15 +635,9 @@ class TestDegenerateLPVerdicts:
     # with no relaxation in the ratio test, (9, 1), (14, 0), (27, 0) and
     # (100, 0) come back infeasible from the full layout and (14, 1) from the
     # layout without the last coarse outcome
-    @pytest.mark.parametrize(
-        "seed, draw",
-        [(1, 1), (9, 1), (14, 0), (14, 1), (15, 1), (27, 0), (36, 0), (74, 1), (100, 0)],
-    )
+    @pytest.mark.parametrize("seed, draw", MERGE_DRAWS)
     def test_overcomplete_merge(self, monkeypatch, seed, draw):
-        rng = seeded_rng(seed, 1, 6, draw)
-        fine = random_povm(4, 20, rng, with_kraus=False)
-        coarse = coarsen(fine, random_left_stochastic(8, 20, rng, merge=True, surjective=True))
-        self.assert_feasible(monkeypatch, coarse, fine)
+        self.assert_feasible(monkeypatch, *overcomplete_merge_pair(seed, draw))
 
     def test_refined_projective(self, monkeypatch):
         coarse, fine = refined_projective_pair(seeded_rng(20, 2, 4, 0), 10, (2, 3, 5))
@@ -1035,6 +1023,16 @@ class TestRestrictTransitionMatrix:
         big = StochasticMatrix(np.eye(2))
         with pytest.raises(IndexError):
             restrict_transition_matrix(big, (5,), (0,), (0, 1), (0, 1))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.5, 1.0], [0.0, 0.0]], [[np.nan, 1.0], [1.0, 0.0]], [[-0.5, 1.0], [1.5, 0.0]]],
+        ids=["sum", "nan", "negative"],
+    )
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+    def test_non_stochastic_matrix_raises_in_every_form(self, bad, form):
+        with pytest.raises(NotStochasticError):
+            restrict_transition_matrix(form(bad), (0, 1), (0, 1), (0, 1), (0, 1))
 
 
 class TestCoarsen:

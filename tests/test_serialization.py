@@ -196,6 +196,15 @@ class TestDistributionAndJointFiles:
         with pytest.raises(ValidationError, match="not a number"):
             decode(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"probs": 1.0, "volumes": 2}, {"probs": [1.0], "volumes": 2}, {"probs": 1.0, "volumes": [2]}],
+        ids=["both", "volumes", "probs"],
+    )
+    def test_distribution_needs_arrays(self, payload):
+        with pytest.raises(ValidationError, match="must be an array"):
+            distribution_from_dict(payload)
+
 
 class TestCertificatePayload:
     def test_feasible_certificate_fields(self):

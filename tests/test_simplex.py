@@ -1,4 +1,4 @@
-"""Feasibility solver: basic cases, randomized cross-check against scipy."""
+"""Feasibility solver: basic cases, randomized cross-check against scipy, parity with the full tableau."""
 
 from __future__ import annotations
 
@@ -7,12 +7,15 @@ import pytest
 from scipy.optimize import linprog
 
 from povmcoarse import lp_feasible, simplex
+from povmcoarse.coarseness import _component_rows, _processing_system
 from povmcoarse.errors import (
     InvalidRangeError,
     IterationLimitError,
     ShapeMismatchError,
     ValidationError,
 )
+
+from conftest import MERGE_DRAWS, overcomplete_merge_pair, refined_projective_pair, seeded_rng
 
 
 def scipy_feasible(a_eq, b_eq, a_ub=None, b_ub=None, n_vars=None) -> bool:
@@ -334,3 +337,155 @@ class TestIterationCap:
         with pytest.raises(IterationLimitError) as info:
             lp_feasible([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], n_vars=2, max_iter=1)
         assert info.value.iterations == 2
+
+
+def full_tableau_feasible(a_eq, b_eq, a_ub, b_ub, n_vars):
+    """Reference phase 1 on the full ``(m + 1, n_struct + 1)`` tableau.
+
+    Every structural column is stored at its id and updated by every pivot,
+    basic or not, so both entering rules break ties by column id without
+    bookkeeping. It reads the solver's constants at call time, so a patched
+    stall limit applies to both. Returns ``(iterations, phase1_optimum, x)``.
+    """
+    a_eq, b_eq = np.asarray(a_eq, dtype=float), np.asarray(b_eq, dtype=float)
+    a_ub = np.zeros((0, n_vars)) if a_ub is None else np.asarray(a_ub, dtype=float)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
+    me, mu = a_eq.shape[0], a_ub.shape[0]
+    m = me + mu
+    n_struct = n_vars + mu
+    T = np.zeros((m + 1, n_struct + 1))
+    T[:me, :n_vars] = a_eq
+    T[me:m, :n_vars] = a_ub
+    T[me:m, n_vars:n_struct] = np.eye(mu)
+    T[:m, -1] = np.concatenate([b_eq, b_ub])
+    flipped = T[:m, -1] < 0
+    T[:m][flipped] *= -1.0
+    art_rows = [r for r in range(m) if r < me or flipped[r]]
+    basis = n_vars - me + np.arange(m)
+    basis[art_rows] = n_struct + np.arange(len(art_rows))
+    T[m] = -T[art_rows].sum(axis=0)
+    rhs, obj = T[:m, -1], T[m, :n_struct]
+
+    bland = False
+    stall = 0
+    best_value = float(rhs[art_rows].sum())
+    iterations = 0
+    barred = []
+    while True:
+        window = obj
+        if barred:
+            window = obj.copy()
+            window[barred] = 0.0
+        eligible = (window < -simplex._ENTER_TOL).nonzero()[0]
+        if eligible.size == 0:
+            break
+        j = int(eligible[0]) if bland else int(window.argmin())
+        col = T[:m, j]
+        rows = (col > simplex._PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            barred.append(j)
+            continue
+        head, piv = rhs[rows], col[rows]
+        bound = float(((head + simplex._HARRIS_DELTA) / piv).min())
+        tie = rows[head / piv <= bound]
+        r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
+        iterations += 1
+        T[r] /= T[r, j]
+        other = T[:, j].copy()
+        other[r] = 0.0
+        T -= other[:, None] * T[r]
+        basis[r] = j
+        barred = []
+        value = float(rhs[basis >= n_struct].sum())
+        if value < best_value - 1e-12:
+            best_value = value
+            stall = 0
+        else:
+            stall += 1
+            if stall > simplex._STALL_LIMIT:
+                bland = True
+
+    art_basic = basis >= n_struct
+    optimum = float(np.clip(rhs[art_basic], 0.0, None).sum())
+    x_struct = np.zeros(n_struct)
+    x_struct[basis[~art_basic]] = np.clip(rhs[~art_basic], 0.0, None)
+    return iterations, optimum, x_struct[:n_vars]
+
+
+def assert_same_solve(a_eq, b_eq, a_ub=None, b_ub=None, *, n_vars):
+    """``lp_feasible`` repeats the reference's iterations, optimum and witness bit for bit."""
+    res = lp_feasible(a_eq, b_eq, a_ub, b_ub, n_vars=n_vars)
+    iterations, optimum, x = full_tableau_feasible(a_eq, b_eq, a_ub, b_ub, n_vars)
+    assert res.iterations == iterations
+    assert np.float64(res.phase1_optimum).tobytes() == np.float64(optimum).tobytes()
+    assert res.verdict == simplex._verdict_band(optimum, 1e-8)
+    if res.x is not None:
+        assert res.x.tobytes() == x.tobytes()
+    return res
+
+
+def _integer_systems(seed: int, count: int):
+    """Small integer systems, two in three feasible by construction.
+
+    Integer entries make exact ties among the reduced costs common, and the
+    many equality rows make artificials leave early, so the condensed
+    tableau moves columns out of id order before such ties are broken.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, me, mu = (int(v) for v in rng.integers((4, 2, 0), (9, 6, 3)))
+        a_eq = rng.integers(-1, 3, size=(me, n)).astype(float)
+        a_ub = rng.integers(-1, 3, size=(mu, n)).astype(float)
+        x0 = rng.integers(0, 3, size=n).astype(float)
+        b_eq = a_eq @ x0 + (k % 3 == 0)
+        b_ub = a_ub @ x0 + rng.integers(-1, 2, size=mu)
+        yield a_eq, b_eq, a_ub, b_ub, n
+
+
+class TestCondensedTableau:
+    """The condensed, column-major tableau against the full one it replaced."""
+
+    def test_rank_deficient_processing_systems(self):
+        pairs = [overcomplete_merge_pair(seed, draw) for seed, draw in MERGE_DRAWS]
+        pairs.append(refined_projective_pair(seeded_rng(20, 2, 4, 0), 10, (2, 3, 5)))
+        for coarse, fine in pairs:
+            system = _processing_system(_component_rows(fine.stacked()), _component_rows(coarse.stacked()))
+            res = assert_same_solve(*system, n_vars=(coarse.n_outcomes - 1) * fine.n_outcomes)
+            assert res.verdict == "feasible"
+
+    def test_exact_ties_after_columns_moved(self):
+        verdicts = {
+            assert_same_solve(a_eq, b_eq, a_ub, b_ub, n_vars=n).verdict
+            for a_eq, b_eq, a_ub, b_ub, n in _integer_systems(2025, 200)
+        }
+        assert verdicts == {"feasible", "infeasible"}
+
+    def test_barred_column(self):
+        a = np.zeros((5, 6))
+        a[:, 0] = 5e-8
+        a[np.arange(5), np.arange(1, 6)] = 2e-7
+        assert assert_same_solve(a, np.full(5, 2e-7), n_vars=6).verdict == "feasible"
+
+    @pytest.mark.parametrize("stall_limit", [0, simplex._STALL_LIMIT])
+    def test_bland_switch(self, monkeypatch, stall_limit):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
+        for a, b, n in _zero_rhs_systems(103, 100):
+            assert_same_solve(a, b, n_vars=n)
+        for a_eq, b_eq, a_ub, b_ub, n in _integer_systems(7, 100):
+            assert_same_solve(a_eq, b_eq, a_ub, b_ub, n_vars=n)
+
+    def test_every_column_leaves_the_block(self):
+        # each unit column enters in place of its row's artificial, which
+        # empties the block of nonbasic columns
+        res = lp_feasible(np.eye(3), np.ones(3), n_vars=3)
+        assert res.verdict == "feasible"
+        assert res.iterations == 3
+        assert np.array_equal(res.x, np.ones(3))
+        assert_same_solve(np.eye(3), np.ones(3), n_vars=3)
+
+    def test_infeasible_optimum_and_verdict(self):
+        # x0 + x1 cannot equal 1 and 2: the least total violation is 1
+        res = assert_same_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], n_vars=2)
+        assert res.verdict == "infeasible"
+        assert res.phase1_optimum == 1.0
+        assert res.x is None
