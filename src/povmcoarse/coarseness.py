@@ -8,32 +8,37 @@ outcomes possible in ``G``, and adds the volume inequality
 ``V^(2)_j >= sum_i P_ji V^(1)_i``. On bare ``(p, V)`` data the elements are
 the pairs ``(p_i, V_i)``.
 
-The operator checks first look at the span of the fine elements' real
-components (one QR of the ``(D, n)`` component matrix). A coarse element
-farther than ``10 * tol`` from that span is ``infeasible`` with no LP. When
-the fine elements are linearly independent and every coarse element lies in
-the span within ``tol``, ``P`` is unique; it is solved for directly and, if it
-is non-negative, meets the volume rows and passes the verdict rule below, the
-verdict is ``feasible``. Neither decision runs the LP, so both leave
-``phase1_optimum`` ``nan``. Every other input (a gap in the band between, a
-dependent fine side, a negative or rejected unique solution) goes to one
-linear feasibility problem over the entries of ``P``, laid out by
-:func:`_processing_system`.
+Every check solves the same problem on real component rows: ``n`` fine rows
+``F_i`` and ``m`` coarse rows ``c_j`` of length ``D``. One factorization of
+the fine rows (:func:`_span_basis`: a QR when they are independent, else a
+column-pivoted Gram-Schmidt) gives their rank ``r``, an orthonormal basis of
+their span, and ``r`` pivot outcomes ``S`` whose rows are a basis; the other
+``n - r`` outcomes ``N`` are free. Two gaps come first:
+a coarse row at distance ``g`` from the span leaves every ``P`` a component
+residual of norm at least ``g`` (the span gap), and the residuals of any left
+stochastic ``P`` sum to ``sum_j c_j - sum_i F_i`` (the completeness gap). A
+gap above ``10 * tol`` is ``infeasible`` with no LP.
 
-Both sides are complete, so the LP eliminates the last coarse outcome: its row
-is ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji`` and its ``D`` component rows follow
-from the others. The variables are the first ``m - 1`` rows of ``P``, ``P_ji``
-at ``j * n + i``; the equalities are one block of ``D`` rows per coarse
-outcome ``j < m - 1`` (the ``D`` real components of its element); the column
-sums are ``n`` inequalities ``sum_{j<m-1} P_ji <= 1``, whose slacks are the
-last row, so phase 1 starts from ``P_{m-1,.} = 1`` with no artificial variable
-on them; the subspace check appends one volume inequality per coarse outcome,
-the last one written as ``-sum_{j<m-1} sum_i P_ji V_i <= V'_{m-1} - sum_i
-V_i``. The eliminated rows hold only when the components' sums agree, and any
-left stochastic ``P`` leaves block residuals that sum to ``sum_j c_j - sum_i
-f_i``; the norm ``g`` of that vector bounds the phase-1 optimum from below, as
-the span gap does. A ``g`` above ``10 * tol`` is ``infeasible`` with no LP,
-and the LP's verdict is the band of ``max(phase-1 optimum, g)``.
+Both sides are complete, so the last coarse outcome is eliminated: its row is
+``P_{m-1,i} = 1 - sum_{j<m-1} P_ji``, and its component rows follow from the
+others up to the completeness gap. Each other row of ``P`` must reproduce the
+projection of ``c_j`` onto the span, which fixes its pivot entries by one
+``r x r`` solve for all rows at once: ``P_{j,S} = base_j - A P_{j,N}``, with
+``base_j`` the coordinates of ``c_j`` over the pivot rows and column ``t`` of
+``A`` those of the free row ``F_{N_t}``. What is left are inequalities over
+the ``(m - 1)(n - r)`` free entries (:func:`_reduced_system`): ``P_{j,S} >=
+0``, the ``n`` column sums ``sum_{j<m-1} P_ji <= 1`` (the last row is
+non-negative), and in a subspace the volume rows ``sum_i P_ji V_i <= V'_j``,
+the last one written through the eliminated row. The candidate with every
+free entry at zero is checked first: when it violates these rows by at most
+``tol`` in all, or when no entry is free (an independent fine side, whose
+``P`` is unique), no LP runs and ``phase1_optimum`` stays ``nan``. Otherwise
+a phase-1 solve over the free entries starts from that candidate, with an
+artificial variable only on the rows it violates. Its optimum is in units of
+entries of ``P``; :func:`_decide` divides it by a factor ``K`` (at least
+what one unit of component residual can cost in entries of ``P``) to put it
+on the components' scale, and the verdict is the band of the largest of that
+bound and the two gaps.
 
 Hermitian operators contribute ``d^2`` real components each: the diagonal
 plus real and imaginary parts of the strict upper triangle, which drops the
@@ -46,16 +51,17 @@ relative majorization (Ruch, Schranner & Seligman, J. Chem. Phys. 69, 386
 (1978); Renes, J. Math. Phys. 57, 122202 (2016)) decides it without pivots
 (:func:`majorization_verdicts`): with ``q = V / sum(V)``, ``P`` exists iff
 the volume totals agree and ``sum_i (p_i - t q_i)_+ >= sum_j (p'_j - t q'_j)_+``
-for every threshold ``t >= 0``. The classical check solves the LP, on the
-scale-free rows ``(p_i, V_i / sum(V))``, only to produce the witness of a
-``feasible`` verdict.
+for every threshold ``t >= 0``. The classical check solves the processing
+problem, on the scale-free rows ``(p_i, V_i / sum(V))``, only to produce the
+witness of a ``feasible`` verdict.
 
 One verdict rule (:func:`_witness_verdict`) turns a candidate ``P``, from the
-span solve or from the LP, into a :class:`CoarsenessCertificate`: the
-candidate, clipped at zero, must be left stochastic, and its residual
-(the largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``, the
-eliminated outcome included) must be at most ``max(tol, 1e-7)``; a witness
-that fails either test gives ``ambiguous``.
+solve alone or with the LP's free entries, into a
+:class:`CoarsenessCertificate`: the candidate, clipped at zero, must be left
+stochastic, and its residual (the largest per-outcome norm of ``sum_i P_ji
+Π^(1)_i - Π^(2)_j``, the eliminated outcome included) must be at most
+``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``, and
+so does a bound in the feasible band when the LP returned no witness.
 """
 
 from __future__ import annotations
@@ -81,6 +87,9 @@ from .operators import DEFAULT_ATOL, Subspace, frobenius
 from .simplex import _check_tol, _verdict_band, lp_feasible
 
 DEFAULT_FEAS_TOL = 1e-8
+# a fine component whose residual against the span of the others is at most
+# this fraction of the longest component counts as dependent
+_RANK_TOL = 1e-10
 
 OutcomeSet = tuple[int, ...]
 Partition = tuple[tuple[int, ...], ...]
@@ -109,9 +118,12 @@ class CoarsenessCertificate:
     ``residual`` is then the largest per-outcome violation of the defining
     equalities recomputed from the witness: the Frobenius norm on operators,
     the Euclidean norm over the scale-free ``(p_j, V_j / sum(V))`` pairs for
-    the classical check. ``phase1_optimum`` is the LP's phase-1 optimum,
-    raised to the completeness gap when that is larger, and ``nan`` when no
-    LP ran.
+    the classical check. ``phase1_optimum`` is a lower bound, in component
+    units, on the least total violation of the defining equalities: the
+    phase-1 optimum of the LP over the free entries of ``P`` (in units of
+    entries of ``P``) divided by the factor ``K`` that ``_decide`` derives,
+    raised to the span or completeness gap when either is larger. It is
+    ``nan`` when no LP ran.
     ``volume_slack`` and the outcome sets are populated by the subspace
     variant; ``extension`` is the witness padded to the full outcome sets (left
     stochastic by construction). ``separation`` is set by the classical check
@@ -151,43 +163,117 @@ def _component_rows(mats) -> np.ndarray:
     return np.concatenate([diag, upper.real, upper.imag], axis=1)
 
 
-def _processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
-    """Linear system of ``comp_coarse[j] = sum_i P_ji comp_fine[i]``, ``P`` left stochastic.
+def _span_basis(comp_fine):
+    """A basis of the span of the fine components: ``(q, coefs, pivots, free)``.
 
-    ``comp_fine`` is ``(n, D)`` and ``comp_coarse`` is ``(m, D)``. The last
-    coarse outcome is eliminated (``P_{m-1,i} = 1 - sum_{j<m-1} P_ji``), so
-    ``(a_eq, b_eq, a_ub, b_ub)`` is over the ``(m - 1) * n`` variables
-    ``P_ji``, ``j < m - 1``, at ``j * n + i``: ``m - 1`` blocks of ``D``
-    equality rows, then ``n`` column sums ``sum_{j<m-1} P_ji <= 1``. With
-    volumes, ``m`` inequality rows follow: ``sum_i P_ji v_fine[i] <=
-    v_coarse[j]`` for ``j < m - 1``, and for the last outcome
-    ``-sum_{j<m-1} sum_i P_ji v_fine[i] <= v_coarse[m-1] - sum(v_fine)``.
+    ``comp_fine`` is ``(n, D)``. ``pivots`` lists the ``r`` fine outcomes
+    ``S`` whose components form the basis and ``free`` the other ``n - r``
+    outcomes ``N`` in ascending order. ``q`` is ``(D, r)`` with orthonormal
+    columns and ``coefs`` is ``(r, n)``: ``comp_fine.T = q @ coefs`` exactly
+    on the pivot columns, where ``coefs[:, pivots]`` is upper triangular (to
+    rounding), and up to a residual of at most ``_RANK_TOL`` of the longest
+    row on the others.
+
+    Independent rows (an unpivoted QR whose diagonal stays above
+    ``_RANK_TOL`` of its largest entry) give ``S = range(n)`` and that QR.
+    Otherwise a greedy Gram-Schmidt picks, at each step, the row whose
+    residual against the pivots so far is longest, recomputing every residual
+    norm from the deflated rows (norms downdated instead lose the small
+    residuals to cancellation and can pick a dependent row), and stops once
+    no residual is longer than ``_RANK_TOL`` of the longest row. A row that
+    keeps less than ``1e-3`` of its length is orthogonalized once more, so
+    that ``q`` stays orthonormal to rounding.
     """
-    n, D = comp_fine.shape
-    k = comp_coarse.shape[0] - 1
-    diag = np.arange(k)
-    a_eq = np.zeros((k * D, k * n))
-    # block (j, j), viewed as (k, D, k, n), is comp_fine.T
-    a_eq.reshape(k, D, k, n)[diag, :, diag, :] = comp_fine.T
-    b_eq = comp_coarse[:k].ravel()
-    rows = n if v_fine is None else n + k + 1
-    a_ub = np.zeros((rows, k * n))
-    # the column-sum rows are k identity blocks side by side
-    a_ub[:n].reshape(n, k, n)[:] = np.eye(n)[:, None, :]
+    n, big_d = comp_fine.shape
+    if n <= big_d:
+        q, coefs = np.linalg.qr(comp_fine.T)
+        diag = np.abs(coefs.diagonal()).tolist()
+        if min(diag) > _RANK_TOL * max(diag):
+            return q, coefs, np.arange(n), np.arange(0)
+    rest = comp_fine.copy()
+    norms = np.einsum("ij,ij->i", rest, rest)
+    lengths = norms.tolist()
+    floor = _RANK_TOL**2 * max(lengths)
+    pivots, units, coefs = [], [], []
+    for _ in range(min(n, big_d)):
+        p = int(norms.argmax())
+        top = float(norms[p])
+        if not top > floor:
+            break
+        unit = rest[p] * (1.0 / math.sqrt(top))
+        if top < 1e-6 * lengths[p]:
+            basis = np.array(units)
+            unit -= (basis @ unit) @ basis
+            unit /= math.sqrt(float(unit @ unit))
+        coef = rest @ unit
+        rest -= coef[:, None] * unit
+        norms = np.einsum("ij,ij->i", rest, rest)
+        pivots.append(p)
+        units.append(unit)
+        coefs.append(coef)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    return np.array(units).T, np.array(coefs), np.array(pivots, dtype=int), np.flatnonzero(free)
+
+
+def _reduced_system(base, dep, pivots, free, v_fine=None, v_coarse=None):
+    """Inequalities ``a_ub y <= b_ub`` over the free entries ``y`` of a left stochastic ``P``.
+
+    ``base`` is ``(k, r)`` and ``dep`` is ``(r, f)``: the rows ``j < k`` of
+    ``P`` have ``P_{j,S} = base[j] - dep @ P_{j,N}`` on the pivot outcomes
+    ``S = pivots`` and are free on ``N = free`` (:func:`_decide`). The
+    variables are ``P_{j,N}``, ``j < k``, with ``P_{j,free[t]}`` at
+    ``j * f + t``. The rows are ``k`` blocks of ``r`` rows ``dep @ P_{j,N}
+    <= base[j]`` (``P_{j,S} >= 0``), then ``n`` column sums ``sum_{j<k} P_ji
+    <= 1``, row ``i`` for fine outcome ``i``, with ``P_{j,S}`` substituted.
+    With volumes, ``k + 1`` rows follow: ``sum_i P_ji v_fine[i] <=
+    v_coarse[j]`` for ``j < k``, and ``-sum_{j<k} sum_i P_ji v_fine[i] <=
+    v_coarse[k] - sum(v_fine)`` for the last outcome, again substituted.
+    """
+    k, r = base.shape
+    f = dep.shape[1]
+    n = r + f
+    rows = k * r + n + (0 if v_fine is None else k + 1)
+    a_ub = np.zeros((rows, k * f))
     b_ub = np.ones(rows)
+    diag = np.arange(k)
+    # block (j, j), viewed as (k, r, k, f), is dep
+    a_ub[: k * r].reshape(k, r, k, f)[diag, :, diag, :] = dep
+    b_ub[: k * r] = base.ravel()
+    sums = a_ub[k * r : k * r + n].reshape(n, k, f)
+    sums[pivots] = -dep[:, None, :]
+    sums[free, :, np.arange(f)] = 1.0
+    b_ub[k * r + pivots] -= base.sum(axis=0)
     if v_fine is not None:
-        volume = a_ub[n:].reshape(k + 1, k, n)
-        volume[diag, diag] = v_fine
-        volume[k] = -v_fine
-        b_ub[n:] = v_coarse
-        b_ub[-1] -= v_fine.sum()
-    return a_eq, b_eq, a_ub, b_ub
+        v_s = v_fine[pivots]
+        net = v_fine[free] - v_s @ dep  # volume moved per unit of P_{j,N}
+        spent = base @ v_s
+        volume = a_ub[k * r + n :].reshape(k + 1, k, f)
+        volume[diag, diag] = net
+        volume[k] = -net
+        b_ub[k * r + n : -1] = v_coarse[:k] - spent
+        b_ub[-1] = v_coarse[k] - v_fine.sum() + spent.sum()
+    return a_ub, b_ub
+
+
+def _violation(mat, v_fine=None, v_coarse=None) -> float:
+    """What a full ``(m, n)`` candidate violates of the rows of :func:`_reduced_system`.
+
+    Its negative entries (the top rows' pivot entries and, through the
+    column sums, the last row) and, with volumes, each coarse volume it
+    overspends: ``(mat @ v_fine - v_coarse)_+``.
+    """
+    total = -float(np.minimum(mat, 0.0).sum()) if mat.min() < 0.0 else 0.0
+    if v_fine is not None:
+        total += float(np.maximum(mat @ v_fine - v_coarse, 0.0).sum())
+    return total
 
 
 def _residual(mat: np.ndarray, fine: np.ndarray, coarse: np.ndarray) -> float:
     """Largest per-outcome norm of ``sum_i mat[j, i] fine[i] - coarse[j]``, elements flattened."""
     diff = mat @ fine.reshape(len(fine), -1) - coarse.reshape(len(coarse), -1)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+    parts = diff.view(np.float64)  # real and imaginary parts side by side
+    return math.sqrt(float(np.einsum("ij,ij->i", parts, parts).max()))
 
 
 def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertificate:
@@ -198,7 +284,7 @@ def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertif
     within ``max(tol, 1e-7)``.
     """
     try:
-        witness = StochasticMatrix(np.clip(mat, 0.0, None), col_tol=max(DEFAULT_FEAS_TOL, tol))
+        witness = StochasticMatrix(np.maximum(mat, 0.0), col_tol=max(DEFAULT_FEAS_TOL, tol))
     except NotStochasticError:
         return CoarsenessCertificate("ambiguous", None, math.inf, phase1_optimum)
     residual = _residual(witness.matrix, fine, coarse)
@@ -207,70 +293,86 @@ def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertif
     return CoarsenessCertificate("feasible", witness, residual, phase1_optimum)
 
 
-def _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse):
-    """The certificate that the span of the fine components settles without an LP, or ``None``.
-
-    With ``F = QR`` the thin QR of the ``(D, n)`` fine component matrix, a
-    coarse row ``c_j`` at distance ``g`` from the span of ``Q`` leaves every
-    ``P`` a component residual of Euclidean norm at least ``g``, so the LP's
-    L1 phase-1 optimum is at least ``g``: a gap above ``10 * tol`` is
-    ``infeasible``. When the fine components are independent and every gap is
-    at most ``tol``, ``P = R^-1 Q^T C`` is the only candidate; it is returned
-    when no entry is below ``-tol``, it meets the volume rows within ``tol``
-    and it passes :func:`_witness_verdict`. Anything else is left to the LP.
-    """
-    n, big_d = comp_fine.shape
-    if n > big_d:  # Q would span all of R^D
-        return None
-    q, r = np.linalg.qr(comp_fine.T)
-    coords = comp_coarse @ q
-    gap = float(np.max(np.linalg.norm(comp_coarse - coords @ q.T, axis=1)))
-    band = _verdict_band(gap, tol)
-    if band == "infeasible":
-        return CoarsenessCertificate("infeasible", None, math.inf, math.nan)
-    scale = np.abs(np.diag(r))
-    if band != "feasible" or scale.min() <= 1e-10 * scale.max():
-        return None
-    mat = np.linalg.solve(r, coords.T).T
-    if mat.min() < -tol:
-        return None
-    if v_fine is not None and np.max(np.clip(mat, 0.0, None) @ v_fine - v_coarse) > tol:
-        return None
-    cert = _witness_verdict(mat, fine, coarse, tol, math.nan)
-    return cert if cert.feasible else None
-
-
 def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertificate:
-    """Decide ``coarse = P @ fine`` for two element stacks: by their span, else by the LP.
+    """Decide ``coarse = P @ fine`` for two element stacks (module docstring).
 
     The stacks hold operators, ``(n, d, d)`` and ``(m, d, d)``, or rows of
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
-    components. Before the LP, the completeness gap (module docstring)
-    decides ``infeasible`` when it is above ``10 * tol``; the LP's candidate
-    is the top ``m - 1`` rows of ``P``, completed by ``1 - top.sum(0)``.
+    components. With ``R_S = coefs[:, S]`` from :func:`_span_basis`, the
+    coordinates over the pivot rows are ``base = R_S^-1 q^T c_j`` for the
+    coarse rows and ``A = R_S^-1 coefs[:, N]`` for the free ones.
+
+    The bound. Let ``z`` be the least total violation of the reduced rows and
+    ``K = max(1, (2 + 2 |v|) sqrt(r) |R_S^-1|_F)``, ``|v|`` the Euclidean
+    norm of the fine volumes (0 without them). Take any ``P >= 0`` whose rows
+    ``j < m - 1`` keep their column sums at most 1, with component residuals
+    ``e_j`` and volume-row violations ``u`` in all, and keep its free
+    entries. The free rows are ``F_i = A_i F_S + E_i`` with ``E_i``
+    orthogonal to the span, so ``base_j - A P_{j,N} = P_{j,S} + d_j``, where
+    ``d_j`` holds the coordinates over ``F_S`` of the projection of ``e_j``:
+    ``|d_j|_2 <= |R_S^-1|_F |e_j|_2``. As ``P_{j,S} >= 0``, the rows
+    ``P_{j,S} >= 0`` are violated by at most ``sum_j |d_j|_1 <= sqrt(r)
+    sum_j |d_j|_2`` in all, the pivot column sums by at most as much, and
+    the volume rows by at most ``u + 2 |v| sum_j |d_j|_2``. So ``z <= u +
+    (2 sqrt(r) + 2 |v|) sum_j |d_j|_2 <= K (u + sum_j |e_j|_1)``, and ``z /
+    K`` is at most what the LP over all ``(m - 1) x n`` entries, one equality
+    per component, charges any ``P``. The phase-1 optimum equals ``z`` when
+    its end point violates only rows that start violated (rows that ``y = 0``
+    meets stay hard in phase 1, as the column sums did in that LP); either
+    way it is positive exactly when no ``P`` exists, and ``K`` puts it on the
+    components' scale before the band.
     """
     _check_tol(tol)
     if fine.ndim == 2:
         comp_fine, comp_coarse = fine, coarse
     else:
-        comp_fine, comp_coarse = _component_rows(fine), _component_rows(coarse)
-    decided = _span_decision(comp_fine, comp_coarse, fine, coarse, tol, v_fine, v_coarse)
-    if decided is not None:
-        return decided
-    # the block residuals of any left stochastic P sum to this vector; the
-    # eliminated outcome's rows follow from the others only where it is zero
-    gap = float(np.linalg.norm(comp_coarse.sum(axis=0) - comp_fine.sum(axis=0)))
+        comps = _component_rows(np.concatenate([fine, coarse]))
+        comp_fine, comp_coarse = comps[: len(fine)], comps[len(fine) :]
+    q, coefs, pivots, free = _span_basis(comp_fine)
+    coords = comp_coarse @ q
+    # a coarse row at distance g from the span leaves every P a component
+    # residual of norm at least g, and the block residuals of any left
+    # stochastic P sum to the completeness gap's vector
+    span_gap = 0.0
+    if len(pivots) < comp_fine.shape[1]:
+        rest = comp_coarse - coords @ q.T
+        span_gap = math.sqrt(float(np.einsum("ij,ij->i", rest, rest).max()))
+    miss = comp_coarse.sum(axis=0) - comp_fine.sum(axis=0)
+    gap = max(span_gap, math.sqrt(float(miss @ miss)))
     if _verdict_band(gap, tol) == "infeasible":
         return CoarsenessCertificate("infeasible", None, math.inf, math.nan)
-    k, n = len(coarse) - 1, len(fine)
-    system = _processing_system(comp_fine, comp_coarse, v_fine, v_coarse)
-    result = lp_feasible(*system, n_vars=k * n, tol=tol)
-    optimum = max(result.phase1_optimum, gap)
+    r_inv = np.linalg.inv(coefs[:, pivots])
+    base = coords[:-1] @ r_inv.T
+    k, f = len(base), len(free)
+    # the candidate with every free entry at zero
+    mat = np.zeros((k + 1, len(comp_fine)))
+    mat[:k, pivots] = base
+    mat[k] = 1.0 - mat[:k].sum(axis=0)
+    violation = _violation(mat, v_fine, v_coarse)
+    ran = violation > tol and k * f > 0
+    if ran:
+        dep = r_inv @ coefs[:, free]
+        a_ub, b_ub = _reduced_system(base, dep, pivots, free, v_fine, v_coarse)
+        result = lp_feasible(a_ub=a_ub, b_ub=b_ub, n_vars=k * f, tol=tol)
+        violation = result.phase1_optimum
+        if result.x is None:
+            mat = None
+        else:
+            mat[:k, free] = result.x.reshape(k, f)
+            mat[:k, pivots] -= mat[:k, free] @ dep.T
+            mat[k] = 1.0 - mat[:k].sum(axis=0)
+    if violation > tol:
+        v_norm = 0.0 if v_fine is None else math.sqrt(float(v_fine @ v_fine))
+        scale = (2.0 + 2.0 * v_norm) * math.sqrt(len(pivots) * float(np.vdot(r_inv, r_inv)))
+        violation /= max(1.0, scale)
+    optimum = max(violation, gap)
+    phase1 = optimum if ran else math.nan
     verdict = _verdict_band(optimum, tol)
     if verdict != "feasible":
-        return CoarsenessCertificate(verdict, None, math.inf, optimum)
-    top = result.x.reshape(k, n)
-    return _witness_verdict(np.vstack([top, 1.0 - top.sum(axis=0)]), fine, coarse, tol, optimum)
+        return CoarsenessCertificate(verdict, None, math.inf, phase1)
+    if mat is None:
+        return CoarsenessCertificate("ambiguous", None, math.inf, phase1)
+    return _witness_verdict(mat, fine, coarse, tol, phase1)
 
 
 def mixture_residual(coarse: GeneralizedMeasurement, fine: GeneralizedMeasurement, p) -> float:
@@ -296,13 +398,12 @@ def check_coarser(
     """Decide ``coarse = P @ fine`` elementwise for some left stochastic ``P``.
 
     The span of the fine elements decides first: a coarse element more than
-    ``10 * tol`` outside it gives ``infeasible``, and linearly independent fine
-    elements give the unique ``P``, ``feasible`` when it passes the verdict
-    rule; neither runs an LP. Otherwise one equality per Hermitian component
-    of each coarse element but the last, plus one column-sum inequality per
-    fine outcome, go to a phase-1 solve over the ``(m - 1) x n`` non-negative
-    unknowns ``P_ji``, ``j < m - 1``; the last row of ``P`` is what the
-    column sums leave.
+    ``10 * tol`` outside it gives ``infeasible``. The entries of ``P`` on a
+    basis of fine outcomes are then solved from the others; linearly
+    independent fine elements leave none free and give the unique ``P`` with
+    no LP. Otherwise a phase-1 solve runs over the free entries of the first
+    ``m - 1`` rows of ``P``, unless setting them to zero already gives a
+    witness; the last row is what the column sums leave.
     """
     if coarse.dim != fine.dim:
         raise DimensionMismatchError(f"dimensions differ: {coarse.dim} vs {fine.dim}")
@@ -330,21 +431,17 @@ def majorization_verdicts(
     """
     _check_tol(tol)
     total = fine.total_volume
-    q = fine.volumes / total
     totals = volumes.sum(axis=-1)
-    quotas = volumes / totals[:, None]
+    # threshold-major (outcome, threshold, candidate) arrays: each sum over
+    # the outcomes runs along the leading axis
+    p_f, q_f = fine.probs[:, None, None], (fine.volumes / total)[:, None, None]
+    p_c, q_c = probs.T[:, None, :], (volumes / totals[:, None]).T[:, None, :]
     k = len(probs)
-    ratios = np.concatenate(
-        [np.zeros((k, 1)), np.broadcast_to(fine.probs / q, (k, fine.n)), probs / quotas], axis=1
-    )
-    t = ratios[:, :, None]
-    values = (
-        np.clip(fine.probs - t * q, 0.0, None).sum(axis=-1)
-        - np.clip(probs[:, None, :] - t * quotas[:, None, :], 0.0, None).sum(axis=-1)
-    )
-    worst = np.argmin(values, axis=1)[:, None]
-    slacks = np.take_along_axis(values, worst, axis=1)[:, 0]
-    thresholds = np.take_along_axis(ratios, worst, axis=1)[:, 0]
+    fine_ratios = np.broadcast_to((p_f / q_f)[:, 0], (fine.n, k))
+    t = np.concatenate([np.zeros((1, k)), fine_ratios, (p_c / q_c)[:, 0]])
+    values = np.maximum(p_f - t * q_f, 0.0).sum(axis=0) - np.maximum(p_c - t * q_c, 0.0).sum(axis=0)
+    worst, every = np.argmin(values, axis=0), np.arange(k)
+    slacks, thresholds = values[worst, every], t[worst, every]
     gaps = np.abs(totals - total) / total
     verdicts = _verdict_band(np.maximum(-slacks, gaps), tol)
     return verdicts, thresholds, slacks, gaps
@@ -435,9 +532,10 @@ def check_coarser_in_subspace(
     exactly to :func:`check_coarser`. As there, the span of the fine blocks
     decides first: a coarse block more than ``10 * tol`` outside it gives
     ``infeasible``, and independent fine blocks give the unique ``P``, which is
-    ``feasible`` when it also meets the volume rows within ``tol``; the LP runs
-    for everything else, for instance when more than ``r^2`` fine outcomes are
-    possible.
+    ``feasible`` when it also meets the volume rows within ``tol``; the LP over
+    the free entries of ``P`` runs when some are free, for instance when more
+    than ``r^2`` fine outcomes are possible, and setting them to zero does not
+    meet the rows.
     """
     if coarse.dim != fine.dim or coarse.dim != subspace.dim:
         raise DimensionMismatchError(

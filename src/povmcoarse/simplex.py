@@ -80,6 +80,7 @@ _STALL_LIMIT = 200
 _AMBIGUOUS_FACTOR = 10.0
 # verdicts by band index: 1 + (above the ambiguous band) - (within tol)
 _BANDS = np.array(["feasible", "ambiguous", "infeasible"])
+_BAND_NAMES = tuple(_BANDS.tolist())
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ def _verdict_band(violation, tol: float):
     a ``<U10`` array of the same shape.
     """
     band = 1 + (violation > _AMBIGUOUS_FACTOR * tol) - (violation <= tol)
-    return str(_BANDS[band]) if np.ndim(band) == 0 else _BANDS[band]
+    # a scalar's band indexes the tuple: indexing the array costs more than the comparisons
+    return _BANDS[band] if isinstance(band, np.ndarray) else _BAND_NAMES[band]
 
 
 def _check_n_vars(n_vars) -> int:

@@ -155,3 +155,44 @@ def refined_projective_pair(rng, dim, ranks):
     order = rng.permutation(len(pieces))
     fine = validate_measurement([pieces[i] for i in order], atol=1e-9)
     return validate_measurement(projectors, atol=1e-9), fine
+
+
+def eliminated_processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
+    """The processing LP over all of ``P`` but its last row, assembled one entry at a time.
+
+    ``comp_coarse[j] = sum_i P_ji comp_fine[i]`` is one block of ``D``
+    equality rows per coarse outcome ``j < m - 1`` over the variables
+    ``P_ji`` at ``j * n + i``; ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji`` is the
+    slack of column sum ``i``, and with volumes the last outcome's volume row
+    is rewritten in the other rows' variables. The library solves a reduced
+    form of this system; the full one keeps the simplex tests on its many
+    degenerate equality rows. Returns ``(a_eq, b_eq, a_ub, b_ub)``.
+    """
+    n, big_d = comp_fine.shape
+    k = comp_coarse.shape[0] - 1
+    a_eq = np.zeros((k * big_d, k * n))
+    b_eq = np.zeros(k * big_d)
+    for j in range(k):
+        for c in range(big_d):
+            b_eq[j * big_d + c] = comp_coarse[j, c]
+            for i in range(n):
+                a_eq[j * big_d + c, j * n + i] = comp_fine[i, c]
+    rows = n if v_fine is None else n + k + 1
+    a_ub = np.zeros((rows, k * n))
+    b_ub = np.zeros(rows)
+    for i in range(n):
+        b_ub[i] = 1.0
+        for j in range(k):
+            a_ub[i, j * n + i] = 1.0
+    if v_fine is None:
+        return a_eq, b_eq, a_ub, b_ub
+    for j in range(k):
+        b_ub[n + j] = v_coarse[j]
+        for i in range(n):
+            a_ub[n + j, j * n + i] = v_fine[i]
+    # V'_{m-1} >= sum_i (1 - sum_{j<m-1} P_ji) V_i
+    b_ub[n + k] = v_coarse[k] - np.sum(v_fine)
+    for j in range(k):
+        for i in range(n):
+            a_ub[n + k, j * n + i] = -v_fine[i]
+    return a_eq, b_eq, a_ub, b_ub

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from povmcoarse import (
     FeasibilityResult,
@@ -32,7 +34,8 @@ from povmcoarse.coarseness import (
     Separation,
     _component_rows,
     _extension_from,
-    _processing_system,
+    _reduced_system,
+    _span_basis,
     _upper_indices,
     _witness_verdict,
 )
@@ -61,6 +64,7 @@ from conftest import (
     KET_PLUS,
     MERGE_DRAWS,
     classical_two_outcome_feasible,
+    eliminated_processing_system,
     exhaustive_partition_exists,
     ket,
     overcomplete_merge_pair,
@@ -78,54 +82,54 @@ def four_dim_pair():
     return coarse, fine
 
 
-def loop_processing_system(comp_fine, comp_coarse, v_fine=None, v_coarse=None):
-    """Reference assembly of the processing LP, one entry at a time.
+def loop_reduced_system(base, dep, pivots, free, v_fine=None, v_coarse=None):
+    """Reference assembly of the reduced processing LP, one entry at a time.
 
-    The last coarse outcome is eliminated: ``P_{m-1,i} = 1 - sum_{j<m-1} P_ji``
-    is the slack of column sum ``i``, and its volume row is rewritten in the
-    other rows' variables.
+    Variable ``j * f + t`` is ``P_{j,free[t]}`` for ``j < k``, and
+    ``P_{j,pivots[s]} = base[j, s] - sum_t dep[s, t] P_{j,free[t]}``. Rows:
+    ``P_{j,pivots[s]} >= 0``, then the column sum of every fine outcome,
+    then with volumes one row per coarse outcome, the last one's rewritten
+    through ``P_{k,i} = 1 - sum_{j<k} P_ji``.
     """
-    n, big_d = comp_fine.shape
-    k = comp_coarse.shape[0] - 1
-    a_eq = np.zeros((k * big_d, k * n))
-    b_eq = np.zeros(k * big_d)
-    for j in range(k):
-        for c in range(big_d):
-            b_eq[j * big_d + c] = comp_coarse[j, c]
-            for i in range(n):
-                a_eq[j * big_d + c, j * n + i] = comp_fine[i, c]
-    rows = n if v_fine is None else n + k + 1
-    a_ub = np.zeros((rows, k * n))
+    k, r = base.shape
+    f = len(free)
+    n = r + f
+    rows = k * r + n + (0 if v_fine is None else k + 1)
+    a_ub = np.zeros((rows, k * f))
     b_ub = np.zeros(rows)
-    for i in range(n):
-        b_ub[i] = 1.0
+    for j in range(k):
+        for s in range(r):
+            b_ub[j * r + s] = base[j, s]
+            for t in range(f):
+                a_ub[j * r + s, j * f + t] = dep[s, t]
+    for s, i in enumerate(pivots):
+        b_ub[k * r + i] = 1.0 - sum(base[j, s] for j in range(k))
         for j in range(k):
-            a_ub[i, j * n + i] = 1.0
+            for t in range(f):
+                a_ub[k * r + i, j * f + t] = -dep[s, t]
+    for t, i in enumerate(free):
+        b_ub[k * r + i] = 1.0
+        for j in range(k):
+            a_ub[k * r + i, j * f + t] = 1.0
     if v_fine is None:
-        return a_eq, b_eq, a_ub, b_ub
+        return a_ub, b_ub
+    spent = [sum(base[j, s] * v_fine[i] for s, i in enumerate(pivots)) for j in range(k)]
+    net = [v_fine[i] - sum(dep[s, t] * v_fine[p] for s, p in enumerate(pivots))
+           for t, i in enumerate(free)]
     for j in range(k):
-        b_ub[n + j] = v_coarse[j]
-        for i in range(n):
-            a_ub[n + j, j * n + i] = v_fine[i]
-    # V'_{m-1} >= sum_i (1 - sum_{j<m-1} P_ji) V_i
-    b_ub[n + k] = v_coarse[k] - np.sum(v_fine)
+        b_ub[k * r + n + j] = v_coarse[j] - spent[j]
+        for t in range(f):
+            a_ub[k * r + n + j, j * f + t] = net[t]
+    # V'_k >= sum_i (1 - sum_{j<k} P_ji) V_i
+    b_ub[k * r + n + k] = v_coarse[k] - sum(v_fine) + sum(spent)
     for j in range(k):
-        for i in range(n):
-            a_ub[n + k, j * n + i] = -v_fine[i]
-    return a_eq, b_eq, a_ub, b_ub
+        for t in range(f):
+            a_ub[k * r + n + k, j * f + t] = -net[t]
+    return a_ub, b_ub
 
 
 class TestProcessingSystem:
     """The one LP layout shared by the three checks, against a loop assembly."""
-
-    @staticmethod
-    def assert_same_system(got, want):
-        for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-            else:
-                assert g.shape == w.shape
-                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_component_rows_match_per_matrix_flattening(self, d):
@@ -145,59 +149,139 @@ class TestProcessingSystem:
                 arr[0] = 1
         assert all(np.array_equal(a, b) for a, b in zip(_upper_indices(5), np.triu_indices(5, k=1)))
 
-    # (m, n, D): D = 2 is the classical (p_j, V_j) layout, D = 4 and 9 are
-    # qubit and qutrit components; n == D makes the fine block square, where a
-    # transposed block would broadcast without an error
-    @pytest.mark.parametrize(
-        "m, n, big_d",
-        [(2, 2, 2), (3, 2, 2), (1, 4, 2), (2, 4, 4), (3, 4, 4), (2, 3, 9), (4, 9, 9)],
-    )
-    def test_matches_loop_assembly(self, m, n, big_d):
-        rng = np.random.default_rng(100 * m + 10 * n + big_d)
-        comp_fine = rng.standard_normal((n, big_d))
-        comp_coarse = rng.standard_normal((m, big_d))
-        self.assert_same_system(
-            _processing_system(comp_fine, comp_coarse),
-            loop_processing_system(comp_fine, comp_coarse),
-        )
-        v_fine, v_coarse = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m)
-        self.assert_same_system(
-            _processing_system(comp_fine, comp_coarse, v_fine, v_coarse),
-            loop_processing_system(comp_fine, comp_coarse, v_fine, v_coarse),
-        )
+    @staticmethod
+    def random_layout(rng, k, r, f):
+        """Random ``base``, ``dep`` and a shuffled split of ``r + f`` outcomes into pivots and free ones."""
+        order = rng.permutation(r + f)
+        return rng.standard_normal((k, r)), rng.standard_normal((r, f)), order[:r], np.sort(order[r:])
 
-    def test_classical_rows_are_outcome_major_pairs(self):
-        fine = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
-        coarse = WeightedDistribution([0.5, 0.25, 0.25], [1.5, 0.25, 0.25])
-        pairs_fine = np.array([fine.probs, fine.volumes]).T
-        pairs_coarse = np.array([coarse.probs, coarse.volumes]).T
-        a_eq, b_eq, a_ub, b_ub = _processing_system(pairs_fine, pairs_coarse)
-        # variables P_00, P_01, P_10, P_11; P_2i is the slack of column sum i
-        np.testing.assert_array_equal(b_eq, [0.5, 1.5, 0.25, 0.25])
-        np.testing.assert_array_equal(
-            a_eq,
-            [
-                [0.75, 0.25, 0.0, 0.0],
-                [1.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 0.75, 0.25],
-                [0.0, 0.0, 1.0, 1.0],
-            ],
-        )
-        np.testing.assert_array_equal(b_ub, [1.0, 1.0])
-        np.testing.assert_array_equal(a_ub, [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        # with volumes, the last outcome's row is 0.25 >= (1 - P_00 - P_10) + (1 - P_01 - P_11)
-        _, _, a_ub, b_ub = _processing_system(pairs_fine, pairs_coarse, fine.volumes, coarse.volumes)
-        np.testing.assert_array_equal(b_ub, [1.0, 1.0, 1.5, 0.25, -1.75])
-        np.testing.assert_array_equal(
-            a_ub,
-            [
-                [1.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, 1.0],
-                [1.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 1.0, 1.0],
-                [-1.0, -1.0, -1.0, -1.0],
-            ],
-        )
+    # (k, r, f): k = 0 is a one-outcome coarse side, f = 0 an independent
+    # fine side (no variables), r = f makes the dependency block square
+    @pytest.mark.parametrize(
+        "k, r, f", [(1, 2, 1), (2, 2, 2), (0, 2, 3), (1, 4, 0), (2, 4, 3), (3, 9, 2), (3, 4, 5)]
+    )
+    def test_matches_loop_assembly(self, k, r, f):
+        rng = np.random.default_rng(100 * k + 10 * r + f)
+        base, dep, pivots, free = self.random_layout(rng, k, r, f)
+        got = _reduced_system(base, dep, pivots, free)
+        want = loop_reduced_system(base, dep, pivots, free)
+        v_fine, v_coarse = rng.uniform(0.1, 2.0, r + f), rng.uniform(0.1, 2.0, k + 1)
+        got += _reduced_system(base, dep, pivots, free, v_fine, v_coarse)
+        want += loop_reduced_system(base, dep, pivots, free, v_fine, v_coarse)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            # copied entries are equal; sums may round differently
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("volumes", [False, True])
+    def test_rows_are_the_constraints_of_the_full_matrix(self, volumes):
+        """On a ``P`` built from its free entries, every row reads the violation of its constraint."""
+        rng = np.random.default_rng(4140 + volumes)
+        k, r, f = 3, 4, 3
+        base, dep, pivots, free = self.random_layout(rng, k, r, f)
+        v_fine = v_coarse = None
+        if volumes:
+            v_fine, v_coarse = rng.uniform(0.1, 2.0, r + f), rng.uniform(0.1, 2.0, k + 1)
+        a_ub, b_ub = _reduced_system(base, dep, pivots, free, v_fine, v_coarse)
+        y = rng.uniform(0.0, 1.0, k * f)
+        mat = np.empty((k + 1, r + f))
+        mat[:k, free] = y.reshape(k, f)
+        mat[:k, pivots] = base - y.reshape(k, f) @ dep.T
+        mat[k] = 1.0 - mat[:k].sum(axis=0)
+        # -P_{j,S} in pivot order, the column sums minus 1, then the overspent volumes
+        want = [-mat[:k, pivots].ravel(), mat[:k].sum(axis=0) - 1.0]
+        if volumes:
+            want.append(mat @ v_fine - v_coarse)
+        np.testing.assert_allclose(a_ub @ y - b_ub, np.concatenate(want), rtol=0.0, atol=1e-12)
+
+    def test_classical_rows(self):
+        """Three fine pairs in a plane: two pivots and one free entry per row of ``P``."""
+        # (p_i, V_i / sum V) for p = (1/2, 1/4, 1/4), V = (1, 1, 1), and the
+        # coarse pairs for p' = (1/2, 1/2), V' = (2, 1)
+        fine = np.array([[0.5, 1.0], [0.25, 1.0], [0.25, 1.0]]) / [1.0, 3.0]
+        coarse = np.array([[0.5, 2.0], [0.5, 1.0]]) / [1.0, 3.0]
+        q, coefs, pivots, free = _span_basis(fine)
+        # the first pair is the longest, then the first of two equal residuals
+        np.testing.assert_array_equal(pivots, [0, 1])
+        np.testing.assert_array_equal(free, [2])
+        r_inv = np.linalg.inv(coefs[:, pivots])
+        base = (coarse[:-1] @ q) @ r_inv.T
+        dep = r_inv @ coefs[:, free]
+        # fine pairs 1 and 2 are equal, and coarse pair 0 is twice pair 1:
+        # (P_00, P_01) = (0, 2) - (0, 1) P_02
+        np.testing.assert_allclose(base, [[0.0, 2.0]], atol=1e-14)
+        np.testing.assert_allclose(dep, [[0.0], [1.0]], atol=1e-14)
+        a_ub, b_ub = _reduced_system(base, dep, pivots, free)
+        # P_00 >= 0, P_01 >= 0, then the column sums of P_00, P_01, P_02
+        np.testing.assert_allclose(a_ub, [[0.0], [1.0], [-0.0], [-1.0], [1.0]], atol=1e-14)
+        np.testing.assert_allclose(b_ub, [0.0, 2.0, 1.0, -1.0, 1.0], atol=1e-14)
+        # with volumes, P_0 moves V_2 - V_1 = 0 per unit of P_02
+        v_fine, v_coarse = np.ones(3), np.array([2.0, 1.0])
+        a_ub, b_ub = _reduced_system(base, dep, pivots, free, v_fine, v_coarse)
+        np.testing.assert_allclose(a_ub[5:], [[0.0], [0.0]], atol=1e-14)
+        np.testing.assert_allclose(b_ub[5:], [0.0, 0.0], atol=1e-14)
+
+
+class TestSpanBasis:
+    """The factorization that splits the fine outcomes into pivots and free ones."""
+
+    @staticmethod
+    def assert_basis(comp_fine, rank):
+        q, coefs, pivots, free = _span_basis(comp_fine)
+        n = len(comp_fine)
+        assert len(pivots) == rank and q.shape == (comp_fine.shape[1], rank)
+        assert coefs.shape == (rank, n)
+        np.testing.assert_array_equal(np.sort(np.concatenate([pivots, free])), np.arange(n))
+        assert np.all(np.diff(free) > 0)
+        np.testing.assert_allclose(q.T @ q, np.eye(rank), atol=1e-13)
+        # upper triangular in pivot order (to rounding), and exact on every row
+        assert np.max(np.abs(np.tril(coefs[:, pivots], -1))) <= 1e-13
+        np.testing.assert_allclose(q @ coefs, comp_fine.T, atol=1e-12)
+        # every fine row lies in the span of the pivots'
+        rest = comp_fine - (comp_fine @ q) @ q.T
+        assert np.max(np.abs(rest)) <= 1e-12
+        return pivots, free
+
+    @pytest.mark.parametrize("n, big_d", [(1, 4), (3, 4), (4, 4), (5, 9)])
+    def test_independent_rows_are_all_pivots_in_order(self, n, big_d):
+        comp_fine = np.random.default_rng(n + big_d).standard_normal((n, big_d))
+        pivots, free = self.assert_basis(comp_fine, n)
+        np.testing.assert_array_equal(pivots, np.arange(n))
+        assert free.size == 0
+
+    @pytest.mark.parametrize("n, rank, big_d", [(5, 2, 4), (6, 3, 9), (20, 16, 16), (12, 5, 16)])
+    def test_dependent_rows_give_their_rank(self, n, rank, big_d):
+        rng = np.random.default_rng(10 * n + rank)
+        comp_fine = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, big_d))
+        self.assert_basis(comp_fine, rank)
+
+    def test_greedy_pivot_is_the_longest_residual(self):
+        # rows 0 and 1 are parallel, row 2 is nearly so: the long row 1 comes
+        # first, then row 2's residual (1e-3), never row 0 (residual 0)
+        comp_fine = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [2.0, 1e-3, 0.0], [0.0, 0.0, 0.5]])
+        pivots, free = self.assert_basis(comp_fine, 3)
+        np.testing.assert_array_equal(pivots, [1, 3, 2])
+        np.testing.assert_array_equal(free, [0])
+
+    def test_nearly_parallel_rows_keep_the_basis_orthonormal(self):
+        # each row is 1e-7 off the span of the ones before it, so Gram-Schmidt
+        # cancels nearly all of it; the reorthogonalized basis still holds
+        rng = np.random.default_rng(4170)
+        base = rng.standard_normal(6)
+        rows = [base + 1e-7 * rng.standard_normal(6) for _ in range(4)]
+        comp_fine = np.vstack([base, *rows, rows[0] + rows[1]])
+        self.assert_basis(comp_fine, 5)
+
+    @pytest.mark.parametrize(
+        "offset, rank", [(2e-10, 2), (0.5e-10, 1)], ids=["above-tolerance", "below-tolerance"]
+    )
+    def test_rank_tolerance(self, offset, rank):
+        """A row off the span of a unit row by more than ``1e-10`` is a pivot; by less, it is free."""
+        comp_fine = np.array([[1.0, 0.0], [1.0, offset]])
+        # two rows go to the unpivoted QR first; a third (more rows than
+        # components) goes straight to the greedy loop, which must agree
+        for rows in (comp_fine, np.vstack([comp_fine, comp_fine[0]])):
+            assert len(_span_basis(rows)[2]) == rank
 
 
 def dependent_fine():
@@ -207,31 +291,37 @@ def dependent_fine():
 
 
 class TestVerdictRule:
-    """All three checks downgrade a solver witness that does not reproduce the targets.
+    """All three checks downgrade a solver witness that is not left stochastic.
 
-    Each input has three fine outcomes whose span leaves the LP to decide:
-    dependent elements for the operator checks, three pairs in a plane for
-    the classical one.
+    Each input has three fine outcomes, two of them with equal components
+    (dependent elements for the operator checks, three pairs in a plane for
+    the classical one), so one entry per row of ``P`` is free, and the
+    solved entries alone overfill a column, so the LP runs. Any free entries
+    reproduce the targets within the span, since the other entries are
+    solved from them, so a bad witness shows as a column that the clipped
+    matrix overfills; the rule's residual test is checked on candidate
+    matrices below.
     """
 
     @staticmethod
     def fake_solver(x):
         def solve(*args, n_vars, **kwargs):
-            # the variables are the top row of the 2 x 3 candidate
-            assert n_vars == len(x) == 3
+            # the variable is the one free entry of the top row of the 2 x 3 candidate
+            assert n_vars == len(x) == 1
             return FeasibilityResult("feasible", np.asarray(x, dtype=float), 0.0, 0.0, 1)
 
         return solve
 
     @pytest.mark.parametrize("kind", ["global", "subspace", "classical"])
     @pytest.mark.parametrize(
-        "x, residual_finite",
-        # every column of [0.5] * 3 sums to one; [1.5, 0, 0] overfills column 0,
-        # so the rebuilt last row is clipped from -0.5 to 0 and the column sums to 1.5
-        [([0.5] * 3, True), ([1.5, 0.0, 0.0], False)],
-        ids=["off-target", "not-stochastic"],
+        "x",
+        # the coarse element on the equal outcomes is twice each of them, so
+        # their entries in the top row sum to 2 and the only stochastic free
+        # entry is 1; any other value overfills a column by |x - 1| once clipped
+        [[1.5], [-0.5], [2.5]],
+        ids=["overfilled", "negative", "far"],
     )
-    def test_bad_witness_is_ambiguous(self, monkeypatch, z_measurement, kind, x, residual_finite):
+    def test_bad_witness_is_ambiguous(self, monkeypatch, z_measurement, kind, x):
         import povmcoarse.coarseness as coarseness_module
 
         monkeypatch.setattr(coarseness_module, "lp_feasible", self.fake_solver(x))
@@ -241,12 +331,11 @@ class TestVerdictRule:
             cert = check_coarser_in_subspace(z_measurement, dependent_fine(), Subspace.full(2))
         else:
             w = WeightedDistribution([0.5, 0.25, 0.25], [1.0, 1.0, 1.0])
-            cert = check_coarser_classical(w, WeightedDistribution([0.5, 0.5], [1.0, 2.0]))
+            cert = check_coarser_classical(w, WeightedDistribution([0.5, 0.5], [2.0, 1.0]))
         assert cert.verdict == "ambiguous"
         assert cert.witness is None
-        assert math.isfinite(cert.residual) == residual_finite
-        if residual_finite:
-            assert cert.residual > 1e-7
+        assert cert.residual == math.inf
+        assert cert.phase1_optimum <= 1e-15
 
     @pytest.mark.parametrize("kind", ["operators", "pairs"])
     def test_rule_on_candidate_matrices(self, z_measurement, kind):
@@ -521,22 +610,29 @@ class TestSpanDecision:
             n = int(rng.integers(3, d * d + 1))
             coarse, fine = negative_unique_pair(rng, d, n, int(rng.integers(2, n)))
             assert check_coarser(coarse, fine).verdict == highs_verdict(coarse, fine) == "infeasible"
-        # every pair with a negative unique solution went on to the LP
-        assert len(calls) - spanned == 60
+        # the unique solution has no free entry, so no pair went on to the LP
+        assert len(calls) == spanned
 
     @pytest.mark.parametrize("eps", [2e-8, 4.5e-8])
-    def test_gap_inside_the_band_is_ambiguous(self, monkeypatch, z_measurement, eps):
+    @pytest.mark.parametrize("dependent", [False, True], ids=["independent", "dependent"])
+    def test_gap_inside_the_band_is_ambiguous(self, monkeypatch, z_measurement, eps, dependent):
         # the X component of each coarse element is off the diagonal span by
-        # eps: the span gap is eps, and so is the L1 phase-1 optimum, whose
-        # rows are those of the first coarse outcome only; both lie in
-        # (tol, 10 * tol]
+        # eps, so the span gap is eps, in (tol, 10 * tol]; the projections
+        # are reachable, so the reduced LP's optimum is 0 and the banded
+        # maximum is the gap. On the dependent side the coarse weight 0.75 on
+        # |0><0| is first put on the pivot half alone, which overfills its
+        # column, so the LP runs and moves it
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        coarse = validate_measurement([0.5 * np.eye(2) + eps * x, 0.5 * np.eye(2) - eps * x])
+        p0, p1 = proj(ket(1, 0)), proj(ket(0, 1))
+        coarse = validate_measurement([0.75 * p0 + 0.5 * p1 + eps * x, 0.25 * p0 + 0.5 * p1 - eps * x])
         calls = counting_lp(monkeypatch)
-        cert = check_coarser(coarse, z_measurement)
+        cert = check_coarser(coarse, dependent_fine() if dependent else z_measurement)
         assert cert.verdict == "ambiguous"
-        assert len(calls) == 1
-        assert cert.phase1_optimum == pytest.approx(eps, rel=1e-6)
+        if dependent:  # one free entry, and a row that starts violated
+            assert len(calls) == 1
+            assert cert.phase1_optimum == pytest.approx(eps, rel=1e-6)
+        else:  # the unique P is solved, with no LP
+            assert calls == [] and math.isnan(cert.phase1_optimum)
 
     def test_gap_above_the_band_is_infeasible_without_lp(self, monkeypatch, z_measurement):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -570,10 +666,131 @@ class TestSpanDecision:
         assert sub_cert.feasible and np.all(sub_cert.volume_slack >= -1e-8)
         assert calls == []
 
+    def test_solved_entries_past_tol_go_to_the_lp(self, monkeypatch):
+        # coarse weight 1/2 + 2.5e-8 on each |0><0|/2: solved onto the pivot
+        # half alone, it overfills that column by 5e-8, in (tol, 10 * tol];
+        # clipped, that candidate would fail the column-sum test, and the LP
+        # spreads the weight over both halves instead
+        calls = counting_lp(monkeypatch)
+        a = 0.5 + 2.5e-8
+        p0, p1 = proj(ket(1, 0)), proj(ket(0, 1))
+        coarse = validate_measurement([a * p0 + 0.25 * p1, (1.0 - a) * p0 + 0.75 * p1])
+        cert = check_coarser(coarse, dependent_fine())
+        assert cert.feasible and len(calls) == 1
+        assert cert.residual <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["global", "subspace"])
+    def test_solved_entries_that_meet_every_row_run_no_lp(self, monkeypatch, kind):
+        # I/2 twice from {|0><0|/2, |0><0|/2, |1><1|}: with the free entry at
+        # zero the solved rows are (1, 0, 1/2) and (0, 1, 1/2), a witness
+        calls = counting_lp(monkeypatch)
+        coarse = validate_measurement([0.5 * np.eye(2), 0.5 * np.eye(2)])
+        if kind == "global":
+            cert = check_coarser(coarse, dependent_fine())
+        else:
+            cert = check_coarser_in_subspace(coarse, dependent_fine(), Subspace.full(2))
+        assert cert.feasible and calls == [] and math.isnan(cert.phase1_optimum)
+        np.testing.assert_allclose(cert.witness.matrix, [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], atol=1e-15)
+
     def test_span_certificate_serializes_null_optimum(self, z_measurement):
         cert = check_coarser(z_measurement, z_measurement)
         assert cert.feasible and math.isnan(cert.phase1_optimum)
         assert certificate_to_dict(cert)["phase1_optimum"] is None
+
+
+def in_span_pair(rng, d, n, m, eps):
+    """A fine POVM and a coarse one in its span, ``Π'_j = sum_i Q_ji Π_i``, or ``None``.
+
+    ``Q = P + eps (P - P')`` for random left stochastic ``P`` and ``P'`` has
+    columns that sum to one but may have negative entries; up to 40 draws
+    are tried until every coarse element is positive semidefinite.
+    """
+    fine = random_povm(d, n, rng, with_kraus=False)
+    for _ in range(40):
+        p = random_left_stochastic(m, n, rng).matrix
+        mix = p + eps * (p - random_left_stochastic(m, n, rng).matrix)
+        elements = np.einsum("ji,iab->jab", mix, fine.stacked())
+        if np.linalg.eigvalsh(elements).min() > 1e-9:
+            return validate_measurement(elements, atol=1e-9), fine
+    return None
+
+
+class TestInSpanPairs:
+    """Coarse measurements inside the fine span, where only the solve or the LP can say no.
+
+    The benchmark families never reach these ``infeasible`` verdicts: their
+    infeasible pairs are all decided by the span gap.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        dependent=st.booleans(),
+        eps=st.floats(0.2, 3.0),
+    )
+    def test_agrees_with_highs(self, seed, d, dependent, eps):
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        # more elements than components makes the fine side dependent
+        n = int(rng.integers(d * d + 1, d * d + 4)) if dependent else int(rng.integers(2, d * d + 1))
+        pair = in_span_pair(rng, d, n, int(rng.integers(2, 5)), eps)
+        assume(pair is not None)
+        coarse, fine = pair
+        assert check_coarser(coarse, fine).verdict == highs_verdict(coarse, fine)
+
+    @pytest.mark.parametrize("kind", ["global", "subspace"])
+    def test_negative_unique_solution_is_infeasible_without_lp(self, monkeypatch, kind):
+        pytest.importorskip("scipy.optimize")
+        coarse, fine = negative_unique_pair(np.random.default_rng(4150), 3, 6, 3)
+        calls = counting_lp(monkeypatch)
+        if kind == "global":
+            cert = check_coarser(coarse, fine)
+        else:
+            cert = check_coarser_in_subspace(coarse, fine, Subspace.full(3))
+        assert cert.verdict == highs_verdict(coarse, fine) == "infeasible"
+        assert calls == [] and math.isnan(cert.phase1_optimum)
+
+    @pytest.mark.parametrize("gap", [3e-8, 0.0], ids=["gap-in-the-band", "no-gap"])
+    def test_ill_conditioned_dependent_side_inside_the_band_is_ambiguous(self, monkeypatch, gap):
+        """Four qubit elements in the span of ``I, Z, X``, two of them ``1e-5`` apart.
+
+        The coarse side moves ``3e-8`` (in Frobenius norm) of ``X`` from one
+        outcome to the other, past what any stochastic ``P`` reaches, and
+        ``gap`` of ``Y``, outside the span. HiGHS calls it infeasible; on the
+        scale of the components it is ``3e-8`` from feasible, inside the band.
+        In units of ``P`` that is about ``8.5e-3``, the reduced LP's optimum,
+        which the verdict must not band unscaled.
+        """
+        pytest.importorskip("scipy.optimize")
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        y = np.array([[0, -1j], [1j, 0]])
+        z = np.array([[1, 0], [0, -1]], dtype=complex)
+        theta = 1e-5
+        tilted = math.cos(theta) * z + math.sin(theta) * x
+        elements = [np.eye(2) + z, np.eye(2) + tilted, np.eye(2) - z, np.eye(2) - tilted]
+        fine = validate_measurement([0.25 * e for e in elements])
+        shift = (3e-8 * x + gap * y) / math.sqrt(2.0)
+        coarse = validate_measurement([fine.elements[0] + fine.elements[1] + shift,
+                                       fine.elements[2] + fine.elements[3] - shift])
+        import povmcoarse.coarseness as coarseness_module
+
+        optima = []
+
+        def recording(*args, **kwargs):
+            result = lp_feasible(*args, **kwargs)
+            optima.append(result.phase1_optimum)
+            return result
+
+        monkeypatch.setattr(coarseness_module, "lp_feasible", recording)
+        cert = check_coarser(coarse, fine)
+        assert highs_verdict(coarse, fine) == "infeasible"
+        assert cert.verdict == "ambiguous" and cert.witness is None
+        assert len(optima) == 1 and optima[0] > 1e-3
+        if gap:  # the span gap (an off-diagonal entry counts once) tops the banded maximum
+            assert cert.phase1_optimum == pytest.approx(gap / math.sqrt(2.0), rel=1e-6)
+        else:  # the scaled optimum is in the feasible band, but the LP found no witness
+            assert 0.0 < cert.phase1_optimum <= 1e-8
 
 
 class TestCompletenessGap:
@@ -592,7 +809,7 @@ class TestCompletenessGap:
         with pytest.raises(IncompleteSumError):
             validate_measurement(mixed)
         # the LP without the last outcome's rows is satisfied by the mixing matrix
-        system = _processing_system(_component_rows(fine.stacked()), _component_rows(mixed))
+        system = eliminated_processing_system(_component_rows(fine.stacked()), _component_rows(mixed))
         assert lp_feasible(*system, n_vars=2 * 5).phase1_optimum == 0.0
         return validate_measurement(mixed, atol=1e-5), fine
 
@@ -764,6 +981,50 @@ class TestMajorizationAgreesWithLP:
         assert counts["ambiguous"] == 0
 
 
+def loop_majorization(fine, probs, volumes):
+    """Reference for :func:`majorization_verdicts`' slacks: one candidate and one threshold at a time.
+
+    Returns ``(thresholds, slacks, gaps)``; the first threshold with the
+    smallest slack wins, in the order ``0``, the fine ratios, the coarse ones.
+    """
+    total = sum(fine.volumes.tolist())
+    q = [v / total for v in fine.volumes.tolist()]
+    p = fine.probs.tolist()
+    out = []
+    for row, vols in zip(probs.tolist(), volumes.tolist()):
+        row_total = sum(vols)
+        quotas = [v / row_total for v in vols]
+        ratios = [0.0] + [a / b for a, b in zip(p, q)] + [a / b for a, b in zip(row, quotas)]
+        slacks = [
+            sum(max(a - t * b, 0.0) for a, b in zip(p, q))
+            - sum(max(a - t * b, 0.0) for a, b in zip(row, quotas))
+            for t in ratios
+        ]
+        worst = slacks.index(min(slacks))
+        out.append((ratios[worst], slacks[worst], abs(row_total - total) / total))
+    return tuple(np.array(column) for column in zip(*out))
+
+
+class TestMajorizationKernel:
+    @pytest.mark.parametrize("top", [7, 12], ids=["below-8", "up-to-12"])
+    def test_matches_the_loop_reference(self, top):
+        """Bit for bit while every sum has fewer than 8 terms, which numpy adds in order."""
+        rng = np.random.default_rng(4160 + top)
+        for _ in range(60):
+            n, m, k = (int(v) for v in rng.integers(1, (top + 1, top + 1, 9)))
+            fine = random_weighted_distribution(n, rng)
+            rows = [push_forward(random_left_stochastic(m, n, rng), fine) for _ in range(k)]
+            rows += [random_weighted_distribution(m, rng) for _ in range(k)]
+            probs, volumes = np.stack([w.probs for w in rows]), np.stack([w.volumes for w in rows])
+            _, thresholds, slacks, gaps = majorization_verdicts(fine, probs, volumes)
+            want = loop_majorization(fine, probs, volumes)
+            if top < 8:
+                for got, ref in zip((thresholds, slacks, gaps), want):
+                    assert got.tobytes() == ref.tobytes()
+            else:
+                np.testing.assert_allclose(slacks, want[1], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(gaps, want[2], rtol=0.0, atol=1e-12)
+
 class TestMajorizationKernel:
     def test_stack_entries_match_single_checks(self):
         rng = np.random.default_rng(4102)
@@ -803,19 +1064,27 @@ class TestMajorizationKernel:
         assert math.isnan(cert.phase1_optimum) and cert.residual == math.inf
         assert isinstance(cert.separation, Separation)
 
-    def test_lp_without_witness_downgrades_to_ambiguous(self, monkeypatch):
+    @pytest.mark.parametrize("optimum", [1.0, 2e-8], ids=["infeasible", "inside-the-band"])
+    def test_lp_without_witness_downgrades_to_ambiguous(self, monkeypatch, optimum):
+        """The LP returns no witness: above the band its scaled optimum is ``infeasible``,
+        which the classical check (majorization said ``feasible``) reports as ``ambiguous``;
+        inside the feasible band the missing witness alone gives ``ambiguous``."""
         import povmcoarse.coarseness as coarseness_module
 
-        def infeasible(*args, n_vars, **kwargs):
-            return FeasibilityResult("infeasible", None, math.inf, 1.0, 3)
+        def no_witness(*args, n_vars, **kwargs):
+            return FeasibilityResult("ambiguous", None, math.inf, optimum, 3)
 
-        monkeypatch.setattr(coarseness_module, "lp_feasible", infeasible)
-        # three fine pairs in the plane: their span cannot pick the witness
+        monkeypatch.setattr(coarseness_module, "lp_feasible", no_witness)
+        # three fine pairs in the plane leave one free entry per row; the
+        # solved entries put both equal pairs' weight on the pivot one, which
+        # overfills its column, so the LP runs
         w = WeightedDistribution([0.5, 0.25, 0.25], [1.0, 1.0, 1.0])
-        cert = check_coarser_classical(w, w)
+        cert = check_coarser_classical(w, WeightedDistribution([0.5, 0.5], [2.0, 1.0]))
         assert cert.verdict == "ambiguous"
         assert cert.witness is None
-        assert cert.phase1_optimum == 1.0
+        # the optimum is divided by K >= 2 (module docstring)
+        assert 0.0 < cert.phase1_optimum <= optimum / 2.0
+        assert (cert.phase1_optimum > 1e-7) == (optimum == 1.0)
         assert cert.separation.slack >= -1e-12 and cert.separation.volume_gap == 0.0
 
 
@@ -888,9 +1157,10 @@ class TestCheckCoarserInSubspace:
 
         sizes = []
 
-        def recording(a_eq, *args, **kwargs):
-            sizes.append(a_eq.shape)
-            return lp_feasible(a_eq, *args, **kwargs)
+        def recording(*args, **kwargs):
+            assert args == () and "a_eq" not in kwargs
+            sizes.append((kwargs["a_ub"].shape, kwargs["n_vars"]))
+            return lp_feasible(*args, **kwargs)
 
         monkeypatch.setattr(coarseness_module, "lp_feasible", recording)
         # more outcomes than r^2: the projected elements are dependent, so the LP runs
@@ -900,7 +1170,11 @@ class TestCheckCoarserInSubspace:
         cert = check_coarser_in_subspace(coarse, fine, random_subspace(dim, rank, seed=7))
         m, n = len(cert.coarse_outcomes), len(cert.fine_outcomes)
         assert cert.feasible
-        assert sizes == [((m - 1) * rank**2, (m - 1) * n)]
+        # the r^2 blocks span all r^2 components: r^2 pivot outcomes, n - r^2
+        # free ones; rows: r^2 per coarse outcome but the last, n column
+        # sums and m volume rows
+        free = (m - 1) * (n - rank**2)
+        assert sizes == [(((m - 1) * rank**2 + n + m, free), free)]
 
     @staticmethod
     def basis_invariant_verdict(coarse, fine, subspace, seed):

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from povmcoarse import lp_feasible, simplex
-from povmcoarse.coarseness import _component_rows, _processing_system
+from povmcoarse.coarseness import _component_rows
 from povmcoarse.errors import (
     InvalidRangeError,
     IterationLimitError,
@@ -15,7 +15,13 @@ from povmcoarse.errors import (
     ValidationError,
 )
 
-from conftest import MERGE_DRAWS, overcomplete_merge_pair, refined_projective_pair, seeded_rng
+from conftest import (
+    MERGE_DRAWS,
+    eliminated_processing_system,
+    overcomplete_merge_pair,
+    refined_projective_pair,
+    seeded_rng,
+)
 
 
 def scipy_feasible(a_eq, b_eq, a_ub=None, b_ub=None, n_vars=None) -> bool:
@@ -449,7 +455,9 @@ class TestCondensedTableau:
         pairs = [overcomplete_merge_pair(seed, draw) for seed, draw in MERGE_DRAWS]
         pairs.append(refined_projective_pair(seeded_rng(20, 2, 4, 0), 10, (2, 3, 5)))
         for coarse, fine in pairs:
-            system = _processing_system(_component_rows(fine.stacked()), _component_rows(coarse.stacked()))
+            system = eliminated_processing_system(
+                _component_rows(fine.stacked()), _component_rows(coarse.stacked())
+            )
             res = assert_same_solve(*system, n_vars=(coarse.n_outcomes - 1) * fine.n_outcomes)
             assert res.verdict == "feasible"
 
