@@ -9,11 +9,15 @@ outcomes possible in ``G``, and adds the volume inequality
 the pairs ``(p_i, V_i)``.
 
 Every check solves the same problem on real component rows: ``n`` fine rows
-``F_i`` and ``m`` coarse rows ``c_j`` of length ``D``. One factorization of
-the fine rows (:func:`_span_basis`: a QR when they are independent, else a
-column-pivoted Gram-Schmidt) gives their rank ``r``, an orthonormal basis of
-their span, and ``r`` pivot outcomes ``S`` whose rows are a basis; the other
-``n - r`` outcomes ``N`` are free. Two gaps come first:
+``F_i`` and ``m`` coarse rows ``c_j`` of length ``D``. One factorization
+(:func:`_factor`) gives the fine rows' rank ``r``, an orthonormal basis of
+their span, ``r`` pivot outcomes ``S`` whose rows are a basis (the other
+``n - r`` outcomes ``N`` are free), and the coarse rows' coordinates over
+that basis and distances from the span. When ``n <= D`` it is one QR of the
+fine and coarse rows together, which settles an independent fine side;
+a dependent side, or ``n > D``, takes a column-pivoted Gram-Schmidt of the
+fine rows (:func:`_span_basis`) and a projection of the coarse rows. Two
+gaps come first:
 a coarse row at distance ``g`` from the span leaves every ``P`` a component
 residual of norm at least ``g`` (the span gap), and the residuals of any left
 stochastic ``P`` sum to ``sum_j c_j - sum_i F_i`` (the completeness gap). A
@@ -77,13 +81,14 @@ from .errors import (
     BrokenColumnSumError,
     DimensionMismatchError,
     EmptyOutcomeSetError,
+    InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
     ShapeMismatchError,
     ZeroElementError,
 )
 from .measurements import GeneralizedMeasurement, validate_measurement
-from .operators import DEFAULT_ATOL, Subspace, frobenius
+from .operators import DEFAULT_ATOL, Subspace, dagger, frobenius
 from .simplex import _check_tol, _verdict_band, lp_feasible
 
 DEFAULT_FEAS_TOL = 1e-8
@@ -146,25 +151,28 @@ class CoarsenessCertificate:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of a ``d x d`` matrix, read-only."""
+def _component_index(d: int) -> np.ndarray:
+    """Where the ``d^2`` real components sit in the float view of a flat ``d x d`` complex matrix, read-only."""
     rows, cols = np.triu_indices(d, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    upper = 2 * (rows * d + cols)
+    index = np.concatenate([np.arange(d) * (2 * d + 2), upper, upper + 1])
+    index.setflags(write=False)
+    return index
 
 
 def _component_rows(mats) -> np.ndarray:
-    """Flatten a stack of ``n`` Hermitian matrices into ``(n, d^2)`` real components."""
-    stack = np.asarray(mats)
-    rows, cols = _upper_indices(stack.shape[-1])
-    upper = stack[:, rows, cols]
-    diag = np.diagonal(stack, axis1=1, axis2=2).real
-    return np.concatenate([diag, upper.real, upper.imag], axis=1)
+    """Flatten a stack of ``n`` Hermitian matrices into ``(n, d^2)`` real components.
+
+    The real diagonal, then the real and imaginary parts of the strict upper
+    triangle, read by one gather from the float view of the stack.
+    """
+    stack = np.ascontiguousarray(mats, dtype=complex)
+    d = stack.shape[-1]
+    return stack.reshape(len(stack), d * d).view(np.float64)[:, _component_index(d)]
 
 
 def _span_basis(comp_fine):
-    """A basis of the span of the fine components: ``(q, coefs, pivots, free)``.
+    """A basis of the span of dependent fine components: ``(q, coefs, pivots, free)``.
 
     ``comp_fine`` is ``(n, D)``. ``pivots`` lists the ``r`` fine outcomes
     ``S`` whose components form the basis and ``free`` the other ``n - r``
@@ -174,9 +182,8 @@ def _span_basis(comp_fine):
     rounding), and up to a residual of at most ``_RANK_TOL`` of the longest
     row on the others.
 
-    Independent rows (an unpivoted QR whose diagonal stays above
-    ``_RANK_TOL`` of its largest entry) give ``S = range(n)`` and that QR.
-    Otherwise a greedy Gram-Schmidt picks, at each step, the row whose
+    :func:`_factor` settles independent rows with one QR and calls this only
+    for the rest. A greedy Gram-Schmidt picks, at each step, the row whose
     residual against the pivots so far is longest, recomputing every residual
     norm from the deflated rows (norms downdated instead lose the small
     residuals to cancellation and can pick a dependent row), and stops once
@@ -185,11 +192,6 @@ def _span_basis(comp_fine):
     that ``q`` stays orthonormal to rounding.
     """
     n, big_d = comp_fine.shape
-    if n <= big_d:
-        q, coefs = np.linalg.qr(comp_fine.T)
-        diag = np.abs(coefs.diagonal()).tolist()
-        if min(diag) > _RANK_TOL * max(diag):
-            return q, coefs, np.arange(n), np.arange(0)
     rest = comp_fine.copy()
     norms = np.einsum("ij,ij->i", rest, rest)
     lengths = norms.tolist()
@@ -214,6 +216,37 @@ def _span_basis(comp_fine):
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     return np.array(units).T, np.array(coefs), np.array(pivots, dtype=int), np.flatnonzero(free)
+
+
+def _factor(comps, n):
+    """Factor the fine rows ``comps[:n]`` and the coarse rows ``comps[n:]`` once.
+
+    Returns ``(coefs, coords, rest, pivots, free)``: ``coefs``, ``pivots``
+    and ``free`` as :func:`_span_basis` gives them for the fine rows, the
+    ``(m, r)`` coordinates ``coords = c q`` of the coarse rows over its basis
+    ``q``, and one row per coarse row in ``rest`` whose norm is that row's
+    distance from the fine span (``rest`` is empty when the span is all of
+    ``R^D``).
+
+    When ``n <= D`` one unpivoted QR of all the rows, ``comps^T = Q R``, comes
+    first. If the first ``n`` diagonal entries of ``R`` stay above
+    ``_RANK_TOL`` of their largest, the fine rows are independent: ``S =
+    range(n)``, ``coefs = R[:n, :n]`` and ``q`` the first ``n`` columns of
+    ``Q``, so that ``coords = R[:n, n:]^T``, and the coarse rows' parts off
+    the span are the columns of ``R[n:, n:]`` in the other columns of ``Q``.
+    Any other fine side goes to :func:`_span_basis`, and ``rest = c - coords
+    q^T``.
+    """
+    big_d = comps.shape[1]
+    if n <= big_d:
+        fac = np.linalg.qr(comps.T, mode="r")
+        diag = np.abs(fac.diagonal()[:n]).tolist()
+        if min(diag) > _RANK_TOL * max(diag):
+            return fac[:n, :n], fac[:n, n:].T, fac[n:, n:].T, np.arange(n), np.arange(0)
+    q, coefs, pivots, free = _span_basis(comps[:n])
+    coords = comps[n:] @ q
+    rest = comps[n:] - coords @ q.T if len(pivots) < big_d else comps[:0]
+    return coefs, coords, rest, pivots, free
 
 
 def _reduced_system(base, dep, pivots, free, v_fine=None, v_coarse=None):
@@ -298,9 +331,9 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
 
     The stacks hold operators, ``(n, d, d)`` and ``(m, d, d)``, or rows of
     ``(p_i, V_i)`` pairs, ``(n, 2)`` and ``(m, 2)``, which are their own
-    components. With ``R_S = coefs[:, S]`` from :func:`_span_basis`, the
-    coordinates over the pivot rows are ``base = R_S^-1 q^T c_j`` for the
-    coarse rows and ``A = R_S^-1 coefs[:, N]`` for the free ones.
+    components, factored once by :func:`_factor`. With its ``R_S = coefs[:,
+    S]``, the coordinates over the pivot rows are ``base = R_S^-1 q^T c_j``
+    for the coarse rows and ``A = R_S^-1 coefs[:, N]`` for the free ones.
 
     The bound. Let ``z`` be the least total violation of the reduced rows and
     ``K = max(1, (2 + 2 |v|) sqrt(r) |R_S^-1|_F)``, ``|v|`` the Euclidean
@@ -323,21 +356,15 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     components' scale before the band.
     """
     _check_tol(tol)
-    if fine.ndim == 2:
-        comp_fine, comp_coarse = fine, coarse
-    else:
-        comps = _component_rows(np.concatenate([fine, coarse]))
-        comp_fine, comp_coarse = comps[: len(fine)], comps[len(fine) :]
-    q, coefs, pivots, free = _span_basis(comp_fine)
-    coords = comp_coarse @ q
+    both = np.concatenate([fine, coarse])
+    comps = both if fine.ndim == 2 else _component_rows(both)
+    n = len(fine)
+    coefs, coords, rest, pivots, free = _factor(comps, n)
     # a coarse row at distance g from the span leaves every P a component
     # residual of norm at least g, and the block residuals of any left
     # stochastic P sum to the completeness gap's vector
-    span_gap = 0.0
-    if len(pivots) < comp_fine.shape[1]:
-        rest = comp_coarse - coords @ q.T
-        span_gap = math.sqrt(float(np.einsum("ij,ij->i", rest, rest).max()))
-    miss = comp_coarse.sum(axis=0) - comp_fine.sum(axis=0)
+    span_gap = math.sqrt(float(np.einsum("ij,ij->i", rest, rest).max())) if rest.size else 0.0
+    miss = comps[n:].sum(axis=0) - comps[:n].sum(axis=0)
     gap = max(span_gap, math.sqrt(float(miss @ miss)))
     if _verdict_band(gap, tol) == "infeasible":
         return CoarsenessCertificate("infeasible", None, math.inf, math.nan)
@@ -345,7 +372,7 @@ def _decide(fine, coarse, tol, v_fine=None, v_coarse=None) -> CoarsenessCertific
     base = coords[:-1] @ r_inv.T
     k, f = len(base), len(free)
     # the candidate with every free entry at zero
-    mat = np.zeros((k + 1, len(comp_fine)))
+    mat = np.zeros((k + 1, n))
     mat[:k, pivots] = base
     mat[k] = 1.0 - mat[:k].sum(axis=0)
     violation = _violation(mat, v_fine, v_coarse)
@@ -481,6 +508,17 @@ def check_coarser_classical(
     return replace(cert, verdict="ambiguous", separation=separation)
 
 
+def _possible(products, tol: float = DEFAULT_ATOL) -> np.ndarray:
+    """The rule of :func:`possible_outcomes`, on a ``(k, d, r)`` stack of products ``Π_i B``.
+
+    Returns the ascending indices ``i`` with ``‖Π_i B‖_F > tol``; raises
+    :class:`InvalidRangeError` unless ``tol`` is non-negative and finite.
+    """
+    if not 0 <= tol < math.inf:
+        raise InvalidRangeError(f"tol must be non-negative and finite, got {tol}")
+    return np.flatnonzero(np.linalg.norm(products, axis=(1, 2)) > tol)
+
+
 def possible_outcomes(
     measurement: GeneralizedMeasurement,
     subspace: Subspace,
@@ -490,25 +528,28 @@ def possible_outcomes(
 
     Outcome ``i`` is possible iff ``Π_i P_G != 0``, detected as
     ``‖Π_i B‖_F = ‖Π_i P_G‖_F > tol`` for the orthonormal basis ``B`` of ``G``.
+    A negative or non-finite ``tol`` raises :class:`InvalidRangeError`.
     """
     if measurement.dim != subspace.dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} vs subspace dimension {subspace.dim}"
         )
-    norms = np.linalg.norm(measurement.stacked() @ subspace.basis, axis=(1, 2))
-    return tuple(int(i) for i in np.flatnonzero(norms > tol))
+    return tuple(_possible(measurement.stacked() @ subspace.basis, tol).tolist())
 
 
-def _extension_from(witness, coarse, fine, o2, o1) -> StochasticMatrix | None:
-    """Pad a subspace witness to all outcomes with the volume-balancing constants."""
-    m, n = coarse.n_outcomes, fine.n_outcomes
-    v1, v2 = fine.volumes(), coarse.volumes()
-    full = np.zeros((m, n))
-    full[np.ix_(o2, o1)] = witness
-    rest = sorted(set(range(n)) - set(o1))
-    if rest:
-        denom = float(v1[rest].sum())
-        fill = np.clip((v2 - full[:, list(o1)] @ v1[list(o1)]) / denom, 0.0, None)
+def _extension_from(witness, v_coarse, v_fine, o2, o1) -> StochasticMatrix | None:
+    """Pad a subspace witness to all outcomes with the volume-balancing constants.
+
+    ``v_coarse`` and ``v_fine`` are the volumes of every outcome; the index
+    arrays ``o2`` and ``o1`` list the possible ones, which label the rows and
+    columns of ``witness``.
+    """
+    full = np.zeros((len(v_coarse), len(v_fine)))
+    full[o2[:, None], o1] = witness
+    if len(o1) < len(v_fine):
+        rest = np.ones(len(v_fine), dtype=bool)
+        rest[o1] = False
+        fill = np.maximum((v_coarse - full[:, o1] @ v_fine[o1]) / float(v_fine[rest].sum()), 0.0)
         full[:, rest] = fill[:, None]
     try:
         return StochasticMatrix(full, col_tol=1e-6)
@@ -536,29 +577,38 @@ def check_coarser_in_subspace(
     the free entries of ``P`` runs when some are free, for instance when more
     than ``r^2`` fine outcomes are possible, and setting them to zero does not
     meet the rows.
+
+    Both sides' elements are stacked and multiplied by ``B`` once: the norms
+    of the products ``Π_i B`` give the possible outcomes by the rule of
+    :func:`possible_outcomes`, and the blocks are ``B† (Π_i B)``.
     """
     if coarse.dim != fine.dim or coarse.dim != subspace.dim:
         raise DimensionMismatchError(
             f"dimensions differ: {coarse.dim}, {fine.dim}, subspace {subspace.dim}"
         )
-    o1 = possible_outcomes(fine, subspace)
-    o2 = possible_outcomes(coarse, subspace)
+    n = fine.n_outcomes
+    stack = np.concatenate([fine.stacked(), coarse.stacked()])
+    products = stack @ subspace.basis
+    seen = _possible(products)
+    split = int(np.searchsorted(seen, n))
+    rows, cols = seen[split:] - n, seen[:split]
+    o1, o2 = tuple(cols.tolist()), tuple(rows.tolist())
     if not o1 or not o2:
         raise EmptyOutcomeSetError(
             f"no possible outcomes in the subspace (fine: {len(o1)}, coarse: {len(o2)})"
         )
-    v1 = fine.volumes()[list(o1)]
-    v2 = coarse.volumes()[list(o2)]
-    cert = _decide(subspace.compress(fine.stacked()[list(o1)]),
-                   subspace.compress(coarse.stacked()[list(o2)]), tol, v1, v2)
-    found = {}
+    blocks = dagger(subspace.basis) @ products[seen]
+    volumes = np.einsum("iaa->i", stack).real
+    v1, v2 = volumes[cols], volumes[seen[split:]]
+    cert = _decide(blocks[:split], blocks[split:], tol, v1, v2)
+    slack = extension = None
     if cert.feasible:
         mat = cert.witness.matrix
-        found = {
-            "volume_slack": v2 - mat @ v1,
-            "extension": _extension_from(mat, coarse, fine, o2, o1),
-        }
-    return replace(cert, coarse_outcomes=o2, fine_outcomes=o1, **found)
+        slack = v2 - mat @ v1
+        extension = _extension_from(mat, volumes[n:], volumes[:n], rows, cols)
+    return CoarsenessCertificate(
+        cert.verdict, cert.witness, cert.residual, cert.phase1_optimum, slack, o2, o1, extension
+    )
 
 
 def check_coarser_projective(

@@ -52,7 +52,7 @@ def _probabilities(
         raise error(f"{name} has non-finite entries")
     if (arr < -neg_tol).any():
         raise error(f"{name} has negative entries (min {arr.min():.3e})")
-    arr = np.clip(arr, 0.0, None)
+    arr = np.maximum(arr, 0.0)
     totals = arr.sum(axis=axis)
     errors = np.abs(totals - 1.0)
     if errors.max() > tol:

@@ -32,11 +32,12 @@ from povmcoarse import (
 )
 from povmcoarse.coarseness import (
     Separation,
+    _component_index,
     _component_rows,
     _extension_from,
+    _factor,
     _reduced_system,
     _span_basis,
-    _upper_indices,
     _witness_verdict,
 )
 from povmcoarse.errors import (
@@ -131,23 +132,31 @@ def loop_reduced_system(base, dep, pivots, free, v_fine=None, v_coarse=None):
 class TestProcessingSystem:
     """The one LP layout shared by the three checks, against a loop assembly."""
 
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 13))
     def test_component_rows_match_per_matrix_flattening(self, d):
+        """The gathered components are bit-identical to a per-matrix loop, for any memory layout."""
         povm = random_povm(d, 5, seed=71, with_kraus=False)
         iu = np.triu_indices(d, k=1)
-        want = np.stack(
-            [np.concatenate([np.diag(e).real, e[iu].real, e[iu].imag]) for e in povm.elements]
-        )
-        assert np.array_equal(_component_rows(povm.elements), want)
-        assert np.array_equal(_component_rows(povm.stacked()), want)
 
-    def test_cached_upper_indices_refuse_writes(self):
-        rows, cols = _upper_indices(5)
-        assert _upper_indices(5)[0] is rows
-        for arr in (rows, cols):
-            with pytest.raises(ValueError):
-                arr[0] = 1
-        assert all(np.array_equal(a, b) for a, b in zip(_upper_indices(5), np.triu_indices(5, k=1)))
+        def loop(mats):
+            return np.stack([np.concatenate([np.diag(e).real, e[iu].real, e[iu].imag]) for e in mats])
+
+        want = loop(povm.elements)
+        # a strided view: every other element, transposed (the conjugates)
+        strided = povm.stacked()[::2].transpose(0, 2, 1)
+        assert not strided.flags.c_contiguous
+        for mats, ref in ((povm.elements, want), (povm.stacked(), want), (strided, loop(strided))):
+            got = _component_rows(mats)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_cached_component_index_refuses_writes(self):
+        index = _component_index(5)
+        assert _component_index(5) is index
+        with pytest.raises(ValueError):
+            index[0] = 1
+        # diagonal, upper real and upper imaginary positions of the float view
+        np.testing.assert_array_equal(_component_index(2), [0, 6, 2, 3])
 
     @staticmethod
     def random_layout(rng, k, r, f):
@@ -242,12 +251,9 @@ class TestSpanBasis:
         assert np.max(np.abs(rest)) <= 1e-12
         return pivots, free
 
-    @pytest.mark.parametrize("n, big_d", [(1, 4), (3, 4), (4, 4), (5, 9)])
-    def test_independent_rows_are_all_pivots_in_order(self, n, big_d):
-        comp_fine = np.random.default_rng(n + big_d).standard_normal((n, big_d))
-        pivots, free = self.assert_basis(comp_fine, n)
-        np.testing.assert_array_equal(pivots, np.arange(n))
-        assert free.size == 0
+    def test_independent_rows(self):
+        # _factor sends only dependent or n > D sides here, but the loop factors any rows
+        self.assert_basis(np.random.default_rng(7).standard_normal((3, 4)), 3)
 
     @pytest.mark.parametrize("n, rank, big_d", [(5, 2, 4), (6, 3, 9), (20, 16, 16), (12, 5, 16)])
     def test_dependent_rows_give_their_rank(self, n, rank, big_d):
@@ -278,10 +284,56 @@ class TestSpanBasis:
     def test_rank_tolerance(self, offset, rank):
         """A row off the span of a unit row by more than ``1e-10`` is a pivot; by less, it is free."""
         comp_fine = np.array([[1.0, 0.0], [1.0, offset]])
-        # two rows go to the unpivoted QR first; a third (more rows than
-        # components) goes straight to the greedy loop, which must agree
+        assert len(_span_basis(comp_fine)[2]) == rank
+        # with one coarse row: two fine rows go to the combined QR first; a
+        # third (more rows than components) goes straight to the greedy
+        # loop, which must agree
         for rows in (comp_fine, np.vstack([comp_fine, comp_fine[0]])):
-            assert len(_span_basis(rows)[2]) == rank
+            assert len(_factor(np.vstack([rows, [0.5, 0.5]]), len(rows))[3]) == rank
+
+
+class TestFactor:
+    """One factor of both sides: the fine span's basis, the coarse coordinates and distances."""
+
+    @staticmethod
+    def assert_factor(comps, n, rank):
+        """Check ``_factor`` by what it must give whatever its basis ``q``."""
+        coefs, coords, rest, pivots, free = _factor(comps, n)
+        fine, coarse = comps[:n], comps[n:]
+        assert coefs.shape == (rank, n) and coords.shape == (len(coarse), rank)
+        np.testing.assert_array_equal(np.sort(np.concatenate([pivots, free])), np.arange(n))
+        assert np.max(np.abs(np.tril(coefs[:, pivots], -1))) <= 1e-13
+        # Gram matrices: fine with fine and coarse with fine, over q
+        np.testing.assert_allclose(coefs.T @ coefs, fine @ fine.T, atol=1e-12)
+        np.testing.assert_allclose(coords @ coefs, coarse @ fine.T, atol=1e-12)
+        # each coarse row's distance from the span, against least squares
+        sol = np.linalg.lstsq(fine.T, coarse.T, rcond=None)[0]
+        distance = np.linalg.norm(coarse.T - fine.T @ sol, axis=0)
+        got = np.linalg.norm(rest, axis=1) if rest.size else np.zeros(len(coarse))
+        np.testing.assert_allclose(got, distance, atol=1e-12)
+        np.testing.assert_allclose(np.sum(coords**2, axis=1) + got**2, np.sum(coarse**2, axis=1))
+        return pivots, free
+
+    # n < D with n + m below, at and above D; n == D; n > D (greedy)
+    @pytest.mark.parametrize("n, m, big_d", [(1, 2, 4), (3, 2, 9), (3, 6, 9), (3, 4, 4),
+                                             (4, 3, 4), (5, 4, 9), (6, 2, 4)])
+    def test_independent_rows_are_all_pivots_in_order(self, n, m, big_d):
+        comps = np.random.default_rng(n + m + big_d).standard_normal((n + m, big_d))
+        pivots, free = self.assert_factor(comps, n, min(n, big_d))
+        if n <= big_d:
+            np.testing.assert_array_equal(pivots, np.arange(n))
+            assert free.size == 0
+
+    @pytest.mark.parametrize("n, rank, m, big_d", [(3, 2, 2, 4), (6, 3, 3, 9), (4, 2, 4, 4)])
+    def test_dependent_rows_take_the_greedy_path(self, n, rank, m, big_d):
+        rng = np.random.default_rng(10 * n + rank)
+        fine = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, big_d))
+        self.assert_factor(np.vstack([fine, rng.standard_normal((m, big_d))]), n, rank)
+
+    def test_full_span_has_no_rest(self):
+        comps = np.random.default_rng(4180).standard_normal((7, 4))
+        assert _factor(comps, 4)[2].size == 0
+        assert _factor(comps[[0, 1, 2, 3, 0, 4]], 5)[2].size == 0  # greedy, rank 4 = D
 
 
 def dependent_fine():
@@ -696,6 +748,91 @@ class TestSpanDecision:
         cert = check_coarser(z_measurement, z_measurement)
         assert cert.feasible and math.isnan(cert.phase1_optimum)
         assert certificate_to_dict(cert)["phase1_optimum"] is None
+
+
+def counting_qr(monkeypatch) -> list:
+    """Route ``np.linalg.qr`` through a spy; returns the call log (the factored shapes)."""
+    calls, qr = [], np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return calls
+
+
+def hermitian_from_components(vec, d):
+    """The Hermitian matrix whose real components (diagonal, upper real, upper imaginary) are ``vec``."""
+    rows, cols = np.triu_indices(d, k=1)
+    u = len(rows)
+    mat = np.diag(vec[:d]).astype(complex)
+    mat[rows, cols] = vec[d : d + u] + 1j * vec[d + u :]
+    mat[cols, rows] = vec[d : d + u] - 1j * vec[d + u :]
+    return mat
+
+
+class TestCombinedFactor:
+    """An independent fine side is decided from one QR of both sides' components."""
+
+    @pytest.mark.parametrize("kind", ["global", "subspace"])
+    def test_one_qr_and_no_lp(self, monkeypatch, kind):
+        fine = random_povm(3, 5, seed=4190, with_kraus=False)
+        coarse = coarsen(fine, random_left_stochastic(4, 5, seed=4191))
+        sub = random_subspace(3, 3, seed=4192)  # r^2 = 9 >= 5: independent blocks
+        lp_calls, qr_calls = counting_lp(monkeypatch), counting_qr(monkeypatch)
+        for c, f in ((coarse, fine), (fine, coarse)):
+            if kind == "global":
+                cert = check_coarser(c, f)
+            else:
+                cert = check_coarser_in_subspace(c, f, sub)
+            # both sides' components in one (D, n + m) factor
+            assert qr_calls == [(9, f.n_outcomes + c.n_outcomes)] and lp_calls == []
+            qr_calls.clear()
+            assert cert.verdict == ("feasible" if f is fine else "infeasible")
+
+    # n == D, n + m > D with n < D, and n + m <= D
+    @pytest.mark.parametrize("d, n, m_range", [(2, 4, (1, 5)), (3, 9, (1, 6)), (2, 3, (2, 5)),
+                                               (3, 6, (4, 8)), (3, 4, (1, 5))])
+    def test_agrees_with_highs(self, monkeypatch, d, n, m_range):
+        pytest.importorskip("scipy.optimize")
+        lp_calls, qr_calls = counting_lp(monkeypatch), counting_qr(monkeypatch)
+        rng = np.random.default_rng(4193 + 10 * d + n)
+        counts = {"feasible": 0, "infeasible": 0}
+        for _ in range(15):
+            fine = random_povm(d, n, rng, with_kraus=False)
+            m = int(rng.integers(*m_range))
+            mixed = coarsen(fine, random_left_stochastic(m, n, rng))
+            if rng.random() < 0.5:
+                coarse = mixed
+            else:  # the pair with a negative unique P, or a generic POVM
+                coarse = random_povm(d, m, rng, with_kraus=False)
+            want = highs_verdict(coarse, fine)
+            assert check_coarser(coarse, fine).verdict == want
+            counts[want] += 1
+        assert min(counts.values()) >= 3
+        assert lp_calls == [] and len(qr_calls) == 15
+
+    @pytest.mark.parametrize("scale, verdict", [(20.0, "infeasible"), (5.0, "ambiguous")])
+    def test_coarse_row_off_the_span(self, monkeypatch, scale, verdict):
+        """A coarse pair pushed ``scale * tol`` off the fine span, along a direction orthogonal to it."""
+        tol, d, n = 1e-8, 3, 6
+        fine = random_povm(d, n, seed=4194, with_kraus=False)
+        mixed = coarsen(fine, random_left_stochastic(5, n, seed=4195))
+        # n + m = 11 > D = 9: the factor has a (3, 5) block off the span
+        comps = _component_rows(fine.stacked())
+        q = np.linalg.qr(comps.T)[0]
+        direction = np.random.default_rng(4196).standard_normal(d * d)
+        direction -= q @ (q.T @ direction)
+        shift = hermitian_from_components(scale * tol * direction / np.linalg.norm(direction), d)
+        elements = mixed.stacked().copy()
+        elements[0] += shift
+        elements[1] -= shift
+        coarse = validate_measurement(elements, atol=1e-9)
+        lp_calls = counting_lp(monkeypatch)
+        cert = check_coarser(coarse, fine, tol=tol)
+        assert cert.verdict == verdict and lp_calls == []
+        assert math.isnan(cert.phase1_optimum)
 
 
 def in_span_pair(rng, d, n, m, eps):
@@ -1115,6 +1252,27 @@ class TestPossibleOutcomes:
         assert sees_first(2.0 * threshold) == (0, 1)
         assert sees_first(0.5 * threshold) == (1,)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_tolerance(self, z_measurement, tol):
+        with pytest.raises(InvalidRangeError):
+            possible_outcomes(z_measurement, Subspace.span([ket(1, 0)]), tol=tol)
+
+    def test_zero_tolerance_keeps_zero_overlaps_out(self, z_measurement):
+        # |1><1| has no overlap with |0>: impossible even at tol = 0
+        assert possible_outcomes(z_measurement, Subspace.span([ket(1, 0)]), tol=0.0) == (0,)
+
+    @pytest.mark.parametrize("offset", [-1e-16, 0.0, 1e-16])
+    def test_subspace_check_uses_the_same_sets(self, offset):
+        """At ``‖Π_0 B‖_F = 1e-10 ± ε`` the subspace check keeps the outcomes ``possible_outcomes`` keeps."""
+        s = 1e-10 + offset
+        fine = validate_measurement([np.diag([s, 1.0]), np.diag([1.0 - s, 0.0])])
+        coarse = validate_measurement([np.diag([s, 0.5]), np.diag([1.0 - s, 0.5])])
+        sub = Subspace.span([ket(1, 0)])
+        cert = check_coarser_in_subspace(coarse, fine, sub)
+        assert cert.fine_outcomes == possible_outcomes(fine, sub)
+        assert cert.coarse_outcomes == possible_outcomes(coarse, sub)
+        assert len(cert.fine_outcomes) == (2 if s > 1e-10 else 1)
+
 
 class TestCheckCoarserInSubspace:
     def test_x_vs_z_in_axis_span(self, x_measurement, z_measurement):
@@ -1203,10 +1361,10 @@ class TestCheckCoarserInSubspace:
 
     def test_empty_outcome_set_error(self, monkeypatch, z_measurement):
         # valid POVMs always have a possible outcome in any subspace, so the
-        # guard is exercised by stubbing the outcome-set computation
+        # guard is exercised by stubbing the rule the outcome sets share
         import povmcoarse.coarseness as coarseness_module
 
-        monkeypatch.setattr(coarseness_module, "possible_outcomes", lambda *a, **k: ())
+        monkeypatch.setattr(coarseness_module, "_possible", lambda *a, **k: np.arange(0))
         with pytest.raises(EmptyOutcomeSetError):
             coarseness_module.check_coarser_in_subspace(
                 z_measurement, z_measurement, Subspace.full(2)
@@ -1216,23 +1374,33 @@ class TestCheckCoarserInSubspace:
 class TestExtensionFrom:
     """Padding a subspace witness to all outcomes with the volume-balancing fill."""
 
-    @staticmethod
-    def qutrit_pair():
-        basis = [proj(ket(1, 0, 0)), proj(ket(0, 1, 0)), proj(ket(0, 0, 1))]
-        fine = validate_measurement(basis)  # volumes (1, 1, 1)
-        coarse = validate_measurement([basis[0], basis[1] + basis[2]])  # volumes (1, 2)
-        return coarse, fine
+    # fine: |0><0|, |1><1|, |2><2| (volumes 1, 1, 1); coarse: |0><0|,
+    # |1><1| + |2><2| (volumes 1, 2); fine outcomes 0 and 1 are possible
+    V_COARSE, V_FINE = np.array([1.0, 2.0]), np.array([1.0, 1.0, 1.0])
+    BOTH, SECOND = np.array([0, 1]), np.array([1])
 
     def test_balanced_witness_extends(self):
-        coarse, fine = self.qutrit_pair()
-        extension = _extension_from(np.eye(2), coarse, fine, (0, 1), (0, 1))
+        extension = _extension_from(np.eye(2), self.V_COARSE, self.V_FINE, self.BOTH, self.BOTH)
         np.testing.assert_array_equal(extension.matrix, [[1, 0, 0], [0, 1, 1]])
 
     def test_overspent_volume_gives_none(self):
         # both fine outcomes go to coarse outcome 0: volume slack 1 - 2 = -1 < -1e-6,
         # so the clipped fill of the third column sums to 2, not 1
-        coarse, fine = self.qutrit_pair()
-        assert _extension_from(np.array([[1.0, 1.0], [0.0, 0.0]]), coarse, fine, (0, 1), (0, 1)) is None
+        witness = np.array([[1.0, 1.0], [0.0, 0.0]])
+        assert _extension_from(witness, self.V_COARSE, self.V_FINE, self.BOTH, self.BOTH) is None
+
+    def test_witness_rows_and_columns_keep_their_outcomes(self):
+        # an asymmetric witness on outcomes (0, 1) of both sides, coarse
+        # volumes (1.5, 1.5): the third column gets (1.5 - 1.5, 1.5 - 0.5)
+        witness = np.array([[1.0, 0.5], [0.0, 0.5]])
+        extension = _extension_from(witness, np.array([1.5, 1.5]), self.V_FINE, self.BOTH, self.BOTH)
+        np.testing.assert_array_equal(extension.matrix, [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
+
+    def test_fill_spreads_the_left_volume_over_impossible_outcomes(self):
+        # possible fine outcome 1 only, and coarse outcome 1 only: the other
+        # columns get (V'_j - witness share) / (V_0 + V_2) in every row
+        extension = _extension_from(np.array([[1.0]]), self.V_COARSE, self.V_FINE, self.SECOND, self.SECOND)
+        np.testing.assert_array_equal(extension.matrix, [[0.5, 0.0, 0.5], [0.5, 1.0, 0.5]])
 
 
 class TestProjectiveFastPath:

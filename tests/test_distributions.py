@@ -175,6 +175,14 @@ class TestStochasticMatrix:
         arr[0, 1] = 9.0
         assert m.matrix[0, 1] == 0.5
 
+    def test_clip_keeps_the_bytes_of_the_two_sided_clip(self):
+        """The stored copy is ``np.maximum(arr, 0.0)``, byte for byte what ``np.clip(arr, 0.0, None)`` gives."""
+        values = np.array([-0.0, 0.0, -1e-13, 1e-300, -5e-324, 3.0])
+        assert np.maximum(values, 0.0).tobytes() == np.clip(values, 0.0, None).tobytes()
+        column = values[:, None] / 3.0  # one column summing to one
+        m = StochasticMatrix(column)
+        assert m.matrix.tobytes() == np.clip(column, 0.0, None).tobytes()
+
 
 class TestPushForward:
     def test_identity(self):

@@ -40,3 +40,14 @@ def test_one_seed_is_correct_and_round_trips(scan, tmp_path, capsys):
     saved.write_text(json.dumps({"1": "a" + letters[1:]}))
     assert scan.main(["--seeds", "1", "--against", str(saved)]) == 1
     assert "moved  seed 1  instance 0: a -> f" in capsys.readouterr().out
+
+
+def test_witness_residual_above_the_bound_fails_the_scan(scan, monkeypatch, capsys):
+    monkeypatch.setattr(scan, "witness_residual", lambda instance, cert: 2e-7)
+    assert scan.main(["--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "wrong 0  moved 0" in out
+    assert "residual_max 2.000e-07" in out and "residual_max exceeds 1e-07" in out
+    # at the bound itself the scan passes
+    monkeypatch.setattr(scan, "witness_residual", lambda instance, cert: scan.RESIDUAL_BOUND)
+    assert scan.main(["--seeds", "1"]) == 0

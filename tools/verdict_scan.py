@@ -18,8 +18,10 @@ Decides every instance of ``generic_instances`` and ``degenerate_instances``
 
 ``--save`` writes the verdicts as JSON, one string per seed with one letter
 (``f``, ``i`` or ``a``) per instance in the families' order. Exits 1 when
-any verdict is wrong or moved. Standard library and numpy only; the library
-is imported from ``src``.
+any verdict is wrong or moved, or when a recomputed witness residual exceeds
+``RESIDUAL_BOUND`` (``1e-7``, the bound that the benchmark's correctness
+gate puts on a witness). Standard library and numpy only; the library is
+imported from ``src``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import povmcoarse.coarseness as coarseness  # noqa: E402
 from instances import decide, degenerate_instances, generic_instances  # noqa: E402
 
 LETTERS = {"feasible": "f", "infeasible": "i", "ambiguous": "a"}
+RESIDUAL_BOUND = 1e-7
 
 
 def seed_range(text: str) -> range:
@@ -113,9 +116,12 @@ def main(argv=None) -> int:
     print("  ".join(f"{name} {value}" for name, value in counts.items()))
     print(f"lp_calls {len(pivots)}  pivots {sum(pivots)}  pivots_max {max(pivots, default=0)}")
     print(f"residual_max {residual_max:.3e}")
+    over = residual_max > RESIDUAL_BOUND
+    if over:
+        print(f"residual_max exceeds {RESIDUAL_BOUND:.0e}")
     if args.save:
         args.save.write_text(json.dumps(verdicts, indent=0) + "\n")
-    return 1 if counts["wrong"] or counts["moved"] else 0
+    return 1 if counts["wrong"] or counts["moved"] or over else 0
 
 
 if __name__ == "__main__":
