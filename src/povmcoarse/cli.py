@@ -138,15 +138,19 @@ def cmd_region_scan(args) -> int:
         ]
         _emit(dump_json(payload), args.out)
     else:
-        # each grid value is formatted once; a cell's line is its p2 string
-        # joined to its v2 string's ending for code 2 * s_greater + feasible
+        # each grid value is formatted once and each p2 row joined once, with
+        # both flags "0"; a set flag is then one byte, found from the lengths
+        # of the value strings: a line ends in "s_greater,feasible\n"
         p_text = [f"{p2:.17g}," for p2 in p_values.tolist()]
         v_text = [f"{v2:.17g}," for v2 in v_values.tolist()]
-        v_ends = [[v2 + flags for flags in ("0,0", "0,1", "1,0", "1,1")] for v2 in v_text]
-        codes = (2 * s_greater + feasible).reshape(grid, grid).tolist()
-        lines = ["p2,v2,s_greater,feasible"]
-        lines += [p2 + ends[c] for p2, row in zip(p_text, codes) for ends, c in zip(v_ends, row)]
-        _emit("\n".join(lines), args.out)
+        header = "p2,v2,s_greater,feasible\n"
+        rows = (p2 + ("0,0\n" + p2).join(v_text) + "0,0\n" for p2 in p_text)
+        text = bytearray((header + "".join(rows)).encode())
+        lengths = np.add.outer([len(p2) for p2 in p_text], [len(v2) for v2 in v_text]) + 4
+        flags = np.cumsum(lengths, axis=None) + (len(header) - 4)
+        cells = np.frombuffer(text, dtype=np.uint8)
+        cells[flags[s_greater]] = cells[flags[feasible] + 2] = ord("1")
+        _emit(text.decode(), args.out)
     return EXIT_OK
 
 

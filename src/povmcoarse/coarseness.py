@@ -95,6 +95,9 @@ DEFAULT_FEAS_TOL = 1e-8
 # a fine component whose residual against the span of the others is at most
 # this fraction of the longest component counts as dependent
 _RANK_TOL = 1e-10
+# the relative-majorization kernel evaluates as many threshold rows at once as
+# keep rows x outcomes x candidates within this many cells
+_BLOCK_CELLS = 1 << 16
 
 OutcomeSet = tuple[int, ...]
 Partition = tuple[tuple[int, ...], ...]
@@ -453,22 +456,53 @@ def majorization_verdicts(
     over ``t >= 0`` is its minimum over ``t = 0`` and the ratios. The
     verdict applies the simplex's band to ``max(-slack, volume_gap)``.
 
+    The thresholds form a ``(1 + n + m, k)`` array, one row per threshold
+    (``0``, the fine ratios, then the candidate's own) and one column per
+    candidate. ``f`` is evaluated on blocks of whole threshold rows against
+    ``(outcome, 1, candidate)`` arrays, so every inner loop runs along the
+    candidates and every sum adds the outcomes in order. A block holds as
+    many rows as keep rows x outcomes x candidates within
+    ``_BLOCK_CELLS``, and at least one: a small stack is one block, and a
+    wide one goes one row at a time.
+
+    Each candidate's slack is its first minimum in threshold order, as
+    ``argmin`` picks it (a ``nan`` counts as below every number): inside a
+    block, the first row that attains the block's minimum; across blocks, a
+    later block replaces the running minimum only when strictly below it, so
+    an earlier threshold wins a tie. The result does not depend on the block
+    height, so a stack's row is bit-identical to the one-candidate call.
+
     Returns ``(verdicts, thresholds, slacks, volume_gaps)``, each of shape
     ``(k,)``; see :class:`Separation` for the last three.
     """
     _check_tol(tol)
     total = fine.total_volume
     totals = volumes.sum(axis=-1)
-    # threshold-major (outcome, threshold, candidate) arrays: each sum over
-    # the outcomes runs along the leading axis
+    (k, m), n = probs.shape, fine.n
     p_f, q_f = fine.probs[:, None, None], (fine.volumes / total)[:, None, None]
-    p_c, q_c = probs.T[:, None, :], (volumes / totals[:, None]).T[:, None, :]
-    k = len(probs)
-    fine_ratios = np.broadcast_to((p_f / q_f)[:, 0], (fine.n, k))
-    t = np.concatenate([np.zeros((1, k)), fine_ratios, (p_c / q_c)[:, 0]])
-    values = np.maximum(p_f - t * q_f, 0.0).sum(axis=0) - np.maximum(p_c - t * q_c, 0.0).sum(axis=0)
-    worst, every = np.argmin(values, axis=0), np.arange(k)
-    slacks, thresholds = values[worst, every], t[worst, every]
+    p_c, q_c = probs.T.copy()[:, None], np.divide(volumes.T, totals, order="C")[:, None]
+    t = np.empty((1 + n + m, k))
+    t[0] = 0.0
+    t[1:n + 1] = (p_f / q_f)[:, 0]
+    t[n + 1:] = (p_c / q_c)[:, 0]
+    rows = max(1, _BLOCK_CELLS // max((n + m) * k, 1))
+    order = np.arange(len(t))[:, None]
+    # the ufuncs' own reductions: the ndarray methods cost a Python call more per block
+    add, least = np.add.reduce, np.minimum.reduce
+    for start in range(0, len(t), rows):
+        block = t[start:start + rows]
+        values = add(np.maximum(p_f - block * q_f, 0.0), axis=0) - add(np.maximum(p_c - block * q_c, 0.0), axis=0)
+        low = least(values, axis=0)
+        # the first row at the block's minimum, or at its first nan
+        above = (values != low) & (values == values)
+        first = least(np.where(above, len(t), order[start:start + rows]), axis=0)
+        if start:
+            # strictly below, or a first nan; a running nan stays
+            lower = ~(low >= slacks) & (slacks == slacks)
+            worst, slacks = np.where(lower, first, worst), np.minimum(slacks, low)
+        else:
+            worst, slacks = first, low
+    thresholds = t[worst, np.arange(k)]
     gaps = np.abs(totals - total) / total
     verdicts = _verdict_band(np.maximum(-slacks, gaps), tol)
     return verdicts, thresholds, slacks, gaps

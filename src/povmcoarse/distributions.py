@@ -19,6 +19,8 @@ normalizes, compared with one, and a sum too far off raises
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -48,10 +50,12 @@ def _probabilities(
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise error(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
+    # a nan makes both extremes nan; an infinite entry is one of them
+    lowest = arr.min()
+    if not (math.isfinite(lowest) and math.isfinite(arr.max())):
         raise error(f"{name} has non-finite entries")
-    if (arr < -neg_tol).any():
-        raise error(f"{name} has negative entries (min {arr.min():.3e})")
+    if lowest < -neg_tol:
+        raise error(f"{name} has negative entries (min {lowest:.3e})")
     arr = np.maximum(arr, 0.0)
     totals = arr.sum(axis=axis)
     errors = np.abs(totals - 1.0)

@@ -85,27 +85,33 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_weighted_log_ratio(w, 1.0, w, -1))
 
 
-def _eigen_joints(measurement: GeneralizedMeasurement, states) -> np.ndarray:
-    """Joints ``p_gi = sum_{x in g} λ_x <x|Π_i|x>`` of a ``(S, d, d)`` stack of states, shape ``(S, d, n)``.
+def _eigen_joints(measurements, states) -> list[np.ndarray]:
+    """Joints ``p_gi = sum_{x in g} λ_x <x|Π_i|x>`` of a ``(S, d, d)`` stack of states, one per measurement.
 
-    Row ``g`` of joint ``s`` sums the eigenvectors ``x`` of the ``g``-th
-    eigenspace of state ``s``, counted down from the largest eigenvalue and
-    grouped by the rule of :func:`eigendecompose`; rows past the last
-    eigenspace are zero. The sum over an eigenspace does not depend on the
-    basis that the stacked ``eigh`` picks inside it. Each state's joint is
-    computed on its own, so it does not depend on the rest of the stack.
+    Each joint has shape ``(S, d, n)``. Row ``g`` of joint ``s`` sums the
+    eigenvectors ``x`` of the ``g``-th eigenspace of state ``s``, counted
+    down from the largest eigenvalue and grouped by the rule of
+    :func:`eigendecompose`; rows past the last eigenspace are zero. The sum
+    over an eigenspace does not depend on the basis that the stacked ``eigh``
+    picks inside it. The stack is diagonalized once for all the measurements,
+    and each state's joint is computed on its own, so it does not depend on
+    the rest of the stack or on the other measurements.
     """
-    states = _checked_state_stack(measurement, states)
+    for measurement in measurements:
+        states = _checked_state_stack(measurement, states)
     eigvals, eigvecs = np.linalg.eigh(states)
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[:, :, ::-1]
-    # conditional[s, i, x] = <x|Pi_i|x>, a sum over the contiguous last axis
-    bras = np.swapaxes(eigvecs.conj(), 1, 2)[:, None] @ measurement.stacked()[None]
-    conditional = np.sum(bras * np.swapaxes(eigvecs, 1, 2)[:, None], axis=-1).real
-    joints = np.clip(eigvals, 0.0, None)[:, None, :] * np.clip(conditional, 0.0, None)
+    bras, kets = np.swapaxes(eigvecs.conj(), 1, 2)[:, None], np.swapaxes(eigvecs, 1, 2)[:, None]
+    weights = np.clip(eigvals, 0.0, None)[:, None, :]
     # one_hot[s, g, x] = 1 when eigenvector x of state s lies in eigenspace g
     ids = _eigenspace_ids(eigvals)
     one_hot = (ids[:, None, :] == np.arange(ids.shape[1])[:, None]).astype(float)
-    return one_hot @ np.swapaxes(joints, 1, 2)
+    joints = []
+    for measurement in measurements:
+        # conditional[s, i, x] = <x|Pi_i|x>, a sum over the contiguous last axis
+        conditional = np.sum((bras @ measurement.stacked()[None]) * kets, axis=-1).real
+        joints.append(one_hot @ np.swapaxes(weights * np.clip(conditional, 0.0, None), 1, 2))
+    return joints
 
 
 def s_obs_stack(measurement: GeneralizedMeasurement, states: np.ndarray) -> np.ndarray:
@@ -129,7 +135,16 @@ def mutual_information_stack(measurement: GeneralizedMeasurement, states: np.nda
     each eigenspace's rows, so a repeated eigenvalue gives one value whatever
     basis ``eigh`` returns inside it.
     """
-    return _information(_eigen_joints(measurement, states))
+    return mutual_information_stacks((measurement,), states)[0]
+
+
+def mutual_information_stacks(measurements, states: np.ndarray) -> list[np.ndarray]:
+    """:func:`mutual_information_stack` of each measurement, from one eigendecomposition of the stack.
+
+    Entry ``j`` is bit-identical to ``mutual_information_stack(measurements[j],
+    states)``; every measurement must have the states' dimension.
+    """
+    return [_information(joints) for joints in _eigen_joints(measurements, states)]
 
 
 @dataclass(frozen=True)
@@ -194,4 +209,5 @@ def measurement_state_joint(
     entry. Neither eigenvector phases nor the basis chosen inside a repeated
     eigenvalue's eigenspace enter the joint.
     """
-    return JointDistribution(_eigen_joints(measurement, rho.matrix[None])[0], norm_tol=max(atol, 1e-10))
+    joint = _eigen_joints((measurement,), rho.matrix[None])[0][0]
+    return JointDistribution(joint, norm_tol=max(atol, 1e-10))

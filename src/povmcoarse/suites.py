@@ -87,7 +87,7 @@ from .distributions import JointDistribution, StochasticMatrix, WeightedDistribu
 from .entropy import (
     kl_divergence,
     mutual_information,
-    mutual_information_stack,
+    mutual_information_stacks,
     observational_entropy,
     s_obs_classical,
     s_obs_stack,
@@ -375,8 +375,7 @@ def _entropy_grows(fine, coarse, states):
 
 
 def _information_shrinks(fine, coarse, states):
-    mi_fine = mutual_information_stack(fine, states)
-    mi_coarse = mutual_information_stack(coarse, states)
+    mi_fine, mi_coarse = mutual_information_stacks((fine, coarse), states)
     return mi_coarse - (mi_fine + INEQ_TOL), {"fine_mi": mi_fine, "coarse_mi": mi_coarse}
 
 

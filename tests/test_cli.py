@@ -280,6 +280,8 @@ class TestRegionScanCommand:
          "d9c54f835b7c9f69f4daf48fc554f3c626f8791c4a143904ed8866ac50435776", 907_003),
         (["--p1", "0.3", "--v1", "0.7", "--vtot", "2.5", "--grid", "37"],
          "f76bf1bd6a12fd7986dd87744c91ac94a8f10c5553d2eb4baa0984ef6326b2b4", 54_896),
+        (["--p1", "0.3", "--v1", "0.5", "--grid", "37"],
+         "da9f8fc330cba78a0fe259d6548a541afcbf723271474f93f6b6c2bbca132a36", 54_785),
     ])
     def test_output_bytes_match_recorded_digest(self, tmp_path, argv, digest, size):
         out_path = tmp_path / "scan.out"

@@ -29,8 +29,10 @@ from povmcoarse import (
     push_forward,
     restrict_transition_matrix,
     validate_measurement,
+    weighted_rows,
 )
 from povmcoarse.coarseness import (
+    _BLOCK_CELLS,
     Separation,
     _component_index,
     _component_rows,
@@ -1123,13 +1125,14 @@ def loop_majorization(fine, probs, volumes):
 
     Returns ``(thresholds, slacks, gaps)``; the first threshold with the
     smallest slack wins, in the order ``0``, the fine ratios, the coarse ones.
+    Each sum of ``(p - t q)_+`` adds the outcomes in order; the volume totals
+    are numpy's sums, as the kernel takes them.
     """
-    total = sum(fine.volumes.tolist())
+    total = fine.total_volume
     q = [v / total for v in fine.volumes.tolist()]
     p = fine.probs.tolist()
     out = []
-    for row, vols in zip(probs.tolist(), volumes.tolist()):
-        row_total = sum(vols)
+    for row, vols, row_total in zip(probs.tolist(), volumes.tolist(), volumes.sum(axis=-1).tolist()):
         quotas = [v / row_total for v in vols]
         ratios = [0.0] + [a / b for a, b in zip(p, q)] + [a / b for a, b in zip(row, quotas)]
         slacks = [
@@ -1142,10 +1145,17 @@ def loop_majorization(fine, probs, volumes):
     return tuple(np.array(column) for column in zip(*out))
 
 
+def assert_matches_loop(fine, probs, volumes):
+    _, thresholds, slacks, gaps = majorization_verdicts(fine, probs, volumes)
+    want = loop_majorization(fine, probs, volumes)
+    for got, ref in zip((thresholds, slacks, gaps), want):
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestMajorizationKernel:
     @pytest.mark.parametrize("top", [7, 12], ids=["below-8", "up-to-12"])
     def test_matches_the_loop_reference(self, top):
-        """Bit for bit while every sum has fewer than 8 terms, which numpy adds in order."""
+        """Bit for bit, however many outcomes: every sum adds them in order."""
         rng = np.random.default_rng(4160 + top)
         for _ in range(60):
             n, m, k = (int(v) for v in rng.integers(1, (top + 1, top + 1, 9)))
@@ -1153,16 +1163,70 @@ class TestMajorizationKernel:
             rows = [push_forward(random_left_stochastic(m, n, rng), fine) for _ in range(k)]
             rows += [random_weighted_distribution(m, rng) for _ in range(k)]
             probs, volumes = np.stack([w.probs for w in rows]), np.stack([w.volumes for w in rows])
-            _, thresholds, slacks, gaps = majorization_verdicts(fine, probs, volumes)
-            want = loop_majorization(fine, probs, volumes)
-            if top < 8:
-                for got, ref in zip((thresholds, slacks, gaps), want):
-                    assert got.tobytes() == ref.tobytes()
-            else:
-                np.testing.assert_allclose(slacks, want[1], rtol=0.0, atol=1e-12)
-                np.testing.assert_allclose(gaps, want[2], rtol=0.0, atol=1e-12)
+            assert_matches_loop(fine, probs, volumes)
 
-class TestMajorizationKernel:
+    def test_default_region_grid_matches_the_loop_reference(self):
+        """The 101 x 101 grid of ``region-scan``'s defaults, one threshold row per block."""
+        base = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
+        p_values, v_values = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0, 101)
+        v_values[0], v_values[-1] = 0.01, 1.99
+        p_cells, v_cells = np.repeat(p_values, 101), np.tile(v_values, 101)
+        probs, volumes = weighted_rows(np.stack([p_cells, 1.0 - p_cells], axis=1),
+                                       np.stack([v_cells, 2.0 - v_cells], axis=1))
+        assert _BLOCK_CELLS // (4 * len(probs)) == 1
+        assert_matches_loop(base, probs, volumes)
+
+    def test_forty_outcome_pair_matches_the_loop_reference(self):
+        rng = np.random.default_rng(4163)
+        fine = random_weighted_distribution(40, rng)
+        for coarse in (push_forward(random_left_stochastic(40, 40, rng), fine),
+                       random_weighted_distribution(40, rng)):
+            assert_matches_loop(fine, coarse.probs[None], coarse.volumes[None])
+
+    @pytest.mark.parametrize("past", [-1, 0, 1], ids=["one-block-less-1", "one-block", "two-blocks"])
+    def test_rows_across_a_block_boundary_match_single_calls(self, past):
+        """A stack one candidate past the widest one-block stack splits its thresholds in two blocks."""
+        rng = np.random.default_rng(4164)
+        n = m = 12
+        widest = _BLOCK_CELLS // ((n + m) * (1 + n + m))
+        k = widest + past
+        assert (_BLOCK_CELLS // ((n + m) * k) >= 1 + n + m) == (past <= 0)
+        fine = random_weighted_distribution(n, rng)
+        # the fine pair itself has slack 0 at every threshold, so t = 0 must win;
+        # a relabelling of it comes within rounding of 0 everywhere
+        rows = [fine, WeightedDistribution(fine.probs[::-1], fine.volumes[::-1])]
+        rows += [push_forward(random_left_stochastic(m, n, rng), fine) for _ in range(k // 2 - 1)]
+        rows += [random_weighted_distribution(m, rng) for _ in range(k - len(rows))]
+        probs, volumes = np.stack([w.probs for w in rows]), np.stack([w.volumes for w in rows])
+        stack = majorization_verdicts(fine, probs, volumes)
+        assert stack[1][0] == 0.0 and stack[2][0] == 0.0
+        for c in range(k):
+            single = majorization_verdicts(fine, probs[c:c + 1], volumes[c:c + 1])
+            assert [a[c:c + 1].tobytes() for a in stack] == [a.tobytes() for a in single], c
+
+    def test_empty_stack_gives_empty_arrays(self):
+        fine = WeightedDistribution([0.5, 0.5], [1.0, 1.0])
+        out = majorization_verdicts(fine, np.zeros((0, 3)), np.ones((0, 3)))
+        assert [a.shape for a in out] == [(0,)] * 4
+
+    def test_first_nan_wins_as_argmin_picks_it(self):
+        """A quota that underflows to zero makes nan values; the first nan row is the minimum."""
+        fine = WeightedDistribution([0.5, 0.5], [1.0, 1.0])
+        # quotas (0, 0, 1): ratios inf and nan, and each makes a nan value
+        probs = np.array([[0.3, 0.0, 0.7], [0.0, 0.3, 0.7], [0.2, 0.3, 0.5]])
+        volumes = np.array([[1e-320, 1e-320, 1e12], [1e-320, 1e-320, 1e12], [1.0, 1.0, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singles = [majorization_verdicts(fine, probs[c:c + 1], volumes[c:c + 1]) for c in range(3)]
+            # 2 x 3 outcomes and this many candidates leave one threshold row per block
+            repeat = _BLOCK_CELLS // 5 + 1
+            stack = majorization_verdicts(fine, np.tile(probs, (repeat, 1)), np.tile(volumes, (repeat, 1)))
+        verdicts, thresholds, slacks, _ = (np.concatenate(column) for column in zip(*singles))
+        assert list(verdicts[:2]) == ["ambiguous", "ambiguous"]
+        assert thresholds[0] == math.inf and math.isnan(thresholds[1])
+        assert math.isnan(slacks[0]) and math.isnan(slacks[1]) and math.isfinite(slacks[2])
+        for got, single in zip(stack, zip(*singles)):
+            assert got.tobytes() == np.tile(np.concatenate(single), repeat).tobytes()
+
     def test_stack_entries_match_single_checks(self):
         rng = np.random.default_rng(4102)
         base = random_weighted_distribution(3, rng)

@@ -14,6 +14,7 @@ from povmcoarse import (
     push_forward,
     weighted_rows,
 )
+from povmcoarse.distributions import _probabilities
 from povmcoarse.errors import (
     LengthMismatchError,
     NotNormalizedError,
@@ -182,6 +183,26 @@ class TestStochasticMatrix:
         column = values[:, None] / 3.0  # one column summing to one
         m = StochasticMatrix(column)
         assert m.matrix.tobytes() == np.clip(column, 0.0, None).tobytes()
+
+
+class TestProbabilityRule:
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ([], ValidationError, "p must be non-empty"),
+            ([np.nan, -1.0, 0.5], ValidationError, "p has non-finite entries"),
+            ([-1.0, np.inf], ValidationError, "p has non-finite entries"),
+            ([2.0, -np.inf], ValidationError, "p has non-finite entries"),
+            ([-0.5, 0.2], ValidationError, "p has negative entries (min -5.000e-01)"),
+            ([[0.5, 0.5], [0.5, 0.2]], NotNormalizedError, "p has a sum of 0.7, expected 1 within 1.0e-08"),
+        ],
+        ids=["empty", "nan-before-negative", "inf-before-negative", "minus-inf", "negative-before-sum", "sum"],
+    )
+    def test_first_failing_check_names_the_error(self, values, error, message):
+        """Empty, then non-finite, then negative, then the sums: the first check that fails raises."""
+        with pytest.raises(error) as excinfo:
+            _probabilities(np.array(values, dtype=float), "p", 1e-8)
+        assert excinfo.type is error and str(excinfo.value) == message
 
 
 class TestPushForward:

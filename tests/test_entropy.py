@@ -14,6 +14,7 @@ from povmcoarse import (
     EntropyReport,
     JointDistribution,
     WeightedDistribution,
+    coarsen,
     kl_divergence,
     measurement_state_joint,
     mutual_information,
@@ -27,7 +28,8 @@ from povmcoarse import (
     validate_measurement,
     von_neumann_entropy,
 )
-from povmcoarse.errors import LengthMismatchError, NotNormalizedError, ValidationError
+from povmcoarse.entropy import mutual_information_stacks
+from povmcoarse.errors import DimensionMismatchError, LengthMismatchError, NotNormalizedError, ValidationError
 from povmcoarse.operators import require_density
 from povmcoarse.randomgen import (
     random_density_matrix,
@@ -406,6 +408,32 @@ class TestStackKernels:
                 assert np.array_equal(probs[s], outcome_probability_stack(povm, tail)[0])
                 assert np.array_equal(s_obs[s], s_obs_stack(povm, tail)[0])
                 assert np.array_equal(info[s], mutual_information_stack(povm, tail)[0])
+
+    def test_pair_of_measurements_shares_one_eigendecomposition(self, monkeypatch):
+        """Each entry of the pair call is bit-identical to its own stack call, from one ``eigh``."""
+        rng = np.random.default_rng(2023)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        for povm, states in kernel_cases():
+            coarse = coarsen(povm, random_left_stochastic(2, povm.n_outcomes, rng))
+            other = random_povm(povm.dim, int(rng.integers(1, 6)), rng, with_kraus=False)
+            singles = [mutual_information_stack(m, states) for m in (povm, coarse, other)]
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            pair = mutual_information_stacks((povm, coarse, other), states)
+            monkeypatch.setattr(np.linalg, "eigh", eigh)
+            assert calls == [states.shape]
+            assert [a.tobytes() for a in pair] == [a.tobytes() for a in singles]
+
+    def test_pair_call_checks_every_dimension(self):
+        states = np.stack([np.eye(2) / 2])
+        with pytest.raises(DimensionMismatchError):
+            mutual_information_stacks((random_povm(2, 2, seed=1), random_povm(3, 2, seed=1)), states)
 
     def test_pure_state_inside_one_outcome(self, z_measurement):
         states = np.stack([proj(ket(1, 0)), proj(ket(0, 1))])
