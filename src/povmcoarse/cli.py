@@ -5,8 +5,8 @@ Subcommands: ``entropy``, ``check-coarser``, ``compose``, ``verify``,
 or CSV for the region scan); diagnostics go to standard error.
 
 Exit codes: ``0`` success / feasible / all checks passed; ``1`` infeasible or
-a failing suite; ``2`` usage, parse or validation errors; ``3`` ambiguous
-feasibility verdict.
+a failing suite; ``2`` usage, parse or validation errors, or an array too
+large to allocate; ``3`` ambiguous feasibility verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .coarseness import check_coarser, check_coarser_in_subspace, majorization_verdicts
+from .coarseness import _majorization, check_coarser, check_coarser_in_subspace
 from .distributions import WeightedDistribution, weighted_rows
 from .entropy import _weighted_log_ratio, observational_entropy, s_obs_classical
 from .errors import InvalidRangeError, UnknownSuiteError, ValidationError
@@ -123,7 +123,7 @@ def cmd_region_scan(args) -> int:
     probs, volumes = weighted_rows(np.stack([p_cells, 1.0 - p_cells], axis=1),
                                    np.stack([v_cells, vtot - v_cells], axis=1))
     s_greater = _weighted_log_ratio(probs, volumes, probs, -1) >= s_base - _SCAN_ENTROPY_SLACK
-    feasible = majorization_verdicts(base, probs, volumes, tol=args.tol)[0] == "feasible"
+    feasible = _majorization(base, probs, volumes, args.tol)[0] == 0  # band 0 is feasible
     inclusion_violations = int(np.count_nonzero(feasible & ~s_greater))
     if inclusion_violations:
         raise RuntimeError(
@@ -235,7 +235,10 @@ def main(argv=None) -> int:
     except UnknownSuiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValidationError, OSError, ValueError, RuntimeError) as exc:
+    except (ValidationError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+        # a MemoryError (numpy raises a subclass for an array it cannot
+        # allocate, say for an impossible --grid) would otherwise exit 1,
+        # which means "infeasible"
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

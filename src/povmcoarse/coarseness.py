@@ -76,7 +76,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import StochasticMatrix, WeightedDistribution, as_stochastic, push_forward
+from .distributions import StochasticMatrix, WeightedDistribution, _sums, as_stochastic, push_forward
 from .errors import (
     BrokenColumnSumError,
     DimensionMismatchError,
@@ -89,7 +89,7 @@ from .errors import (
 )
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DEFAULT_ATOL, Subspace, dagger, frobenius
-from .simplex import _check_tol, _verdict_band, lp_feasible
+from .simplex import _BANDS, _BAND_NAMES, _band, _check_tol, _verdict_band, lp_feasible
 
 DEFAULT_FEAS_TOL = 1e-8
 # a fine component whose residual against the span of the others is at most
@@ -458,44 +458,65 @@ def majorization_verdicts(
 
     The thresholds form a ``(1 + n + m, k)`` array, one row per threshold
     (``0``, the fine ratios, then the candidate's own) and one column per
-    candidate. ``f`` is evaluated on blocks of whole threshold rows against
-    ``(outcome, 1, candidate)`` arrays, so every inner loop runs along the
-    candidates and every sum adds the outcomes in order. A block holds as
-    many rows as keep rows x outcomes x candidates within
-    ``_BLOCK_CELLS``, and at least one: a small stack is one block, and a
-    wide one goes one row at a time.
+    candidate. ``f`` is evaluated on blocks of whole threshold rows: each
+    side's terms ``(p_i - t q_i)_+`` are written in place into one
+    ``(outcome, row, candidate)`` scratch array, allocated once per call and
+    shared by the two sides in turn, so a wide stack makes no 3-D temporary,
+    every inner loop runs along the candidates and every sum adds the
+    outcomes in order. A block holds as many rows as keep rows x outcomes x
+    candidates within ``_BLOCK_CELLS``, and at least one: a small stack is
+    one block, and a wide one goes one row at a time.
 
     Each candidate's slack is its first minimum in threshold order, as
     ``argmin`` picks it (a ``nan`` counts as below every number): inside a
-    block, the first row that attains the block's minimum; across blocks, a
-    later block replaces the running minimum only when strictly below it, so
-    an earlier threshold wins a tie. The result does not depend on the block
-    height, so a stack's row is bit-identical to the one-candidate call.
+    block, the first row that attains the block's minimum (a one-row block
+    is its own); across blocks, a later block replaces the running minimum
+    only when strictly below it, so an earlier threshold wins a tie. The
+    result does not depend on the block height, so a stack's row is
+    bit-identical to the one-candidate call.
 
     Returns ``(verdicts, thresholds, slacks, volume_gaps)``, each of shape
     ``(k,)``; see :class:`Separation` for the last three.
     """
+    bands, thresholds, slacks, gaps = _majorization(fine, probs, volumes, tol)
+    return _BANDS[bands], thresholds, slacks, gaps
+
+
+def _hinge_sums(p, q, block, out):
+    """``sum_i (p_i - block * q_i)_+`` over the first axis, with ``out`` as scratch for the terms."""
+    np.multiply(block, q, out=out)
+    np.subtract(p, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.add.reduce(out, axis=0)
+
+
+def _majorization(fine, probs, volumes, tol):
+    """:func:`majorization_verdicts` with each verdict as its band index (see :func:`~povmcoarse.simplex._band`)."""
     _check_tol(tol)
     total = fine.total_volume
-    totals = volumes.sum(axis=-1)
+    totals = _sums(volumes)
     (k, m), n = probs.shape, fine.n
     p_f, q_f = fine.probs[:, None, None], (fine.volumes / total)[:, None, None]
     p_c, q_c = probs.T.copy()[:, None], np.divide(volumes.T, totals, order="C")[:, None]
     t = np.empty((1 + n + m, k))
     t[0] = 0.0
     t[1:n + 1] = (p_f / q_f)[:, 0]
-    t[n + 1:] = (p_c / q_c)[:, 0]
-    rows = max(1, _BLOCK_CELLS // max((n + m) * k, 1))
+    np.divide(p_c[:, 0], q_c[:, 0], out=t[n + 1:])
+    rows = min(len(t), max(1, _BLOCK_CELLS // max((n + m) * k, 1)))
     order = np.arange(len(t))[:, None]
-    # the ufuncs' own reductions: the ndarray methods cost a Python call more per block
-    add, least = np.add.reduce, np.minimum.reduce
+    # scratch for one block's terms, one side at a time
+    terms = np.empty((max(n, m), rows, k))
     for start in range(0, len(t), rows):
         block = t[start:start + rows]
-        values = add(np.maximum(p_f - block * q_f, 0.0), axis=0) - add(np.maximum(p_c - block * q_c, 0.0), axis=0)
-        low = least(values, axis=0)
-        # the first row at the block's minimum, or at its first nan
-        above = (values != low) & (values == values)
-        first = least(np.where(above, len(t), order[start:start + rows]), axis=0)
+        height = len(block)
+        values = _hinge_sums(p_f, q_f, block, terms[:n, :height]) - _hinge_sums(p_c, q_c, block, terms[:m, :height])
+        if height == 1:
+            low, first = values[0], start
+        else:
+            low = np.minimum.reduce(values, axis=0)
+            # the first row at the block's minimum, or at its first nan
+            above = (values != low) & (values == values)
+            first = np.minimum.reduce(np.where(above, len(t), order[start:start + height]), axis=0)
         if start:
             # strictly below, or a first nan; a running nan stays
             lower = ~(low >= slacks) & (slacks == slacks)
@@ -504,8 +525,7 @@ def majorization_verdicts(
             worst, slacks = first, low
     thresholds = t[worst, np.arange(k)]
     gaps = np.abs(totals - total) / total
-    verdicts = _verdict_band(np.maximum(-slacks, gaps), tol)
-    return verdicts, thresholds, slacks, gaps
+    return _band(np.maximum(-slacks, gaps), tol), thresholds, slacks, gaps
 
 
 def check_coarser_classical(
@@ -523,14 +543,11 @@ def check_coarser_classical(
     witness from the processing LP on the rows ``(p_i, V_i / sum(V))``; if
     that LP yields no valid witness the verdict is ``ambiguous``.
     """
-    verdicts, thresholds, slacks, gaps = majorization_verdicts(
-        fine, coarse.probs[None], coarse.volumes[None], tol
-    )
+    bands, thresholds, slacks, gaps = _majorization(fine, coarse.probs[None], coarse.volumes[None], tol)
     separation = Separation(float(thresholds[0]), float(slacks[0]), float(gaps[0]))
-    if verdicts[0] != "feasible":
-        return CoarsenessCertificate(
-            str(verdicts[0]), None, math.inf, math.nan, separation=separation
-        )
+    verdict = _BAND_NAMES[bands[0]]
+    if verdict != "feasible":
+        return CoarsenessCertificate(verdict, None, math.inf, math.nan, separation=separation)
     total = fine.total_volume
     cert = _decide(
         np.array([fine.probs, fine.volumes / total]).T,

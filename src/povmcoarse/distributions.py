@@ -37,6 +37,22 @@ DEFAULT_COLUMN_TOL = 1e-8
 _NEGATIVE_TOL = 1e-12
 
 
+def _sums(arr: np.ndarray, axis=-1):
+    """``arr.sum(axis=axis)`` of a float array, bit for bit.
+
+    A 2-D array's rows of fewer than 8 entries are added column by column,
+    ``((0.0 + a0) + a1) + ...``, which is numpy's own order for such rows but
+    costs one vector add per column instead of one reduction call per row;
+    numpy adds longer rows pairwise, so every other case is numpy's sum.
+    """
+    if axis != -1 or arr.ndim != 2 or not 0 < arr.shape[1] < 8:
+        return arr.sum(axis=axis)
+    total = 0.0 + arr[:, 0]
+    for j in range(1, arr.shape[1]):
+        total += arr[:, j]
+    return total
+
+
 def _probabilities(
     values, name: str, tol: float, *, axis=-1, neg_tol: float = _NEGATIVE_TOL,
     error=ValidationError, sum_error=NotNormalizedError,
@@ -57,7 +73,7 @@ def _probabilities(
     if lowest < -neg_tol:
         raise error(f"{name} has negative entries (min {lowest:.3e})")
     arr = np.maximum(arr, 0.0)
-    totals = arr.sum(axis=axis)
+    totals = _sums(arr, axis)
     errors = np.abs(totals - 1.0)
     if errors.max() > tol:
         total = float(np.ravel(totals)[np.argmax(errors)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JointDistribution, WeightedDistribution, _probabilities
+from .distributions import JointDistribution, WeightedDistribution, _probabilities, _sums
 from .errors import LengthMismatchError, ValidationError
 from .measurements import (
     GeneralizedMeasurement,
@@ -36,7 +36,7 @@ def _weighted_log_ratio(p: np.ndarray, num, den, axis) -> np.ndarray:
     mask = p > ZERO_PROB_TOL
     # a skipped entry contributes p * (ln 1 - ln 1) = 0; + 0.0 turns a -0.0 total into 0.0
     terms = p * (np.log(np.where(mask, num, 1.0)) - np.log(np.where(mask, den, 1.0)))
-    return terms.sum(axis=axis) + 0.0
+    return _sums(terms, axis) + 0.0
 
 
 def s_obs_classical(w: WeightedDistribution) -> float:

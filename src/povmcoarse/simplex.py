@@ -78,7 +78,7 @@ _HARRIS_DELTA = 1e-9
 _STALL_LIMIT = 200
 # optima in (tol, _AMBIGUOUS_FACTOR * tol] are reported as ambiguous
 _AMBIGUOUS_FACTOR = 10.0
-# verdicts by band index: 1 + (above the ambiguous band) - (within tol)
+# verdicts by band index, see _band
 _BANDS = np.array(["feasible", "ambiguous", "infeasible"])
 _BAND_NAMES = tuple(_BANDS.tolist())
 
@@ -104,14 +104,22 @@ def _check_tol(tol: float) -> None:
         raise InvalidRangeError(f"tol must be positive and finite, got {tol}")
 
 
-def _verdict_band(violation, tol: float):
-    """Three-valued verdict of a non-negative violation against ``tol``.
+def _band(violation, tol: float):
+    """Band of a non-negative violation against ``tol``, as its index into ``_BANDS``.
 
-    ``feasible`` at most ``tol``, ``infeasible`` above ``10 * tol`` and
-    ``ambiguous`` between (or for ``nan``). A scalar gives a ``str``, an array
-    a ``<U10`` array of the same shape.
+    ``0`` (``feasible``) at most ``tol``, ``2`` (``infeasible``) above
+    ``10 * tol`` and ``1`` (``ambiguous``) between, or for ``nan``. An array
+    gives an integer array of the same shape.
     """
-    band = 1 + (violation > _AMBIGUOUS_FACTOR * tol) - (violation <= tol)
+    return 1 + (violation > _AMBIGUOUS_FACTOR * tol) - (violation <= tol)
+
+
+def _verdict_band(violation, tol: float):
+    """Three-valued verdict of a non-negative violation against ``tol``, by :func:`_band`.
+
+    A scalar gives a ``str``, an array a ``<U10`` array of the same shape.
+    """
+    band = _band(violation, tol)
     # a scalar's band indexes the tuple: indexing the array costs more than the comparisons
     return _BANDS[band] if isinstance(band, np.ndarray) else _BAND_NAMES[band]
 

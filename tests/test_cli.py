@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from povmcoarse import cli
 from povmcoarse.cli import main
+from povmcoarse.coarseness import majorization_verdicts
+from povmcoarse.distributions import WeightedDistribution, weighted_rows
 from povmcoarse.randomgen import random_povm
 from povmcoarse.serialization import (
     dump_json,
@@ -301,6 +304,45 @@ class TestRegionScanCommand:
         assert code == 0
         assert len(cells) == 9
         assert set(cells[0]) == {"p2", "v2", "s_greater", "feasible"}
+
+    def test_feasible_column_is_the_public_verdict(self, tmp_path):
+        """The CSV's ``feasible`` flags are ``majorization_verdicts(...) == "feasible"`` on its own cells.
+
+        Twenty seeded ``(p1, v1, vtot)`` triples at ``--grid 37``; their
+        tolerances (1e-4 to 1e-3) leave some cells ``ambiguous``, whose flag
+        must be 0.
+        """
+        ambiguous = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p1, vtot = rng.uniform(0.05, 0.95), rng.uniform(0.5, 4.0)
+            v1, tol = vtot * rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-4, -3)
+            out_path = tmp_path / f"scan{seed}.csv"
+            argv = ["--p1", repr(p1), "--v1", repr(v1), "--vtot", repr(vtot), "--grid", "37", "--tol", repr(tol)]
+            assert main(["region-scan", *argv, "--out", str(out_path)]) == 0
+            with out_path.open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 37 * 37
+            p2 = np.array([float(r["p2"]) for r in rows])
+            v2 = np.array([float(r["v2"]) for r in rows])
+            probs, volumes = weighted_rows(np.stack([p2, 1.0 - p2], axis=1), np.stack([v2, vtot - v2], axis=1))
+            base = WeightedDistribution([p1, 1.0 - p1], [v1, vtot - v1])
+            verdicts = majorization_verdicts(base, probs, volumes, tol)[0]
+            got = np.array([r["feasible"] == "1" for r in rows])
+            assert np.array_equal(got, verdicts == "feasible"), seed
+            assert "feasible" in verdicts and "infeasible" in verdicts
+            ambiguous += np.count_nonzero(verdicts == "ambiguous")
+        assert ambiguous > 0
+
+    def test_memory_error_exits_2_with_one_line(self, monkeypatch, capsys):
+        """An allocation failure is an error (exit 2), not the "infeasible" exit 1, and prints no traceback."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+        monkeypatch.setattr(cli, "weighted_rows", no_memory)
+        assert main(["region-scan", "--grid", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError: Unable to allocate 7.45 GiB for an array with shape (1000000000,)\n"
 
 
 class TestEntropyOnQuantumCounterexampleFiles:

@@ -14,7 +14,7 @@ from povmcoarse import (
     push_forward,
     weighted_rows,
 )
-from povmcoarse.distributions import _probabilities
+from povmcoarse.distributions import _probabilities, _sums
 from povmcoarse.errors import (
     LengthMismatchError,
     NotNormalizedError,
@@ -195,14 +195,41 @@ class TestProbabilityRule:
             ([2.0, -np.inf], ValidationError, "p has non-finite entries"),
             ([-0.5, 0.2], ValidationError, "p has negative entries (min -5.000e-01)"),
             ([[0.5, 0.5], [0.5, 0.2]], NotNormalizedError, "p has a sum of 0.7, expected 1 within 1.0e-08"),
+            # the named sums are numpy's: in order below 8 entries, pairwise from 8 on
+            # (0.1 added nine times in order gives 0.8999999999999999)
+            ([[0.1, 0.2, 0.3]], NotNormalizedError, "p has a sum of 0.6000000000000001, expected 1 within 1.0e-08"),
+            ([[0.1] * 9, [0.1] * 8 + [0.2]], NotNormalizedError, "p has a sum of 0.9, expected 1 within 1.0e-08"),
         ],
-        ids=["empty", "nan-before-negative", "inf-before-negative", "minus-inf", "negative-before-sum", "sum"],
+        ids=["empty", "nan-before-negative", "inf-before-negative", "minus-inf", "negative-before-sum", "sum",
+             "sum-of-3", "pairwise-sum-of-9"],
     )
     def test_first_failing_check_names_the_error(self, values, error, message):
         """Empty, then non-finite, then negative, then the sums: the first check that fails raises."""
         with pytest.raises(error) as excinfo:
             _probabilities(np.array(values, dtype=float), "p", 1e-8)
         assert excinfo.type is error and str(excinfo.value) == message
+
+
+class TestSums:
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, 0.1, 1e16, -1e16]
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_row_sums_are_numpy_sums_bit_for_bit(self, width):
+        """Signed zeros, subnormals, infinities and nan included, in C order, Fortran order and strided."""
+        rng = np.random.default_rng(width)
+        arr = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-20, 20, (300, width))
+        special = rng.random(arr.shape) < 0.3
+        arr[special] = rng.choice(self.SPECIAL, np.count_nonzero(special))
+        arr[:len(self.SPECIAL)] = np.array(self.SPECIAL)[:, None]  # rows of one value: all -0.0, all subnormal, ...
+        with np.errstate(invalid="ignore", over="ignore"):
+            for view in arr, np.asfortranarray(arr), arr[::3], arr[:, ::-1]:
+                assert _sums(view).tobytes() == view.sum(axis=-1).tobytes()
+
+    def test_other_shapes_and_axes_are_numpy_sums(self):
+        arr = np.random.default_rng(0).standard_normal((3, 4, 5))
+        for values, axis in [(arr[0, 0], -1), (arr, -1), (arr, (-2, -1)), (arr[0], 0), (arr[0], None)]:
+            assert np.asarray(_sums(values, axis)).tobytes() == np.asarray(values.sum(axis=axis)).tobytes()
+        assert _sums(np.zeros((4, 0))).tobytes() == np.zeros(4).tobytes()
 
 
 class TestPushForward:
