@@ -1,20 +1,28 @@
 """Phase-1 simplex feasibility solver for ``x >= 0`` with ``Ax = b``, ``Gx <= h``.
 
 The solver minimizes the sum of artificial variables on a dense tableau.
-Pivoting uses Dantzig's rule (the entering column has the most negative
-reduced cost) and switches to Bland's rule permanently once the objective
-stalls, which guarantees termination on the degenerate systems that projected
-subspace constraints produce.
+The entering column has the most negative reduced cost (Dantzig's rule)
+until the objective has not improved for ``_STALL_LIMIT`` pivots in a row;
+from then on it is the eligible column with the smallest id (Bland's
+entering rule). The switch is for good, and it changes only the entering
+column: degenerate pivots that return to an earlier basis under Dantzig's
+rule (Hall and McKinnon, *Math. Programming* 100, 133 (2004)) are broken
+this way in practice. Termination is not guaranteed: Bland's finiteness
+proof (*Math. Oper. Res.* 2, 103 (1977)) needs his leaving rule and exact
+ratios, which the ratio test below keeps neither of. ``max_iter`` bounds the
+loop instead, and :class:`IterationLimitError` reports a solve that reaches
+it.
 
 The leaving row comes from Harris's two-pass ratio test (Harris, *Math.
 Programming* 5, 1 (1973)). Pass 1 relaxes every right-hand side by the
 feasibility tolerance ``_HARRIS_DELTA`` and takes the smallest relaxed ratio
 as a bound; pass 2 lets every row whose exact ratio is within that bound leave
-and, under Dantzig's rule, takes the one with the largest pivot entry (under
-Bland's rule, the smallest basis id). A tie band around the exact minimum
-alone would force a pivot on whatever entry the minimizing row has, however
-small against the rest of its column; the tableau growth that follows such
-pivots can turn feasible systems infeasible.
+and takes the one with the largest pivot entry. A tie band around the exact
+minimum alone would force a pivot on whatever entry the minimizing row has,
+however small against the rest of its column; the tableau growth that follows
+such pivots can turn feasible systems infeasible. Bland's own leaving choice,
+the candidate with the smallest basis id, ignores the pivot size in the same
+way, so neither phase uses it.
 
 The tableau is condensed and stored column-major: one ``(w + 1, m + 1)``
 array ``C`` holds the right-hand side in row 0 and the ``w`` nonbasic
@@ -27,9 +35,7 @@ negated sums, taken row by row, of the rows whose artificial starts basic.
 Basic columns are unit vectors that no pivot changes and whose reduced cost
 stays exactly zero, so they are not stored; neither are the artificial
 columns, which the solver never reads: every artificial starts in the basis,
-cannot enter while it is basic, and is not wanted back once it has left. The
-basis records artificial ``k`` by the id ``n_struct + k``, which is all that
-Bland's leaving tie-break and the phase-1 objective need.
+cannot enter while it is basic, and is not wanted back once it has left.
 
 A pivot on row ``r`` and the column in row ``q`` of ``C`` divides entry ``r``
 of every stored column by the pivot ``p``, then subtracts from each stored
@@ -114,14 +120,13 @@ def _band(violation, tol: float):
     return 1 + (violation > _AMBIGUOUS_FACTOR * tol) - (violation <= tol)
 
 
-def _verdict_band(violation, tol: float):
-    """Three-valued verdict of a non-negative violation against ``tol``, by :func:`_band`.
+def _verdict_band(violation: float, tol: float) -> str:
+    """Three-valued verdict of a non-negative scalar violation against ``tol``, by :func:`_band`.
 
-    A scalar gives a ``str``, an array a ``<U10`` array of the same shape.
+    Arrays are named by ``_BANDS[_band(...)]``.
     """
-    band = _band(violation, tol)
-    # a scalar's band indexes the tuple: indexing the array costs more than the comparisons
-    return _BANDS[band] if isinstance(band, np.ndarray) else _BAND_NAMES[band]
+    # the band indexes the tuple: indexing the array costs more than the comparisons
+    return _BAND_NAMES[_band(violation, tol)]
 
 
 def _check_n_vars(n_vars) -> int:
@@ -168,6 +173,13 @@ def lp_feasible(
     ``phase1_optimum`` is the minimized total constraint violation either way.
     ``tol`` must be positive and finite, ``n_vars`` a non-negative integer, and
     every entry of the system finite.
+
+    After ``_STALL_LIMIT`` pivots in a row without progress, the entering
+    column switches for good from Dantzig's rule to Bland's; the leaving row is
+    the largest pivot among Harris's candidates in both phases. Termination is
+    not guaranteed: a solve that needs more than ``max_iter`` pivots (default
+    ``10 * (rows + columns)**2``, counting slack and artificial columns) raises
+    :class:`IterationLimitError`.
     """
     _check_tol(tol)
     n_vars = _check_n_vars(n_vars)
@@ -186,13 +198,12 @@ def lp_feasible(
     np.negative(rows, out=rows, where=art_basic[:, None])
 
     # initial basis: the slack of row r >= me (column n_vars + r - me) where its
-    # coefficient stayed +1, artificial elsewhere; basis[r] = n_struct + k names artificial k
+    # coefficient stayed +1, artificial elsewhere; basis[r] is read only where art_basic[r] is False
     n_struct = n_vars + mu
     flipped_slacks = art_basic[me:].nonzero()[0]
     art_basic[:me] = True
     n_art = np.count_nonzero(art_basic)
     basis = np.arange(n_vars - me, n_struct)
-    basis[art_basic] = np.arange(n_struct, n_struct + n_art)
 
     # the condensed tableau: the right-hand side, the unknowns, then the slacks of flipped rows
     w = n_vars + flipped_slacks.size
@@ -248,7 +259,7 @@ def lp_feasible(
         head, piv = rhs[pivot_rows], col[pivot_rows]
         bound = float(((head + _HARRIS_DELTA) / piv).min())
         tie = pivot_rows[head / piv <= bound]
-        r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
+        r = int(tie[col[tie].argmax()])
 
         iterations += 1
         if iterations > max_iter:

@@ -149,8 +149,8 @@ class TestVerdictBand:
         numpy_scalars = [simplex._verdict_band(np.float64(v), tol) for v in violations]
         assert numpy_scalars == bands
         assert all(type(b) is str for b in bands + numpy_scalars)
-        # the array form applies the same rule element by element
-        array = simplex._verdict_band(np.array(violations), tol)
+        # an array's bands name the same verdicts element by element
+        array = simplex._BANDS[simplex._band(np.array(violations), tol)]
         assert array.dtype == np.dtype("<U10")
         assert array.tolist() == bands
 
@@ -304,11 +304,13 @@ def _zero_rhs_systems(seed: int, count: int):
 
 
 class TestBlandRule:
-    """With a stall limit of 0 the first degenerate pivot switches to Bland's rule for good.
+    """With a stall limit of 0 the first degenerate pivot switches to Bland's entering rule.
 
-    The mixed and structured systems never make a degenerate pivot, so there
-    the lower limit must change nothing; the homogeneous-row systems are the
-    ones that reach Bland's rule.
+    The switch is for good and changes only the entering column; the leaving
+    row stays the largest pivot among Harris's candidates. The mixed and
+    structured systems never make a degenerate pivot, so there the lower
+    limit must change nothing; the homogeneous-row systems are the ones that
+    reach Bland's rule.
     """
 
     @pytest.fixture(autouse=True)
@@ -336,6 +338,63 @@ class TestBlandRule:
         )
         # the switch fired and changed the pivot path
         assert bland_pivots != default_pivots
+
+
+def _pair_form(a_eq, b_eq, a_ub, b_ub):
+    """The system with each equality row written as two inequality rows: ``(a_ub, b_ub)``."""
+    return np.vstack([a_eq, -a_eq, a_ub]), np.concatenate([b_eq, -b_eq, b_ub])
+
+
+class TestLeavingRule:
+    """The largest pivot among Harris's candidates leaves, also after the stall switch.
+
+    In inequality-pair form these merge systems stall long enough for the
+    switch to fire. With the smallest basis id leaving after it (Bland's own
+    leaving choice), draw (14, 0) came back ``infeasible`` with phase-1
+    optimum 74.4 after 16,533 pivots, and draw (15, 1) had no result after
+    150,000. The largest pivot ends both in under 2,300 pivots; the cap keeps
+    a regression from running the default budget of about 5.5M pivots.
+    """
+
+    @pytest.mark.parametrize("seed, draw", [(14, 0), (15, 1)])
+    def test_merge_system_in_pair_form_is_feasible(self, seed, draw):
+        coarse, fine = overcomplete_merge_pair(seed, draw)
+        a, b = _pair_form(
+            *eliminated_processing_system(
+                _component_rows(fine.stacked()), _component_rows(coarse.stacked())
+            )
+        )
+        n = (coarse.n_outcomes - 1) * fine.n_outcomes
+        res = lp_feasible(a_ub=a, b_ub=b, n_vars=n, max_iter=20_000)
+        assert res.verdict == "feasible"
+        assert res.residual <= 1e-7
+        assert scipy_feasible(None, None, a, b, n_vars=n)
+
+
+class TestStallSwitch:
+    """Hall and McKinnon's cycling example (*Math. Programming* 100, 133 (2004)) in phase-1 form.
+
+    Its two rows ``x <= 0``, with its objective as a third row ``<= -0.05``,
+    make the only artificial's row. Dantzig's rule cycles through degenerate
+    pivots on it until the pivot cap; Bland's entering rule, after the stall
+    switch, ends phase 1 at a feasible point.
+    """
+
+    A_UB = np.array(
+        [[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4], [-2.3, -2.15, 13.55, 0.4]]
+    )
+    B_UB = np.array([0.0, 0.0, -0.05])
+
+    def test_switch_reaches_a_feasible_point(self):
+        res = lp_feasible(a_ub=self.A_UB, b_ub=self.B_UB, n_vars=4)
+        assert res.verdict == "feasible"
+        assert res.residual <= 1e-7
+        assert scipy_feasible(None, None, self.A_UB, self.B_UB, n_vars=4)
+
+    def test_without_the_switch_the_cap_is_reached(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 10**9)
+        with pytest.raises(IterationLimitError):
+            lp_feasible(a_ub=self.A_UB, b_ub=self.B_UB, n_vars=4)
 
 
 class TestIterationCap:
@@ -394,7 +453,7 @@ def full_tableau_feasible(a_eq, b_eq, a_ub, b_ub, n_vars):
         head, piv = rhs[rows], col[rows]
         bound = float(((head + simplex._HARRIS_DELTA) / piv).min())
         tie = rows[head / piv <= bound]
-        r = int(tie[basis[tie].argmin()]) if bland else int(tie[col[tie].argmax()])
+        r = int(tie[col[tie].argmax()])
         iterations += 1
         T[r] /= T[r, j]
         other = T[:, j].copy()

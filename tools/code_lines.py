@@ -5,14 +5,16 @@ Usage::
     python tools/code_lines.py [PATH ...]
 
 Each PATH is a Python file or a directory searched recursively for ``*.py``
-files; the default is ``src/povmcoarse``. Prints one ``count  path`` line per
-file, then the total. A docstring is the string expression that opens a
-module, class or function body, as the ``ast`` module finds it. Standard
-library only; run by hand, not part of the test suite.
+files; the default is ``src/povmcoarse``, relative to the working directory.
+Prints one ``count  path`` line per file, then the total. A docstring is the
+string expression that opens a module, class or function body, as the ``ast``
+module finds it. Exits 2 with one ``error:`` line on standard error when a
+PATH does not exist. Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -63,8 +65,19 @@ def _python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        prog="tools/code_lines.py",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("paths", nargs="*", default=["src/povmcoarse"], metavar="PATH")
+    args = parser.parse_args(argv)
+    for arg in args.paths:
+        if not Path(arg).exists():
+            print(f"error: no such file or directory: {arg}", file=sys.stderr)
+            return 2
     total = 0
-    for path in _python_files(argv or ["src/povmcoarse"]):
+    for path in _python_files(args.paths):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path}")
