@@ -12,6 +12,7 @@ large to allocate; ``3`` ambiguous feasibility verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -155,18 +156,16 @@ def cmd_region_scan(args) -> int:
 
 
 def cmd_counterexamples(args) -> int:
-    all_passed = True
-    lines = []
-    for name, runner in counterexample_registry():
-        payload = runner()
-        ok = payload["passed"]
-        all_passed = all_passed and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
+    report = run_suite("counterexamples")
+    failed = {record["trial"] for record in report.details}
+    lines = [f"{'FAIL' if name in failed else 'PASS'} {name}" for name, _ in counterexample_registry()]
     _emit("\n".join(lines), args.out)
-    return EXIT_OK if all_passed else EXIT_INFEASIBLE
+    return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="povmcoarse",
         description="Coarse-graining relations between measurements, observational "
@@ -221,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import StochasticMatrix, WeightedDistribution
-from .errors import InvalidRankError, SingularSumError, ValidationError
+from .errors import InvalidRangeError, InvalidRankError, SingularSumError, ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DensityMatrix, Subspace, dagger, matrix_sqrt_psd, require_density
 
@@ -112,6 +112,8 @@ def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -
     """
     if n_outcomes < 1:
         raise ValidationError("need at least one outcome")
+    if dim < 1:
+        raise InvalidRangeError(f"dimension must be at least 1, got {dim}")
     rng = rng_from(seed)
     for _ in range(_POVM_DRAWS):
         parts = rng.standard_normal((n_outcomes, 2, dim, dim))
@@ -177,7 +179,9 @@ def random_left_stochastic(
 
 
 def random_simplex(n: int, seed=0) -> np.ndarray:
-    """Strictly positive probability vector from the flat simplex distribution."""
+    """Strictly positive probability vector of length ``n >= 1`` from the flat simplex distribution."""
+    if n < 1:
+        raise InvalidRangeError(f"a probability vector needs at least one entry, got {n}")
     rng = rng_from(seed)
     e = rng.exponential(size=n) + 1e-12
     return e / e.sum()

@@ -6,24 +6,30 @@ independent instances and reports every violation with its serialized inputs,
 so any failure can be replayed from file. Identical arguments always produce
 identical reports.
 
-Trial ``t`` of a theorem suite draws its instance from ``trial_rng`` at ``(seed, t)``
-and reports at most one record, for the first statement found violated: keys
-``trial``, ``violated``, the compared values, then ``state`` for a per-state
-statement, then the inputs (``subspace``, ``coarse``, ``fine`` for pairs). A
-per-state statement reports its first violating state. Everything a trial
-draws comes from ``trial_rng(seed, t)``, the pair first and then the states,
-so a record replays from ``(seed, t)`` alone. The four subspace suites check
-nothing below dimension 2, which has no proper nonzero subspace.
+Every randomized suite runs one trial shape through one loop, :func:`_suite`:
+``draw(rng, dim, t)`` makes every random draw of trial ``t`` from
+``trial_rng(seed, t)`` and returns a tuple, then ``verify(*drawn)`` draws
+nothing and returns the trial's record or ``None``. A trial reports at most one
+record, for the first statement found violated: keys ``trial``, ``violated``,
+the compared values, then ``state`` for a per-state statement, then the inputs
+(``subspace``, ``coarse``, ``fine`` for pairs). A per-state statement reports
+its first violating state. The replay rule is the same for all 13 suites:
+``draw(trial_rng(seed, t), dim, t)`` rebuilds the inputs of trial ``t``'s
+record. The four subspace suites check nothing below dimension 2, which has no
+proper nonzero subspace.
 
-The eight quantum pair suites (``projective_equiv`` to ``restriction``)
-share one trial: ``draw(rng, dim)`` makes every random draw of the trial, the
-pair first, and gives ``(fine, coarse, subspace or None, extra)``; then
-``verify`` decides the pair, checks the witness and sweeps the states, and
-draws nothing. ``extra`` is the trial's states, the smaller subspace in
-``restriction``, or whether ``projective_equiv``'s pair is coarser by
-construction (its odd trials draw a pair whose relation is not known). A pair
-built to be coarser that is not decided ``feasible`` gives one record shape:
-the statement, the verdict, then the pair.
+After its general instance, ``dpi_kl`` draws an equality case on even ``t``,
+and ``obs_monotone`` a constructed equality (``t % 3 == 0``) or a constructed
+strict increase (``t % 3 == 1``).
+
+The eight quantum pair suites (``projective_equiv`` to ``restriction``) draw
+``(fine, coarse, subspace or None, extra)``, the pair first; ``verify`` decides
+the pair, checks the witness and sweeps the states. ``extra`` is the trial's
+states, the smaller subspace in ``restriction``, or whether
+``projective_equiv``'s pair is coarser by construction (its odd trials draw an
+unrelated pair whose relation is not known). A pair built to be coarser that is
+not decided ``feasible`` gives one record shape: the statement, the verdict,
+then the pair.
 
 The six per-state suites draw a trial's states after the pair as one
 ``(k, d, d)`` stack, in one Gaussian call (:func:`random_density_stack`) that
@@ -66,7 +72,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -142,13 +149,7 @@ class SuiteReport:
         return self.failures == 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _fail(statement: str, **payload) -> dict:
@@ -163,17 +164,25 @@ def _pair_payload(coarse, fine, subspace=None) -> dict:
     return payload
 
 
-def _trials(trials, seed, check) -> list[dict]:
-    """Records of ``check(t, rng)`` on each trial's generator, in trial order; ``None`` passes."""
-    fails = []
-    for t in range(trials):
-        record = check(t, trial_rng(seed, t))
-        if record is not None:
-            fails.append({"trial": t, **record})
-    return fails
+def _suite(draw, verify, min_dim=1):
+    """The suite whose trial ``t`` is ``verify(*draw(trial_rng(seed, t), dim, t))``.
+
+    Its records come in trial order, each with ``trial`` first; ``None`` passes.
+    Below dimension ``min_dim`` the suite checks nothing.
+    """
+    def suite(trials, dim, seed):
+        if dim < min_dim:
+            return []
+        fails = []
+        for t in range(trials):
+            record = verify(*draw(trial_rng(seed, t), dim, t))
+            if record is not None:
+                fails.append({"trial": t, **record})
+        return fails
+    return suite
 
 
-def _sweep_states(statement, states, check, coarse, fine, subspace=None):
+def _sweep_states(statement, check, fine, coarse, subspace, states):
     """The record of the first state in the stack ``states`` that violates ``check``, or ``None``.
 
     ``states`` holds all of the trial's states, drawn up front as one validated
@@ -192,11 +201,6 @@ def _sweep_states(statement, states, check, coarse, fine, subspace=None):
                      **_pair_payload(coarse, fine, subspace))
 
 
-def _in_proper_subspaces(suite):
-    """Below dimension 2 there is no proper nonzero subspace, so the suite checks nothing."""
-    return lambda trials, dim, seed: [] if dim < 2 else suite(trials, dim, seed)
-
-
 # ---------------------------------------------------------------------------
 # classical data-processing suites
 
@@ -210,91 +214,107 @@ def _proportional_in_blocks(block, ref, weights):
     return ref * weights[block] / mass[block]
 
 
-def _suite_dpi_kl(trials, dim, seed):
+def _draw_dpi_kl(rng, dim, t):
+    """A stochastic matrix and two distributions; on even ``t`` also an equality case.
+
+    The equality case is a merge and a ``p`` proportional to ``q`` inside every
+    merge block, else ``None``.
+    """
     n = max(2, dim)
-
-    def check(t, rng):
-        m = int(rng.integers(1, n + 3))
-        p_mat = random_left_stochastic(m, n, rng)
-        p = random_simplex(n, rng)
-        q = random_simplex(n, rng)
-        before = kl_divergence(p, q)
-        after = kl_divergence(p_mat.matrix @ p, p_mat.matrix @ q)
-        if after > before + INEQ_TOL:
-            return _fail("D(p||q) >= D(Pp||Pq)", before=before, after=after,
-                         P=p_mat.matrix.tolist(), p=p.tolist(), q=q.tolist())
-        if t % 2 == 0:
-            # equality case: p proportional to q inside every merge block
-            k = int(rng.integers(1, n + 1))
-            merge = random_left_stochastic(k, n, rng, merge=True)
-            block = merge.matrix.argmax(axis=0)
-            q2 = random_simplex(n, rng)
-            weights = random_simplex(k, rng) * (np.bincount(block, minlength=k) > 0)
-            p2 = _proportional_in_blocks(block, q2, weights / weights.sum())
-            before = kl_divergence(p2, q2)
-            after = kl_divergence(merge.matrix @ p2, merge.matrix @ q2)
-            if abs(before - after) > EQ_TOL:
-                return _fail("equality case D(p||q) == D(Pp||Pq)",
-                             before=before, after=after, P=merge.matrix.tolist(),
-                             p=p2.tolist(), q=q2.tolist())
-    return _trials(trials, seed, check)
+    m = int(rng.integers(1, n + 3))
+    p_mat = random_left_stochastic(m, n, rng)
+    p = random_simplex(n, rng)
+    q = random_simplex(n, rng)
+    if t % 2:
+        return p_mat, p, q, None
+    k = int(rng.integers(1, n + 1))
+    merge = random_left_stochastic(k, n, rng, merge=True)
+    block = merge.matrix.argmax(axis=0)
+    q2 = random_simplex(n, rng)
+    weights = random_simplex(k, rng) * (np.bincount(block, minlength=k) > 0)
+    p2 = _proportional_in_blocks(block, q2, weights / weights.sum())
+    return p_mat, p, q, (merge, p2, q2)
 
 
-def _suite_obs_monotone(trials, dim, seed):
+def _verify_dpi_kl(p_mat, p, q, equality):
+    before = kl_divergence(p, q)
+    after = kl_divergence(p_mat.matrix @ p, p_mat.matrix @ q)
+    if after > before + INEQ_TOL:
+        return _fail("D(p||q) >= D(Pp||Pq)", before=before, after=after,
+                     P=p_mat.matrix.tolist(), p=p.tolist(), q=q.tolist())
+    if equality is not None:
+        merge, p2, q2 = equality
+        before = kl_divergence(p2, q2)
+        after = kl_divergence(merge.matrix @ p2, merge.matrix @ q2)
+        if abs(before - after) > EQ_TOL:
+            return _fail("equality case D(p||q) == D(Pp||Pq)",
+                         before=before, after=after, P=merge.matrix.tolist(),
+                         p=p2.tolist(), q=q2.tolist())
+
+
+def _draw_obs_monotone(rng, dim, t):
+    """A stochastic matrix and a weighted distribution, then a merge and a distribution by ``t % 3``.
+
+    Mode 0 builds an equality (a constant p/V ratio inside every merge block),
+    mode 1 a strict increase (two outcomes with distinct ratios merged), and
+    mode 2 draws nothing more.
+    """
     n = max(2, dim)
-
-    def check(t, rng):
-        m = int(rng.integers(1, n + 3))
-        p_mat = random_left_stochastic(m, n, rng)
-        w = random_weighted_distribution(n, rng)
-        out = push_forward(p_mat, w)
-        if s_obs_classical(out) < s_obs_classical(w) - INEQ_TOL:
-            return _fail("S_obs(Pw) >= S_obs(w)", before=s_obs_classical(w),
-                         after=s_obs_classical(out), P=p_mat.matrix.tolist(),
-                         w=distribution_to_dict(w))
-        mode = t % 3
-        if mode == 0:
-            # constructed equality: constant p/V ratio inside every block
-            k = int(rng.integers(1, n + 1))
-            merge = random_left_stochastic(k, n, rng, merge=True, surjective=k <= n)
-            block = merge.matrix.argmax(axis=0)
-            volumes = rng.exponential(size=n) + 0.05
-            probs = _proportional_in_blocks(block, volumes, random_simplex(k, rng))
-            w_eq = WeightedDistribution(probs, volumes)
-            d_s = s_obs_classical(push_forward(merge, w_eq)) - s_obs_classical(w_eq)
-            if not preserves_observational_entropy(merge, w_eq) or abs(d_s) > EQ_TOL:
-                return _fail("equality condition <=> S_obs preserved (equal ratios)",
-                             delta=d_s, P=merge.matrix.tolist(), w=distribution_to_dict(w_eq))
-        elif mode == 1:
-            # constructed strict increase: merge two outcomes with distinct ratios
-            a = 0.6 + 0.35 * rng.random()
-            w_gap = WeightedDistribution([a, 1 - a], [1.0, 1.0])
-            merge_all = StochasticMatrix([[1.0, 1.0]])
-            d_s = s_obs_classical(push_forward(merge_all, w_gap)) - s_obs_classical(w_gap)
-            if preserves_observational_entropy(merge_all, w_gap) or d_s <= EQ_TOL:
-                return _fail("distinct ratios => strict S_obs increase",
-                             delta=d_s, w=distribution_to_dict(w_gap))
-    return _trials(trials, seed, check)
+    m = int(rng.integers(1, n + 3))
+    p_mat = random_left_stochastic(m, n, rng)
+    w = random_weighted_distribution(n, rng)
+    mode = t % 3
+    if mode == 0:
+        k = int(rng.integers(1, n + 1))
+        merge = random_left_stochastic(k, n, rng, merge=True, surjective=k <= n)
+        block = merge.matrix.argmax(axis=0)
+        volumes = rng.exponential(size=n) + 0.05
+        probs = _proportional_in_blocks(block, volumes, random_simplex(k, rng))
+        return p_mat, w, mode, merge, WeightedDistribution(probs, volumes)
+    if mode == 1:
+        a = 0.6 + 0.35 * rng.random()
+        return p_mat, w, mode, StochasticMatrix([[1.0, 1.0]]), WeightedDistribution([a, 1 - a], [1.0, 1.0])
+    return p_mat, w, mode, None, None
 
 
-def _suite_dpi_mi(trials, dim, seed):
+def _verify_obs_monotone(p_mat, w, mode, merge, w_merged):
+    out = push_forward(p_mat, w)
+    if s_obs_classical(out) < s_obs_classical(w) - INEQ_TOL:
+        return _fail("S_obs(Pw) >= S_obs(w)", before=s_obs_classical(w),
+                     after=s_obs_classical(out), P=p_mat.matrix.tolist(),
+                     w=distribution_to_dict(w))
+    if merge is None:
+        return None
+    d_s = s_obs_classical(push_forward(merge, w_merged)) - s_obs_classical(w_merged)
+    preserved = preserves_observational_entropy(merge, w_merged)
+    if mode == 0 and (not preserved or abs(d_s) > EQ_TOL):
+        return _fail("equality condition <=> S_obs preserved (equal ratios)",
+                     delta=d_s, P=merge.matrix.tolist(), w=distribution_to_dict(w_merged))
+    if mode == 1 and (preserved or d_s <= EQ_TOL):
+        return _fail("distinct ratios => strict S_obs increase",
+                     delta=d_s, w=distribution_to_dict(w_merged))
+
+
+def _draw_dpi_mi(rng, dim, t):
+    """A distribution of ``X`` and the channels of a chain ``X -> Y -> Z``."""
     nx = max(2, dim)
+    ny = int(rng.integers(2, nx + 3))
+    nz = int(rng.integers(2, nx + 3))
+    px = random_simplex(nx, rng)
+    y_given_x = random_left_stochastic(ny, nx, rng).matrix
+    z_given_y = random_left_stochastic(nz, ny, rng).matrix
+    return px, y_given_x, z_given_y
 
-    def check(t, rng):
-        ny = int(rng.integers(2, nx + 3))
-        nz = int(rng.integers(2, nx + 3))
-        px = random_simplex(nx, rng)
-        y_given_x = random_left_stochastic(ny, nx, rng).matrix
-        z_given_y = random_left_stochastic(nz, ny, rng).matrix
-        pxy = px[:, None] * y_given_x.T
-        pxz = pxy @ z_given_y.T
-        before = mutual_information(JointDistribution(pxy))
-        after = mutual_information(JointDistribution(pxz))
-        if after > before + INEQ_TOL:
-            return _fail("I(X;Y) >= I(X;Z)", before=before, after=after,
-                         px=px.tolist(), y_given_x=y_given_x.tolist(),
-                         z_given_y=z_given_y.tolist())
-    return _trials(trials, seed, check)
+
+def _verify_dpi_mi(px, y_given_x, z_given_y):
+    pxy = px[:, None] * y_given_x.T
+    pxz = pxy @ z_given_y.T
+    before = mutual_information(JointDistribution(pxy))
+    after = mutual_information(JointDistribution(pxz))
+    if after > before + INEQ_TOL:
+        return _fail("I(X;Y) >= I(X;Z)", before=before, after=after,
+                     px=px.tolist(), y_given_x=y_given_x.tolist(),
+                     z_given_y=z_given_y.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +376,8 @@ def _random_subspace_coarser_pair(rng, dim):
 # ---------------------------------------------------------------------------
 # per-state statements for _sweep_states: check(fine, coarse, states) gives every
 # state's excess over the bound and the compared values. Each reads the
-# tolerances at call time.
+# tolerances at call time. partial(_sweep_states, statement, check) is the
+# verify of a pair suite that only sweeps its states.
 
 
 def _mapped_probabilities(matrix, tol):
@@ -380,26 +401,8 @@ def _information_shrinks(fine, coarse, states):
 
 
 # ---------------------------------------------------------------------------
-# quantum pair suites: a trial is draw(rng, dim), which makes every random draw
-# of the trial (the pair first) and gives (fine, coarse, subspace or None,
-# extra), then verify(fine, coarse, subspace, extra), which draws nothing and
-# gives the trial's record or None.
-
-
-def _pair_suite(draw, verify, odd_draw=None):
-    """The suite whose trial is ``verify(*draw(rng, dim))``; odd trials use ``odd_draw`` when given."""
-    def suite(trials, dim, seed):
-        def trial(t, rng):
-            return verify(*(odd_draw if odd_draw and t % 2 else draw)(rng, dim))
-        return _trials(trials, seed, trial)
-    return suite
-
-
-def _sweeping(statement, check):
-    """The verify that sweeps the drawn states with ``check``."""
-    def verify(fine, coarse, subspace, states):
-        return _sweep_states(statement, states, check, coarse, fine, subspace)
-    return verify
+# quantum pair suites: draw(rng, dim, t) gives (fine, coarse, subspace or None,
+# extra), the pair first, and verify(fine, coarse, subspace, extra) decides it.
 
 
 def _decide(statement, coarse, fine, subspace=None):
@@ -416,32 +419,39 @@ def _decide(statement, coarse, fine, subspace=None):
     return cert, _fail(statement, verdict=cert.verdict, **_pair_payload(coarse, fine, subspace))
 
 
-def _coarser_trial(rng, dim):
+def _coarser_trial(rng, dim, t):
     """A coarser pair, then five states whose ranks are drawn first."""
     fine, coarse = _random_coarser_pair(rng, dim)
     return fine, coarse, None, random_density_stack(dim, rng.integers(1, dim + 1, size=5), rng)
 
 
-def _lemma_trial(rng, dim):
+def _lemma_trial(rng, dim, t):
     """A coarser pair, then 50 full-rank states."""
     fine, coarse = _random_coarser_pair(rng, dim)
     return fine, coarse, None, random_density_stack(dim, [dim] * 50, rng)
 
 
-def _subspace_trial(rng, dim, n_states=50):
+def _subspace_trial(rng, dim, t, n_states=50):
     """A pair coarser inside a subspace, then ``n_states`` full-rank states of that subspace."""
     fine, coarse, inside = _random_subspace_coarser_pair(rng, dim)
     return fine, coarse, inside, random_subspace_state_stack(inside, [inside.rank] * n_states, rng)
 
 
-def _restriction_trial(rng, dim):
+def _restriction_trial(rng, dim, t):
     """A pair coarser inside a subspace, then a random subspace of that subspace."""
     fine, coarse, inside = _random_subspace_coarser_pair(rng, dim)
     return fine, coarse, inside, random_subspace_of(inside, int(rng.integers(1, inside.rank + 1)), rng)
 
 
-def _projective_trial(rng, dim):
-    """A projective measurement and a POVM refining each of its eigenspaces; coarser by construction."""
+def _projective_trial(rng, dim, t):
+    """A projective measurement and a POVM refining each of its eigenspaces; coarser by construction.
+
+    On odd ``t`` the POVM is unrelated instead, and whether it is coarser is not known.
+    """
+    if t % 2:
+        coarse = random_projective(dim, int(rng.integers(1, dim + 1)), rng)
+        fine = random_povm(dim, int(rng.integers(2, min(dim + 2, 6))), rng, with_kraus=False)
+        return fine, coarse, None, None
     coarse = random_projective(dim, int(rng.integers(1, min(dim, 4) + 1)), rng)
     parts = []
     for proj in coarse.elements:
@@ -451,13 +461,6 @@ def _projective_trial(rng, dim):
     fine_elements = np.concatenate(parts)
     fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
     return fine, coarse, None, True
-
-
-def _generic_projective_trial(rng, dim):
-    """A projective measurement and an unrelated POVM; whether it is coarser is not known."""
-    coarse = random_projective(dim, int(rng.integers(1, dim + 1)), rng)
-    fine = random_povm(dim, int(rng.integers(2, min(dim + 2, 6))), rng, with_kraus=False)
-    return fine, coarse, None, None
 
 
 def _verify_projective(fine, coarse, _, expected_coarser):
@@ -476,8 +479,8 @@ def _verify_lemma(fine, coarse, _, states):
         return record
     if cert.residual > 1e-7:
         return _fail("witness residual <= 1e-7", residual=cert.residual, **_pair_payload(coarse, fine))
-    return _sweep_states("p_coarse == witness @ p_fine for every state", states,
-                         _mapped_probabilities(cert.witness.matrix, INEQ_TOL), coarse, fine)
+    return _sweep_states("p_coarse == witness @ p_fine for every state",
+                         _mapped_probabilities(cert.witness.matrix, INEQ_TOL), fine, coarse, None, states)
 
 
 def _verify_subspace_processing(fine, coarse, inside, states):
@@ -491,8 +494,8 @@ def _verify_subspace_processing(fine, coarse, inside, states):
     v_gap = float(np.max(np.abs(coarse.volumes() - extension.matrix @ fine.volumes())))
     if v_gap > EQ_TOL:
         return _fail("extension maps volumes exactly", gap=v_gap, **_pair_payload(coarse, fine, inside))
-    return _sweep_states("extension maps probabilities on subspace states", states,
-                         _mapped_probabilities(extension.matrix, EQ_TOL), coarse, fine, inside)
+    return _sweep_states("extension maps probabilities on subspace states",
+                         _mapped_probabilities(extension.matrix, EQ_TOL), fine, coarse, inside, states)
 
 
 def _verify_restriction(fine, coarse, inside, smaller):
@@ -512,68 +515,59 @@ def _verify_restriction(fine, coarse, inside, smaller):
                      **_pair_payload(coarse, fine, smaller))
 
 
-_suite_projective_equiv = _pair_suite(_projective_trial, _verify_projective, _generic_projective_trial)
-_suite_lemma_processing = _pair_suite(_lemma_trial, _verify_lemma)
-_suite_coarser_entropy = _pair_suite(_coarser_trial, _sweeping("S_coarse >= S_fine", _entropy_grows))
-_suite_coarser_mi = _pair_suite(_coarser_trial, _sweeping("I_coarse <= I_fine", _information_shrinks))
-_suite_subspace_processing = _in_proper_subspaces(_pair_suite(
-    lambda rng, dim: _subspace_trial(rng, dim, n_states=5), _verify_subspace_processing))
-_suite_subspace_entropy = _in_proper_subspaces(_pair_suite(
-    _subspace_trial, _sweeping("S_coarse >= S_fine on subspace states", _entropy_grows)))
-_suite_subspace_mi = _in_proper_subspaces(_pair_suite(
-    _subspace_trial, _sweeping("I_coarse <= I_fine on subspace states", _information_shrinks)))
-_suite_restriction = _in_proper_subspaces(_pair_suite(_restriction_trial, _verify_restriction))
-
-
 # ---------------------------------------------------------------------------
 # other suites
 
 
-def _suite_bounds(trials, dim, seed):
-    log_dim = math.log(dim)
-    rho_id = DensityMatrix.maximally_mixed(dim)
-
-    def check(t, rng):
-        povm = random_povm(dim, int(rng.integers(1, min(dim + 2, 6) + 1)), rng, with_kraus=False)
-        rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
-        report = observational_entropy(povm, rho)
-        if report.s_obs < report.s_vn - INEQ_TOL or report.s_obs > log_dim + INEQ_TOL:
-            return _fail("S_vN <= S_obs <= ln(dim)", s_obs=report.s_obs,
-                         s_vn=report.s_vn, log_dim=log_dim,
-                         measurement=measurement_to_dict(povm), state=state_to_dict(rho))
-        eigen = measurement_from_state(rho)
-        s_eigen = observational_entropy(eigen, rho).s_obs
-        if abs(s_eigen - report.s_vn) > INEQ_TOL:
-            return _fail("S_obs equals S_vN for the eigenbasis measurement",
-                         s_obs=s_eigen, s_vn=report.s_vn, state=state_to_dict(rho))
-        s_id = observational_entropy(povm, rho_id).s_obs
-        if abs(s_id - log_dim) > INEQ_TOL:
-            return _fail("S_obs equals ln(dim) on the maximally mixed state",
-                         s_obs=s_id, log_dim=log_dim, measurement=measurement_to_dict(povm))
-    return _trials(trials, seed, check)
+def _draw_bounds(rng, dim, t):
+    """A POVM and a state of random rank."""
+    povm = random_povm(dim, int(rng.integers(1, min(dim + 2, 6) + 1)), rng, with_kraus=False)
+    rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
+    return povm, rho
 
 
-def _suite_composition(trials, dim, seed):
-    def check(t, rng):
-        first = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=True)
-        second = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=False)
-        combined = compose_measurements(first, second)
-        # marginal over the second outcome reproduces the first measurement
-        marginal = np.zeros_like(first.stacked())
-        np.add.at(marginal, [label[0] for label in combined.labels], combined.stacked())
-        worst = float(np.max(np.linalg.norm(marginal - first.stacked(), axis=(1, 2))))
-        if worst > INEQ_TOL:
-            return _fail("sum_j of combined elements reproduces the first measurement",
-                         gap=worst, first=measurement_to_dict(first),
-                         second=measurement_to_dict(second))
-        rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
-        s_first = observational_entropy(first, rho).s_obs
-        s_combined = observational_entropy(combined, rho).s_obs
-        if s_combined > s_first + INEQ_TOL:
-            return _fail("S(combined) <= S(first)", first_entropy=s_first,
-                         combined_entropy=s_combined, state=state_to_dict(rho),
-                         first=measurement_to_dict(first), second=measurement_to_dict(second))
-    return _trials(trials, seed, check)
+def _verify_bounds(povm, rho):
+    log_dim = math.log(rho.dim)
+    report = observational_entropy(povm, rho)
+    if report.s_obs < report.s_vn - INEQ_TOL or report.s_obs > log_dim + INEQ_TOL:
+        return _fail("S_vN <= S_obs <= ln(dim)", s_obs=report.s_obs,
+                     s_vn=report.s_vn, log_dim=log_dim,
+                     measurement=measurement_to_dict(povm), state=state_to_dict(rho))
+    eigen = measurement_from_state(rho)
+    s_eigen = observational_entropy(eigen, rho).s_obs
+    if abs(s_eigen - report.s_vn) > INEQ_TOL:
+        return _fail("S_obs equals S_vN for the eigenbasis measurement",
+                     s_obs=s_eigen, s_vn=report.s_vn, state=state_to_dict(rho))
+    s_id = observational_entropy(povm, DensityMatrix.maximally_mixed(rho.dim)).s_obs
+    if abs(s_id - log_dim) > INEQ_TOL:
+        return _fail("S_obs equals ln(dim) on the maximally mixed state",
+                     s_obs=s_id, log_dim=log_dim, measurement=measurement_to_dict(povm))
+
+
+def _draw_composition(rng, dim, t):
+    """A POVM with Kraus operators, a follow-up POVM, then a state of random rank."""
+    first = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=True)
+    second = random_povm(dim, int(rng.integers(2, min(dim + 2, 5) + 1)), rng, with_kraus=False)
+    rho = random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng)
+    return first, second, rho
+
+
+def _verify_composition(first, second, rho):
+    combined = compose_measurements(first, second)
+    # marginal over the second outcome reproduces the first measurement
+    marginal = np.zeros_like(first.stacked())
+    np.add.at(marginal, [label[0] for label in combined.labels], combined.stacked())
+    worst = float(np.max(np.linalg.norm(marginal - first.stacked(), axis=(1, 2))))
+    if worst > INEQ_TOL:
+        return _fail("sum_j of combined elements reproduces the first measurement",
+                     gap=worst, first=measurement_to_dict(first),
+                     second=measurement_to_dict(second))
+    s_first = observational_entropy(first, rho).s_obs
+    s_combined = observational_entropy(combined, rho).s_obs
+    if s_combined > s_first + INEQ_TOL:
+        return _fail("S(combined) <= S(first)", first_entropy=s_first,
+                     combined_entropy=s_combined, state=state_to_dict(rho),
+                     first=measurement_to_dict(first), second=measurement_to_dict(second))
 
 
 # ---------------------------------------------------------------------------
@@ -757,26 +751,26 @@ def _suite_counterexamples(trials, dim, seed):
     for name, runner in _COUNTEREXAMPLES:
         payload = runner()
         if not payload["passed"]:
-            record = {"trial": name, "violated": f"golden instance {name}"}
-            record.update(payload)
-            fails.append(record)
+            fails.append({"trial": name, "violated": f"golden instance {name}", **payload})
     return fails
 
 
 SUITE_REGISTRY: dict[str, Callable[[int, int, int], list[dict]]] = {
-    "dpi_kl": _suite_dpi_kl,
-    "obs_monotone": _suite_obs_monotone,
-    "dpi_mi": _suite_dpi_mi,
-    "projective_equiv": _suite_projective_equiv,
-    "lemma_processing": _suite_lemma_processing,
-    "coarser_entropy": _suite_coarser_entropy,
-    "coarser_mi": _suite_coarser_mi,
-    "subspace_processing": _suite_subspace_processing,
-    "subspace_entropy": _suite_subspace_entropy,
-    "subspace_mi": _suite_subspace_mi,
-    "restriction": _suite_restriction,
-    "bounds": _suite_bounds,
-    "composition": _suite_composition,
+    "dpi_kl": _suite(_draw_dpi_kl, _verify_dpi_kl),
+    "obs_monotone": _suite(_draw_obs_monotone, _verify_obs_monotone),
+    "dpi_mi": _suite(_draw_dpi_mi, _verify_dpi_mi),
+    "projective_equiv": _suite(_projective_trial, _verify_projective),
+    "lemma_processing": _suite(_lemma_trial, _verify_lemma),
+    "coarser_entropy": _suite(_coarser_trial, partial(_sweep_states, "S_coarse >= S_fine", _entropy_grows)),
+    "coarser_mi": _suite(_coarser_trial, partial(_sweep_states, "I_coarse <= I_fine", _information_shrinks)),
+    "subspace_processing": _suite(partial(_subspace_trial, n_states=5), _verify_subspace_processing, min_dim=2),
+    "subspace_entropy": _suite(_subspace_trial, partial(
+        _sweep_states, "S_coarse >= S_fine on subspace states", _entropy_grows), min_dim=2),
+    "subspace_mi": _suite(_subspace_trial, partial(
+        _sweep_states, "I_coarse <= I_fine on subspace states", _information_shrinks), min_dim=2),
+    "restriction": _suite(_restriction_trial, _verify_restriction, min_dim=2),
+    "bounds": _suite(_draw_bounds, _verify_bounds),
+    "composition": _suite(_draw_composition, _verify_composition),
     "counterexamples": _suite_counterexamples,
 }
 

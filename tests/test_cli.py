@@ -366,3 +366,21 @@ class TestCounterexamplesCommand:
         assert code == 0
         assert len(out) == 4
         assert all(line.startswith("PASS ") for line in out)
+
+    def test_failing_golden_prints_fail_and_exits_1(self, capsys, monkeypatch):
+        """The lines come from the suite's records, so one rule decides whether a golden passed."""
+        import povmcoarse.suites as suites
+
+        goldens = suites._COUNTEREXAMPLES
+        name, runner = goldens[2]
+        broken = (name, lambda: {**runner(), "passed": False})
+        monkeypatch.setattr(suites, "_COUNTEREXAMPLES", goldens[:2] + (broken,) + goldens[3:])
+        code = main(["counterexamples"])
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == 1
+        assert out == [f"{'FAIL' if i == 2 else 'PASS'} {golden}" for i, (golden, _) in enumerate(goldens)]
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

@@ -10,6 +10,7 @@ import pytest
 from povmcoarse import DensityMatrix, Projector, Subspace, eigendecompose
 from povmcoarse.errors import (
     DimensionMismatchError,
+    InvalidRangeError,
     InvalidRankError,
     NonHermitianError,
     NotPSDError,
@@ -20,10 +21,13 @@ from povmcoarse.operators import dagger, frobenius, matrix_sqrt_psd, require_den
 from povmcoarse.randomgen import (
     random_density_matrix,
     random_density_stack,
+    random_povm,
+    random_simplex,
     random_state_in_subspace,
     random_subspace,
     random_subspace_state_stack,
     random_unitary,
+    random_weighted_distribution,
     trial_rng,
 )
 
@@ -327,7 +331,27 @@ class TestStackDraws:
             random_state_in_subspace(random_subspace(4, 3, seed=1), rank=rank)
 
 
-class TestCompress:
+class TestDrawSizes:
+    """A draw of size below 1 is a typed error, not an empty draw or a bare IndexError."""
+
+    @pytest.mark.parametrize("draw", [
+        lambda: random_povm(0, 2),
+        lambda: random_povm(-1, 2, with_kraus=False),
+        lambda: random_simplex(0),
+        lambda: random_simplex(-3),
+        lambda: random_weighted_distribution(0),
+    ])
+    def test_size_below_one_raises(self, draw):
+        with pytest.raises(InvalidRangeError):
+            draw()
+
+    def test_outcome_count_below_one_raises(self):
+        with pytest.raises(ValidationError, match="at least one outcome"):
+            random_povm(2, 0)
+
+    def test_size_one_draws(self):
+        assert random_simplex(1, seed=3).tolist() == [1.0]
+        assert random_povm(1, 2, seed=3).n_outcomes == 2
     """``Subspace.compress`` is the r x r block ``B† X B``, the partner of ``embed``."""
 
     @pytest.mark.parametrize("dim, rank", [(2, 1), (3, 2), (5, 3), (4, 4)])

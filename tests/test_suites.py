@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from povmcoarse import (
     validate_measurement,
     von_neumann_entropy,
 )
-from povmcoarse.coarseness import CoarsenessCertificate
-from povmcoarse.entropy import measurement_state_joint, mutual_information
+from povmcoarse.coarseness import CoarsenessCertificate, check_coarser_projective
+from povmcoarse.distributions import JointDistribution, push_forward
+from povmcoarse.entropy import kl_divergence, measurement_state_joint, mutual_information, s_obs_classical
 from povmcoarse.errors import InvalidRangeError, UnknownSuiteError
-from povmcoarse.measurements import outcome_probabilities
+from povmcoarse.measurements import compose_measurements, outcome_probabilities
 from povmcoarse.randomgen import (
     random_density_stack,
     random_left_stochastic,
@@ -30,7 +32,14 @@ from povmcoarse.randomgen import (
     random_subspace_state_stack,
     trial_rng,
 )
-from povmcoarse.serialization import measurement_from_dict, state_from_dict, subspace_from_dict
+from povmcoarse.serialization import (
+    distribution_to_dict,
+    measurement_from_dict,
+    measurement_to_dict,
+    state_from_dict,
+    state_to_dict,
+    subspace_from_dict,
+)
 from povmcoarse.suites import SUITE_NAMES
 
 
@@ -309,6 +318,223 @@ class TestFailurePayloads:
             p_coarse = outcome_probabilities(measurement_from_dict(record["coarse"]), state).probs
             assert record["gap"] == float(np.max(np.abs(p_coarse - witness @ p_fine)))
 
+    @staticmethod
+    def replay(draw, seed, dim, t):
+        """The inputs of trial ``t``, drawn again from its own generator."""
+        return draw(trial_rng(seed, t), dim, t)
+
+    def test_dpi_kl_inequality_records(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1e9)  # the first check fails on every trial
+        report = run_suite("dpi_kl", trials=4, dim=3, seed=9)
+        assert [record["trial"] for record in report.details] == [0, 1, 2, 3]
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "before", "after", "P", "p", "q"]
+            assert record["violated"] == "D(p||q) >= D(Pp||Pq)"
+            p_mat, p, q, equality = self.replay(suites._draw_dpi_kl, 9, 3, t)
+            assert (equality is None) == (t % 2 == 1)
+            assert record["before"] == kl_divergence(p, q)
+            assert record["after"] == kl_divergence(p_mat.matrix @ p, p_mat.matrix @ q)
+            assert record["P"] == p_mat.matrix.tolist()
+            assert record["p"] == p.tolist() and record["q"] == q.tolist()
+
+    def test_dpi_kl_equality_records(self, monkeypatch):
+        """Only the even trials draw an equality case, drawn after the general instance."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "EQ_TOL", -1.0)
+        report = run_suite("dpi_kl", trials=4, dim=3, seed=9)
+        assert [record["trial"] for record in report.details] == [0, 2]
+        for record in report.details:
+            assert list(record) == ["trial", "violated", "before", "after", "P", "p", "q"]
+            assert record["violated"] == "equality case D(p||q) == D(Pp||Pq)"
+            merge, p2, q2 = self.replay(suites._draw_dpi_kl, 9, 3, record["trial"])[3]
+            assert record["before"] == kl_divergence(p2, q2)
+            assert record["after"] == kl_divergence(merge.matrix @ p2, merge.matrix @ q2)
+            assert record["P"] == merge.matrix.tolist()
+            assert record["p"] == p2.tolist() and record["q"] == q2.tolist()
+
+    def test_obs_monotone_inequality_records(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1e9)
+        report = run_suite("obs_monotone", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "before", "after", "P", "w"]
+            p_mat, w, mode, merge, _ = self.replay(suites._draw_obs_monotone, 9, 3, t)
+            assert mode == t and (merge is None) == (t == 2)
+            assert record["before"] == s_obs_classical(w)
+            assert record["after"] == s_obs_classical(push_forward(p_mat, w))
+            assert record["P"] == p_mat.matrix.tolist()
+            assert record["w"] == distribution_to_dict(w)
+
+    def test_obs_monotone_equality_records(self, monkeypatch):
+        """Mode 0 (``t % 3 == 0``) builds an equality, drawn after the general instance."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "EQ_TOL", -1.0)
+        report = run_suite("obs_monotone", trials=6, dim=3, seed=9)
+        assert [record["trial"] for record in report.details] == [0, 3]
+        for record in report.details:
+            assert list(record) == ["trial", "violated", "delta", "P", "w"]
+            _, _, mode, merge, w_eq = self.replay(suites._draw_obs_monotone, 9, 3, record["trial"])
+            assert mode == 0
+            assert record["delta"] == s_obs_classical(push_forward(merge, w_eq)) - s_obs_classical(w_eq)
+            assert record["P"] == merge.matrix.tolist()
+            assert record["w"] == distribution_to_dict(w_eq)
+
+    def test_obs_monotone_strict_increase_records(self, monkeypatch):
+        """Mode 1 (``t % 3 == 1``) merges two outcomes of distinct ratios."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "EQ_TOL", 1e9)
+        monkeypatch.setattr(suites, "INEQ_TOL", 1e9)
+        report = run_suite("obs_monotone", trials=6, dim=3, seed=9)
+        assert [record["trial"] for record in report.details] == [1, 4]
+        for record in report.details:
+            assert list(record) == ["trial", "violated", "delta", "w"]
+            _, _, mode, merge, w_gap = self.replay(suites._draw_obs_monotone, 9, 3, record["trial"])
+            assert mode == 1 and merge.matrix.tolist() == [[1.0, 1.0]]
+            assert record["delta"] == s_obs_classical(push_forward(merge, w_gap)) - s_obs_classical(w_gap)
+            assert record["w"] == distribution_to_dict(w_gap)
+
+    def test_dpi_mi_records(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1e9)
+        report = run_suite("dpi_mi", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "before", "after", "px", "y_given_x", "z_given_y"]
+            px, y_given_x, z_given_y = self.replay(suites._draw_dpi_mi, 9, 3, t)
+            pxy = px[:, None] * y_given_x.T
+            assert record["before"] == mutual_information(JointDistribution(pxy))
+            assert record["after"] == mutual_information(JointDistribution(pxy @ z_given_y.T))
+            assert record["px"] == px.tolist()
+            assert record["y_given_x"] == y_given_x.tolist()
+            assert record["z_given_y"] == z_given_y.tolist()
+
+    def test_bounds_records(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1e9)
+        report = run_suite("bounds", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "s_obs", "s_vn", "log_dim", "measurement", "state"]
+            povm, rho = self.replay(suites._draw_bounds, 9, 3, t)
+            entropy = observational_entropy(povm, rho)
+            assert record["s_obs"] == entropy.s_obs and record["s_vn"] == entropy.s_vn
+            assert record["log_dim"] == math.log(3)
+            assert record["measurement"] == measurement_to_dict(povm)
+            assert record["state"] == state_to_dict(rho)
+
+    def test_bounds_eigenbasis_records(self, monkeypatch):
+        """A trivial measurement in place of the eigenbasis one gives ``ln(dim)``, not ``S_vN``."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "measurement_from_state", lambda rho: validate_measurement([np.eye(rho.dim)]))
+        report = run_suite("bounds", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "s_obs", "s_vn", "state"]
+            _, rho = self.replay(suites._draw_bounds, 9, 3, t)
+            assert record["s_obs"] == observational_entropy(validate_measurement([np.eye(3)]), rho).s_obs
+            assert record["s_vn"] == von_neumann_entropy(rho)
+            assert record["state"] == state_to_dict(rho)
+
+    def test_bounds_maximally_mixed_records(self, monkeypatch):
+        """A pure state in place of the maximally mixed one lowers ``S_obs`` below ``ln(dim)``.
+
+        A one-outcome POVM keeps ``S_obs = ln(dim)`` on every state, so its trial passes.
+        """
+        import povmcoarse.suites as suites
+
+        pure = DensityMatrix.pure(np.eye(3)[0])
+        monkeypatch.setattr(DensityMatrix, "maximally_mixed", staticmethod(lambda dim: pure))
+        report = run_suite("bounds", trials=6, dim=3, seed=9)
+        povms = [self.replay(suites._draw_bounds, 9, 3, t)[0] for t in range(6)]
+        assert [record["trial"] for record in report.details] == [
+            t for t, povm in enumerate(povms) if povm.n_outcomes > 1
+        ]
+        assert report.failures > 0
+        for record in report.details:
+            assert list(record) == ["trial", "violated", "s_obs", "log_dim", "measurement"]
+            povm = povms[record["trial"]]
+            assert record["s_obs"] == observational_entropy(povm, pure).s_obs
+            assert record["log_dim"] == math.log(3)
+            assert record["measurement"] == measurement_to_dict(povm)
+
+    def test_composition_marginal_records(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "INEQ_TOL", -1e9)
+        report = run_suite("composition", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "gap", "first", "second"]
+            first, second, _ = self.replay(suites._draw_composition, 9, 3, t)
+            combined = compose_measurements(first, second)
+            marginal = np.zeros_like(first.stacked())
+            np.add.at(marginal, [label[0] for label in combined.labels], combined.stacked())
+            assert record["gap"] == float(np.max(np.linalg.norm(marginal - first.stacked(), axis=(1, 2))))
+            assert record["first"] == measurement_to_dict(first)
+            assert record["second"] == measurement_to_dict(second)
+
+    def test_composition_entropy_records(self, monkeypatch):
+        """Negated entropies make the finer, combined measurement the larger; the state is drawn last."""
+        import povmcoarse.suites as suites
+
+        def negated(measurement, rho):
+            return SimpleNamespace(s_obs=-observational_entropy(measurement, rho).s_obs)
+
+        monkeypatch.setattr(suites, "observational_entropy", negated)
+        report = run_suite("composition", trials=3, dim=3, seed=9)
+        assert report.failures == 3
+        for t, record in enumerate(report.details):
+            assert list(record) == [
+                "trial", "violated", "first_entropy", "combined_entropy", "state", "first", "second",
+            ]
+            first, second, rho = self.replay(suites._draw_composition, 9, 3, t)
+            combined = compose_measurements(first, second)
+            assert record["first_entropy"] == -observational_entropy(first, rho).s_obs
+            assert record["combined_entropy"] == -observational_entropy(combined, rho).s_obs
+            assert record["state"] == state_to_dict(rho)
+            assert record["first"] == measurement_to_dict(first)
+            assert record["second"] == measurement_to_dict(second)
+
+    @pytest.mark.parametrize("verdict", ["infeasible", "feasible"])
+    def test_projective_equiv_records(self, monkeypatch, verdict):
+        """Even trials refine the projective measurement, odd ones draw an unrelated POVM.
+
+        A trial is reported when the forced verdict contradicts the partition
+        fast path: ``infeasible`` every refined pair (and an unrelated pair that
+        happens to have a partition), ``feasible`` every pair without one.
+        """
+        import povmcoarse.suites as suites
+
+        cert = CoarsenessCertificate(verdict, None, float("inf"), 1.0)
+        monkeypatch.setattr(suites, "check_coarser", lambda *a, **k: cert)
+        report = run_suite("projective_equiv", trials=8, dim=3, seed=9)
+        drawn = [self.replay(suites._projective_trial, 9, 3, t) for t in range(8)]
+        assert [expected for _, _, _, expected in drawn] == [True, None] * 4
+        partitions = [check_coarser_projective(coarse, fine) for fine, coarse, _, _ in drawn]
+        failing = [t for t, partition in enumerate(partitions) if (partition is None) == (verdict == "feasible")]
+        assert [record["trial"] for record in report.details] == failing
+        if verdict == "infeasible":
+            assert set(range(0, 8, 2)) <= set(failing)
+        else:
+            assert failing and all(t % 2 for t in failing)
+        for record in report.details:
+            assert list(record) == ["trial", "violated", "partition", "verdict", "coarse", "fine"]
+            fine, coarse, _, _ = drawn[record["trial"]]
+            partition = partitions[record["trial"]]
+            assert record["partition"] == (None if partition is None else [list(b) for b in partition])
+            assert record["verdict"] == verdict
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
 
 class TestSweepStates:
     """One pass: the first state whose excess is not ``<= 0`` is reported with its values."""
@@ -324,7 +550,7 @@ class TestSweepStates:
         def check(fine, coarse, states):
             return np.asarray(excess, dtype=float), {"value": values}
 
-        return states, suites._sweep_states("statement", states, check, coarse, fine)
+        return states, suites._sweep_states("statement", check, fine, coarse, None, states)
 
     def test_first_positive_excess_is_reported(self):
         states, record = self.sweep([-1.0, 0.5, 0.25])
