@@ -33,15 +33,12 @@ from .serialization import (
     subspace_from_dict,
 )
 from .suites import SUITE_NAMES, counterexample_registry, run_all, run_suite
+from .tolerances import BUILD_ATOL, DEFAULT_FEAS_TOL, SCAN_ENTROPY_SLACK
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 EXIT_AMBIGUOUS = 3
-
-# slack when classifying the entropy comparison on the scan grid, so that
-# points equal up to floating-point summation order are not misclassified
-_SCAN_ENTROPY_SLACK = 1e-12
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -70,8 +67,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_check_coarser(args) -> int:
-    coarse = measurement_from_dict(load_json(args.coarse), atol=1e-9)
-    fine = measurement_from_dict(load_json(args.fine), atol=1e-9)
+    coarse = measurement_from_dict(load_json(args.coarse), atol=BUILD_ATOL)
+    fine = measurement_from_dict(load_json(args.fine), atol=BUILD_ATOL)
     if args.subspace is not None:
         subspace = subspace_from_dict(load_json(args.subspace))
         cert = check_coarser_in_subspace(coarse, fine, subspace, tol=args.tol)
@@ -86,8 +83,8 @@ def cmd_check_coarser(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    first = measurement_from_dict(load_json(args.first), atol=1e-9)
-    second = measurement_from_dict(load_json(args.second), atol=1e-9)
+    first = measurement_from_dict(load_json(args.first), atol=BUILD_ATOL)
+    second = measurement_from_dict(load_json(args.second), atol=BUILD_ATOL)
     combined = compose_measurements(first, second)
     _emit(dump_json(measurement_to_dict(combined)), args.out)
     return EXIT_OK
@@ -123,7 +120,7 @@ def cmd_region_scan(args) -> int:
     p_cells, v_cells = np.repeat(p_values, grid), np.tile(v_values, grid)
     probs, volumes = weighted_rows(np.stack([p_cells, 1.0 - p_cells], axis=1),
                                    np.stack([v_cells, vtot - v_cells], axis=1))
-    s_greater = _weighted_log_ratio(probs, volumes, probs, -1) >= s_base - _SCAN_ENTROPY_SLACK
+    s_greater = _weighted_log_ratio(probs, volumes, probs, -1) >= s_base - SCAN_ENTROPY_SLACK
     feasible = _majorization(base, probs, volumes, args.tol)[0] == 0  # band 0 is feasible
     inclusion_violations = int(np.count_nonzero(feasible & ~s_greater))
     if inclusion_violations:
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("entropy", help="observational entropy of a state under a measurement")
     sp.add_argument("measurement", help="measurement JSON file")
     sp.add_argument("state", help="state JSON file")
-    sp.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
+    sp.add_argument("--tol", type=float, default=BUILD_ATOL, help="validation tolerance")
     sp.add_argument("--out", default=None, help="write output here instead of stdout")
     sp.set_defaults(func=cmd_entropy)
 
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("coarse", help="candidate coarser measurement JSON file")
     sp.add_argument("fine", help="finer measurement JSON file")
     sp.add_argument("--subspace", default=None, help="optional subspace JSON file")
-    sp.add_argument("--tol", type=float, default=1e-8, help="feasibility tolerance")
+    sp.add_argument("--tol", type=float, default=DEFAULT_FEAS_TOL, help="feasibility tolerance")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_check_coarser)
 
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v1", type=float, default=1.0, help="source volume of outcome 1")
     sp.add_argument("--vtot", type=float, default=2.0, help="total volume")
     sp.add_argument("--grid", type=int, default=101, help="grid points per axis")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=DEFAULT_FEAS_TOL)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_region_scan)

@@ -62,10 +62,12 @@ witness of a ``feasible`` verdict.
 One verdict rule (:func:`_witness_verdict`) turns a candidate ``P``, from the
 solve alone or with the LP's free entries, into a
 :class:`CoarsenessCertificate`: the candidate, clipped at zero, must be left
-stochastic, and its residual (the largest per-outcome norm of ``sum_i P_ji
-Π^(1)_i - Π^(2)_j``, the eliminated outcome included) must be at most
-``max(tol, 1e-7)``; a witness that fails either test gives ``ambiguous``, and
-so does a bound in the feasible band when the LP returned no witness.
+stochastic within ``max(DEFAULT_COLUMN_TOL, tol)``, and its residual (the
+largest per-outcome norm of ``sum_i P_ji Π^(1)_i - Π^(2)_j``, the eliminated
+outcome included) must be at most ``max(tol, WITNESS_RESIDUAL_TOL)``; a
+witness that fails either test gives ``ambiguous``, and so does a bound in the
+feasible band when the LP returned no witness. These bounds, and every other
+threshold here, are in :mod:`povmcoarse.tolerances`.
 """
 
 from __future__ import annotations
@@ -81,20 +83,28 @@ from .errors import (
     BrokenColumnSumError,
     DimensionMismatchError,
     EmptyOutcomeSetError,
-    InvalidRangeError,
     NotProjectiveError,
     NotStochasticError,
     ShapeMismatchError,
     ZeroElementError,
 )
 from .measurements import GeneralizedMeasurement, validate_measurement
-from .operators import DEFAULT_ATOL, Subspace, dagger, frobenius
+from .operators import Subspace, dagger, frobenius
 from .simplex import _BANDS, _BAND_NAMES, _band, _check_tol, _verdict_band, lp_feasible
+from .tolerances import (
+    BUILD_ATOL,
+    DEFAULT_ATOL,
+    DEFAULT_COLUMN_TOL,
+    DEFAULT_FEAS_TOL,
+    ENTROPY_PRESERVED_TOL,
+    PROJECTIVE_SUM_TOL,
+    RANK_TOL,
+    REORTHOGONALIZE_TOL,
+    WITNESS_COLUMN_TOL,
+    WITNESS_RESIDUAL_TOL,
+    ZERO_NORM_TOL,
+)
 
-DEFAULT_FEAS_TOL = 1e-8
-# a fine component whose residual against the span of the others is at most
-# this fraction of the longest component counts as dependent
-_RANK_TOL = 1e-10
 # the relative-majorization kernel evaluates as many threshold rows at once as
 # keep rows x outcomes x candidates within this many cells
 _BLOCK_CELLS = 1 << 16
@@ -182,7 +192,7 @@ def _span_basis(comp_fine):
     outcomes ``N`` in ascending order. ``q`` is ``(D, r)`` with orthonormal
     columns and ``coefs`` is ``(r, n)``: ``comp_fine.T = q @ coefs`` exactly
     on the pivot columns, where ``coefs[:, pivots]`` is upper triangular (to
-    rounding), and up to a residual of at most ``_RANK_TOL`` of the longest
+    rounding), and up to a residual of at most ``RANK_TOL`` of the longest
     row on the others.
 
     :func:`_factor` settles independent rows with one QR and calls this only
@@ -190,15 +200,16 @@ def _span_basis(comp_fine):
     residual against the pivots so far is longest, recomputing every residual
     norm from the deflated rows (norms downdated instead lose the small
     residuals to cancellation and can pick a dependent row), and stops once
-    no residual is longer than ``_RANK_TOL`` of the longest row. A row that
-    keeps less than ``1e-3`` of its length is orthogonalized once more, so
-    that ``q`` stays orthonormal to rounding.
+    no residual is longer than ``RANK_TOL`` of the longest row. A row that
+    keeps less than ``REORTHOGONALIZE_TOL`` of its squared length (``1e-3``
+    of its length) is orthogonalized once more, so that ``q`` stays
+    orthonormal to rounding.
     """
     n, big_d = comp_fine.shape
     rest = comp_fine.copy()
     norms = np.einsum("ij,ij->i", rest, rest)
     lengths = norms.tolist()
-    floor = _RANK_TOL**2 * max(lengths)
+    floor = RANK_TOL**2 * max(lengths)
     pivots, units, coefs = [], [], []
     for _ in range(min(n, big_d)):
         p = int(norms.argmax())
@@ -206,7 +217,7 @@ def _span_basis(comp_fine):
         if not top > floor:
             break
         unit = rest[p] * (1.0 / math.sqrt(top))
-        if top < 1e-6 * lengths[p]:
+        if top < REORTHOGONALIZE_TOL * lengths[p]:
             basis = np.array(units)
             unit -= (basis @ unit) @ basis
             unit /= math.sqrt(float(unit @ unit))
@@ -233,7 +244,7 @@ def _factor(comps, n):
 
     When ``n <= D`` one unpivoted QR of all the rows, ``comps^T = Q R``, comes
     first. If the first ``n`` diagonal entries of ``R`` stay above
-    ``_RANK_TOL`` of their largest, the fine rows are independent: ``S =
+    ``RANK_TOL`` of their largest, the fine rows are independent: ``S =
     range(n)``, ``coefs = R[:n, :n]`` and ``q`` the first ``n`` columns of
     ``Q``, so that ``coords = R[:n, n:]^T``, and the coarse rows' parts off
     the span are the columns of ``R[n:, n:]`` in the other columns of ``Q``.
@@ -244,7 +255,7 @@ def _factor(comps, n):
     if n <= big_d:
         fac = np.linalg.qr(comps.T, mode="r")
         diag = np.abs(fac.diagonal()[:n]).tolist()
-        if min(diag) > _RANK_TOL * max(diag):
+        if min(diag) > RANK_TOL * max(diag):
             return fac[:n, :n], fac[:n, n:].T, fac[n:, n:].T, np.arange(n), np.arange(0)
     q, coefs, pivots, free = _span_basis(comps[:n])
     coords = comps[n:] @ q
@@ -316,15 +327,15 @@ def _witness_verdict(mat, fine, coarse, tol, phase1_optimum) -> CoarsenessCertif
     """The verdict rule: a candidate ``(m, n)`` matrix is a witness or gives ``ambiguous``.
 
     The candidate is clipped at zero, must be left stochastic within
-    ``max(DEFAULT_FEAS_TOL, tol)``, and must reproduce every coarse element
-    within ``max(tol, 1e-7)``.
+    ``max(DEFAULT_COLUMN_TOL, tol)``, and must reproduce every coarse element
+    within ``max(tol, WITNESS_RESIDUAL_TOL)``.
     """
     try:
-        witness = StochasticMatrix(np.maximum(mat, 0.0), col_tol=max(DEFAULT_FEAS_TOL, tol))
+        witness = StochasticMatrix(np.maximum(mat, 0.0), col_tol=max(DEFAULT_COLUMN_TOL, tol))
     except NotStochasticError:
         return CoarsenessCertificate("ambiguous", None, math.inf, phase1_optimum)
     residual = _residual(witness.matrix, fine, coarse)
-    if residual > max(tol, 1e-7):
+    if residual > max(tol, WITNESS_RESIDUAL_TOL):
         return CoarsenessCertificate("ambiguous", None, residual, phase1_optimum)
     return CoarsenessCertificate("feasible", witness, residual, phase1_optimum)
 
@@ -559,33 +570,26 @@ def check_coarser_classical(
     return replace(cert, verdict="ambiguous", separation=separation)
 
 
-def _possible(products, tol: float = DEFAULT_ATOL) -> np.ndarray:
+def _possible(products) -> np.ndarray:
     """The rule of :func:`possible_outcomes`, on a ``(k, d, r)`` stack of products ``Π_i B``.
 
-    Returns the ascending indices ``i`` with ``‖Π_i B‖_F > tol``; raises
-    :class:`InvalidRangeError` unless ``tol`` is non-negative and finite.
+    Returns the ascending indices ``i`` with ``‖Π_i B‖_F > ZERO_NORM_TOL``.
     """
-    if not 0 <= tol < math.inf:
-        raise InvalidRangeError(f"tol must be non-negative and finite, got {tol}")
-    return np.flatnonzero(np.linalg.norm(products, axis=(1, 2)) > tol)
+    return np.flatnonzero(np.linalg.norm(products, axis=(1, 2)) > ZERO_NORM_TOL)
 
 
-def possible_outcomes(
-    measurement: GeneralizedMeasurement,
-    subspace: Subspace,
-    tol: float = DEFAULT_ATOL,
-) -> OutcomeSet:
+def possible_outcomes(measurement: GeneralizedMeasurement, subspace: Subspace) -> OutcomeSet:
     """Outcomes attainable on states inside the subspace.
 
     Outcome ``i`` is possible iff ``Π_i P_G != 0``, detected as
-    ``‖Π_i B‖_F = ‖Π_i P_G‖_F > tol`` for the orthonormal basis ``B`` of ``G``.
-    A negative or non-finite ``tol`` raises :class:`InvalidRangeError`.
+    ``‖Π_i B‖_F = ‖Π_i P_G‖_F > ZERO_NORM_TOL`` for the orthonormal basis
+    ``B`` of ``G``.
     """
     if measurement.dim != subspace.dim:
         raise DimensionMismatchError(
             f"measurement dimension {measurement.dim} vs subspace dimension {subspace.dim}"
         )
-    return tuple(_possible(measurement.stacked() @ subspace.basis, tol).tolist())
+    return tuple(_possible(measurement.stacked() @ subspace.basis).tolist())
 
 
 def _extension_from(witness, v_coarse, v_fine, o2, o1) -> StochasticMatrix | None:
@@ -593,7 +597,8 @@ def _extension_from(witness, v_coarse, v_fine, o2, o1) -> StochasticMatrix | Non
 
     ``v_coarse`` and ``v_fine`` are the volumes of every outcome; the index
     arrays ``o2`` and ``o1`` list the possible ones, which label the rows and
-    columns of ``witness``.
+    columns of ``witness``. The padded matrix must be left stochastic within
+    ``WITNESS_COLUMN_TOL``, else there is no extension.
     """
     full = np.zeros((len(v_coarse), len(v_fine)))
     full[o2[:, None], o1] = witness
@@ -603,7 +608,7 @@ def _extension_from(witness, v_coarse, v_fine, o2, o1) -> StochasticMatrix | Non
         fill = np.maximum((v_coarse - full[:, o1] @ v_fine[o1]) / float(v_fine[rest].sum()), 0.0)
         full[:, rest] = fill[:, None]
     try:
-        return StochasticMatrix(full, col_tol=1e-6)
+        return StochasticMatrix(full, col_tol=WITNESS_COLUMN_TOL)
     except NotStochasticError:  # a witness that overspends a coarse volume
         return None
 
@@ -694,7 +699,7 @@ def check_coarser_projective(
             return None
         blocks[int(hits[0])].append(i)
     for j, block in enumerate(blocks):
-        if frobenius(fine_stack[block].sum(axis=0) - projectors[j]) > max(tol, 1e-8):
+        if frobenius(fine_stack[block].sum(axis=0) - projectors[j]) > max(tol, PROJECTIVE_SUM_TOL):
             return None
     return tuple(tuple(block) for block in blocks)
 
@@ -705,20 +710,18 @@ def restrict_transition_matrix(
     fine_subset: OutcomeSet,
     coarse_all: OutcomeSet,
     fine_all: OutcomeSet,
-    tol: float = 1e-6,
 ) -> StochasticMatrix:
     """Restrict a subspace witness to the outcome sets of a smaller subspace.
 
     ``p_full`` is indexed by ``(coarse_all, fine_all)``; the result keeps the
     rows in ``coarse_subset`` and columns in ``fine_subset``. Entries outside
     the restricted rows vanish for the retained columns, so the restricted
-    columns still sum to one; a violation raises
-    :class:`~povmcoarse.errors.BrokenColumnSumError` since it contradicts the
-    restriction property. ``p_full`` is a :class:`StochasticMatrix` or anything
-    it accepts; any other matrix, an array included, raises
-    :class:`~povmcoarse.errors.NotStochasticError`.
+    columns still sum to one; a column more than ``WITNESS_COLUMN_TOL`` off
+    raises :class:`~povmcoarse.errors.BrokenColumnSumError` since it
+    contradicts the restriction property. ``p_full`` is a
+    :class:`StochasticMatrix` or anything it accepts; any other matrix, an
+    array included, raises :class:`~povmcoarse.errors.NotStochasticError`.
     """
-    _check_tol(tol)
     mat = as_stochastic(p_full).matrix
     row_pos = {label: k for k, label in enumerate(coarse_all)}
     col_pos = {label: k for k, label in enumerate(fine_all)}
@@ -735,26 +738,21 @@ def restrict_transition_matrix(
     sub = mat[np.ix_(rows, cols)]
     sums = sub.sum(axis=0)
     worst = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
-    if worst > tol:
+    if worst > WITNESS_COLUMN_TOL:
         raise BrokenColumnSumError(
             f"restricted columns deviate from 1 by {worst:.3e}; the restriction "
             "property is violated"
         )
-    return StochasticMatrix(sub, col_tol=max(tol, 1e-8))
+    return StochasticMatrix(sub, col_tol=WITNESS_COLUMN_TOL)
 
 
-def coarsen(
-    fine: GeneralizedMeasurement,
-    p,
-    *,
-    zero_tol: float = DEFAULT_ATOL,
-    atol: float = 1e-9,
-) -> GeneralizedMeasurement:
+def coarsen(fine: GeneralizedMeasurement, p) -> GeneralizedMeasurement:
     """Build the coarse-grained measurement ``Π'_j = sum_i P_ji Π_i``.
 
-    Rows whose mixture is numerically zero would create forbidden zero
-    elements; they are dropped, with the kept row indices recorded in the
-    result's ``labels``.
+    Rows whose mixture has Frobenius norm at most ``ZERO_NORM_TOL`` would
+    create forbidden zero elements; they are dropped, with the kept row
+    indices recorded in the result's ``labels``. The result is validated
+    within ``BUILD_ATOL``.
     """
     stoch = as_stochastic(p)
     if stoch.cols != fine.n_outcomes:
@@ -762,24 +760,24 @@ def coarsen(
             f"matrix has {stoch.cols} columns for {fine.n_outcomes} outcomes"
         )
     mixed = np.einsum("ji,iab->jab", stoch.matrix, fine.stacked())
-    kept = np.flatnonzero(np.linalg.norm(mixed, axis=(1, 2)) > zero_tol)
+    kept = np.flatnonzero(np.linalg.norm(mixed, axis=(1, 2)) > ZERO_NORM_TOL)
     if not kept.size:
         raise ZeroElementError("every row of the transition matrix mixes to zero")
-    return validate_measurement(mixed[kept], labels=kept.tolist(), atol=atol, zero_tol=zero_tol)
+    return validate_measurement(mixed[kept], labels=kept.tolist(), atol=BUILD_ATOL)
 
 
-def preserves_observational_entropy(p, w: WeightedDistribution, tol: float = 1e-8) -> bool:
+def preserves_observational_entropy(p, w: WeightedDistribution) -> bool:
     """Whether processing ``w`` through ``p`` keeps observational entropy fixed.
 
     The push-forward has exactly the same observational entropy iff
     ``P_ji p_i V'_j = P_ji V_i p'_j`` for every entry, i.e. the ratio ``p/V``
-    is constant across the inputs that each output actually mixes.
+    is constant across the inputs that each output actually mixes; the
+    entries must agree within ``ENTROPY_PRESERVED_TOL``.
     """
-    _check_tol(tol)
     stoch = as_stochastic(p)
     if stoch.cols != w.n:
         raise ShapeMismatchError(f"matrix has {stoch.cols} columns for {w.n} outcomes")
     out = push_forward(stoch, w)
     lhs = stoch.matrix * np.outer(out.volumes, w.probs)
     rhs = stoch.matrix * np.outer(out.probs, w.volumes)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    return bool(np.max(np.abs(lhs - rhs)) <= ENTROPY_PRESERVED_TOL)

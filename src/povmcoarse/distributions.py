@@ -2,19 +2,21 @@
 
 Every probability array here is checked by one rule, :func:`_probabilities`.
 An array fails it when it is empty, when an entry is not finite, or when an
-entry lies below ``-neg_tol`` (``1e-12``, or ``1e-9`` for a joint), and
+entry lies below ``-NEGATIVE_TOL`` (``-BORN_NEGATIVE_TOL`` for a joint), and
 raises :class:`ValidationError`. Negative entries above that are rounding
 noise: they are clipped to zero, and the clipped copy is the one the value
 class stores. Only then is each sum, along the axis that the carrier
 normalizes, compared with one, and a sum too far off raises
 :class:`NotNormalizedError`:
 
-* a weighted distribution's last axis, within ``norm_tol``;
-* a joint's whole matrix, within ``norm_tol``;
-* a stochastic matrix's columns, within ``col_tol``, every failure a
+* a weighted distribution's last axis, within ``DEFAULT_NORM_TOL``;
+* a joint's whole matrix, within ``DEFAULT_NORM_TOL``;
+* a stochastic matrix's columns, within its ``col_tol``, every failure a
   :class:`NotStochasticError`;
-* each of the two vectors of :func:`entropy.kl_divergence`, within its
-  ``norm_tol``.
+* each of the two vectors of :func:`entropy.kl_divergence`, within
+  ``KL_NORM_TOL``.
+
+The bounds are in :mod:`povmcoarse.tolerances`.
 """
 
 from __future__ import annotations
@@ -30,11 +32,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-
-DEFAULT_NORM_TOL = 1e-10
-DEFAULT_COLUMN_TOL = 1e-8
-# entries this far below zero are treated as rounding noise and clipped
-_NEGATIVE_TOL = 1e-12
+from .tolerances import BORN_NEGATIVE_TOL, DEFAULT_COLUMN_TOL, DEFAULT_NORM_TOL, NEGATIVE_TOL
 
 
 def _sums(arr: np.ndarray, axis=-1):
@@ -54,7 +52,7 @@ def _sums(arr: np.ndarray, axis=-1):
 
 
 def _probabilities(
-    values, name: str, tol: float, *, axis=-1, neg_tol: float = _NEGATIVE_TOL,
+    values, name: str, tol: float, *, axis=-1, neg_tol: float = NEGATIVE_TOL,
     error=ValidationError, sum_error=NotNormalizedError,
 ) -> np.ndarray:
     """``values`` as a fresh float array, clipped at zero, whose sums along ``axis`` are one.
@@ -81,15 +79,15 @@ def _probabilities(
     return arr
 
 
-def weighted_rows(probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def weighted_rows(probs, volumes) -> tuple[np.ndarray, np.ndarray]:
     """Check ``(p, V)`` pairs held as ``(..., n)`` rows, each by the rules of :class:`WeightedDistribution`.
 
     Every row of ``probs`` must pass this module's probability rule within
-    ``norm_tol``; ``volumes`` must have the same shape and be finite and
-    strictly positive. Returns float copies, the probabilities
+    ``DEFAULT_NORM_TOL``; ``volumes`` must have the same shape and be finite
+    and strictly positive. Returns float copies, the probabilities
     clipped at zero. A failure names the worst row's value.
     """
-    p = _probabilities(probs, "probs", norm_tol)
+    p = _probabilities(probs, "probs", DEFAULT_NORM_TOL)
     v = np.array(volumes, dtype=float)  # a copy, not a view of the caller's array
     if v.shape != p.shape:
         raise LengthMismatchError(f"{p.size} probabilities vs {v.size} volumes")
@@ -103,11 +101,10 @@ class WeightedDistribution:
 
     __slots__ = ("probs", "volumes")
 
-    def __init__(self, probs, volumes, *, norm_tol: float = DEFAULT_NORM_TOL):
+    def __init__(self, probs, volumes):
         p, v = weighted_rows(
             np.asarray(probs, dtype=float).reshape(-1),
             np.asarray(volumes, dtype=float).reshape(-1),
-            norm_tol=norm_tol,
         )
         p.setflags(write=False)
         v.setflags(write=False)
@@ -135,11 +132,13 @@ class JointDistribution:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, norm_tol: float = DEFAULT_NORM_TOL):
+    def __init__(self, matrix):
         arr = np.asarray(matrix, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ShapeMismatchError(f"joint distribution must be a 2-D matrix, got {arr.shape}")
-        arr = _probabilities(arr, "joint distribution", norm_tol, axis=None, neg_tol=1e-9)
+        arr = _probabilities(
+            arr, "joint distribution", DEFAULT_NORM_TOL, axis=None, neg_tol=BORN_NEGATIVE_TOL
+        )
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -181,11 +180,11 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.rows}x{self.cols})"
 
 
-def as_stochastic(p, *, col_tol: float = DEFAULT_COLUMN_TOL) -> StochasticMatrix:
-    """Accept either a :class:`StochasticMatrix` or a raw array."""
+def as_stochastic(p) -> StochasticMatrix:
+    """Accept either a :class:`StochasticMatrix` or a raw array, checked within ``DEFAULT_COLUMN_TOL``."""
     if isinstance(p, StochasticMatrix):
         return p
-    return StochasticMatrix(p, col_tol=col_tol)
+    return StochasticMatrix(p)
 
 
 def push_forward(p, w: WeightedDistribution) -> WeightedDistribution:

@@ -6,9 +6,9 @@ entropy, Kullback-Leibler divergence, mutual information, and the joint
 distribution between a state's eigenspaces and measurement outcomes.
 
 Conventions: all logarithms are natural; ``0 ln 0 = 0`` with probabilities
-below ``1e-14`` treated as zero; a KL divergence against a reference that
-lacks support returns ``math.inf`` rather than raising, so monotonicity
-checks can compare against it.
+at most ``ZERO_PROB_TOL`` treated as zero; a KL divergence against a
+reference that lacks support returns ``math.inf`` rather than raising, so
+monotonicity checks can compare against it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .measurements import (
     outcome_probabilities,
     outcome_probability_stack,
 )
-from .operators import DEFAULT_ATOL, DensityMatrix, _eigenspace_ids
-
-ZERO_PROB_TOL = 1e-14
+from .operators import DensityMatrix, _eigenspace_ids
+from .tolerances import ENTROPY_IDENTITY_TOL, KL_NORM_TOL, ZERO_PROB_TOL
 
 
 def _weighted_log_ratio(p: np.ndarray, num, den, axis) -> np.ndarray:
@@ -44,7 +43,7 @@ def s_obs_classical(w: WeightedDistribution) -> float:
     return float(_weighted_log_ratio(w.probs, w.volumes, w.probs, -1))
 
 
-def kl_divergence(p, q, *, norm_tol: float = 1e-8) -> float:
+def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence ``sum p (ln p - ln q)`` in nats.
 
     Terms with ``p_i = 0`` contribute zero. If some ``p_i > 0`` has ``q_i = 0``
@@ -53,16 +52,16 @@ def kl_divergence(p, q, *, norm_tol: float = 1e-8) -> float:
 
     ``p`` and ``q`` must have one length (else :class:`LengthMismatchError`)
     and each pass the probability rule of :mod:`povmcoarse.distributions`:
-    an empty vector, a non-finite entry or one below ``-1e-12`` raises
-    :class:`ValidationError`, and a sum more than ``norm_tol`` from one
+    an empty vector, a non-finite entry or one below ``-NEGATIVE_TOL`` raises
+    :class:`ValidationError`, and a sum more than ``KL_NORM_TOL`` from one
     raises :class:`NotNormalizedError`.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.size != q.size:
         raise LengthMismatchError(f"{p.size} vs {q.size} entries")
-    p = _probabilities(p, "p", norm_tol)
-    q = _probabilities(q, "q", norm_tol)
+    p = _probabilities(p, "p", KL_NORM_TOL)
+    q = _probabilities(q, "q", KL_NORM_TOL)
     if np.any(q[p > ZERO_PROB_TOL] <= ZERO_PROB_TOL):
         return math.inf
     return float(_weighted_log_ratio(p, p, q, -1))
@@ -151,8 +150,8 @@ def mutual_information_stacks(measurements, states: np.ndarray) -> list[np.ndarr
 class EntropyReport:
     """Observational entropy with its information-theoretic decomposition.
 
-    Satisfies ``s_obs = ln_vtot - d_kl_to_uniform`` within ``1e-9``; the
-    identity is asserted on construction.
+    Satisfies ``s_obs = ln_vtot - d_kl_to_uniform`` within
+    ``ENTROPY_IDENTITY_TOL``; the identity is asserted on construction.
     """
 
     s_obs: float
@@ -162,28 +161,23 @@ class EntropyReport:
 
     def __post_init__(self):
         gap = abs(self.s_obs - (self.ln_vtot - self.d_kl_to_uniform))
-        if not math.isfinite(gap) or gap > 1e-9:
+        if not math.isfinite(gap) or gap > ENTROPY_IDENTITY_TOL:
             raise ValidationError(
                 f"entropy decomposition identity violated by {gap:.3e}"
             )
 
 
-def observational_entropy(
-    measurement: GeneralizedMeasurement,
-    rho: DensityMatrix,
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> EntropyReport:
+def observational_entropy(measurement: GeneralizedMeasurement, rho: DensityMatrix) -> EntropyReport:
     """Observational entropy of ``rho`` under ``measurement``, with decomposition.
 
     The report carries the von Neumann entropy of the state, ``ln dim``, and
     the divergence of the outcome distribution from the uniform-state
     reference ``V_i / dim``.
     """
-    w = outcome_probabilities(measurement, rho, atol=atol)
+    w = outcome_probabilities(measurement, rho)
     s_obs = s_obs_classical(w)
     dim = measurement.dim
-    d_kl = kl_divergence(w.probs, w.volumes / dim, norm_tol=1e-8)
+    d_kl = kl_divergence(w.probs, w.volumes / dim)
     return EntropyReport(
         s_obs=s_obs,
         s_vn=von_neumann_entropy(rho),
@@ -192,12 +186,7 @@ def observational_entropy(
     )
 
 
-def measurement_state_joint(
-    measurement: GeneralizedMeasurement,
-    rho: DensityMatrix,
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> JointDistribution:
+def measurement_state_joint(measurement: GeneralizedMeasurement, rho: DensityMatrix) -> JointDistribution:
     """Joint distribution ``p_gi = Tr[Π_i P_g ρ]`` over the eigenspaces ``P_g`` of ``ρ`` and outcomes.
 
     Rows are indexed by the state's eigenspaces in descending eigenvalue
@@ -210,4 +199,4 @@ def measurement_state_joint(
     eigenvalue's eigenspace enter the joint.
     """
     joint = _eigen_joints((measurement,), rho.matrix[None])[0][0]
-    return JointDistribution(joint, norm_tol=max(atol, 1e-10))
+    return JointDistribution(joint)

@@ -29,8 +29,6 @@ from .errors import (
     ZeroProbabilityOutcomeError,
 )
 from .operators import (
-    DEFAULT_ATOL,
-    DEFAULT_DEGENERACY_TOL,
     DensityMatrix,
     Projector,
     as_square_matrix,
@@ -39,6 +37,7 @@ from .operators import (
     frobenius,
     require_psd,
 )
+from .tolerances import BORN_NEGATIVE_TOL, BUILD_ATOL, DEFAULT_ATOL, UPDATE_PROB_TOL, ZERO_NORM_TOL, ZERO_TRACE_TOL
 
 KrausOps = tuple[tuple[np.ndarray, ...], ...]
 
@@ -51,7 +50,7 @@ class GeneralizedMeasurement:
     into it. Construction validates the whole stack, in this order: all
     elements have one square shape; every element is Hermitian and PSD within
     ``atol`` (one stacked check); no element is numerically zero (Frobenius
-    norm at most ``zero_tol``); completeness ``‖sum_i Π_i − 1‖_F <= atol``;
+    norm at most ``ZERO_NORM_TOL``); completeness ``‖sum_i Π_i − 1‖_F <= atol``;
     then, when present, per-outcome Kraus consistency. An error names the
     first failing element by its index. ``labels`` default to ``0..n-1`` and
     track outcome identity through operations that reindex or drop outcomes.
@@ -66,7 +65,6 @@ class GeneralizedMeasurement:
         *,
         labels: Sequence | None = None,
         atol: float = DEFAULT_ATOL,
-        zero_tol: float = DEFAULT_ATOL,
     ):
         if len(elements) == 0:
             raise ValidationError("measurement needs at least one element")
@@ -78,7 +76,7 @@ class GeneralizedMeasurement:
                     f"element {idx} has shape {shape}, expected {dim} x {dim}"
                 )
         stack = require_psd(elements, atol=atol, name="element")
-        zero = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) <= zero_tol)
+        zero = np.flatnonzero(np.linalg.norm(stack, axis=(1, 2)) <= ZERO_NORM_TOL)
         if zero.size:
             raise ZeroElementError(f"element {zero[0]} is numerically zero")
         defect = frobenius(stack.sum(axis=0) - np.eye(dim))
@@ -154,13 +152,12 @@ def validate_measurement(
     *,
     labels: Sequence | None = None,
     atol: float = DEFAULT_ATOL,
-    zero_tol: float = DEFAULT_ATOL,
 ) -> GeneralizedMeasurement:
     """Validate POVM elements (and optional Kraus operators) into a measurement.
 
     ``elements`` is a sequence of ``d x d`` matrices or one ``(n, d, d)`` array.
     """
-    return GeneralizedMeasurement(elements, kraus, labels=labels, atol=atol, zero_tol=zero_tol)
+    return GeneralizedMeasurement(elements, kraus, labels=labels, atol=atol)
 
 
 def projective_measurement(projectors: Sequence, *, atol: float = DEFAULT_ATOL) -> GeneralizedMeasurement:
@@ -169,35 +166,27 @@ def projective_measurement(projectors: Sequence, *, atol: float = DEFAULT_ATOL) 
     return GeneralizedMeasurement(mats, [[m] for m in mats], atol=atol)
 
 
-def measurement_from_state(
-    rho: DensityMatrix,
-    *,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    atol: float = DEFAULT_ATOL,
-) -> GeneralizedMeasurement:
+def measurement_from_state(rho: DensityMatrix) -> GeneralizedMeasurement:
     """Projective measurement onto the eigenspaces of a state.
 
-    Degenerate eigenvalues are grouped, so the elements are the eigenspace
-    projectors (one outcome per distinct eigenvalue).
+    Degenerate eigenvalues are grouped by the rule of :func:`eigendecompose`,
+    so the elements are the eigenspace projectors (one outcome per distinct
+    eigenvalue), validated within ``BUILD_ATOL``.
     """
-    pairs = eigendecompose(rho.matrix, degeneracy_tol, atol=atol)
-    return projective_measurement([proj for _, proj in pairs], atol=max(atol, 1e-9))
+    pairs = eigendecompose(rho.matrix)
+    return projective_measurement([proj for _, proj in pairs], atol=BUILD_ATOL)
 
 
-def outcome_probabilities(
-    measurement: GeneralizedMeasurement,
-    rho: DensityMatrix,
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> WeightedDistribution:
+def outcome_probabilities(measurement: GeneralizedMeasurement, rho: DensityMatrix) -> WeightedDistribution:
     """Born-rule probabilities ``p_i = Tr[Π_i ρ]`` paired with volumes ``V_i = Tr Π_i``.
 
     The one-state case of :func:`outcome_probability_stack`: probabilities are
-    clamped to ``[0, 1]``; anything below ``-1e-9`` raises instead of being
-    clamped silently.
+    clamped to ``[0, 1]``; anything below ``-BORN_NEGATIVE_TOL`` raises instead
+    of being clamped silently, and they must sum to one as a
+    :class:`WeightedDistribution` requires.
     """
     probs = outcome_probability_stack(measurement, rho.matrix[None])[0]
-    return WeightedDistribution(probs, measurement.volumes(), norm_tol=max(atol, 1e-10))
+    return WeightedDistribution(probs, measurement.volumes())
 
 
 def _checked_state_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
@@ -213,15 +202,16 @@ def _checked_state_stack(measurement: GeneralizedMeasurement, states) -> np.ndar
 def outcome_probability_stack(measurement: GeneralizedMeasurement, states) -> np.ndarray:
     """Born-rule probabilities of a ``(S, d, d)`` stack of states, as an ``(S, n)`` array.
 
-    Probabilities are clamped to ``[0, 1]``; anything below ``-1e-9`` raises
-    :class:`NegativeProbabilityError`. The states are taken as given, so
-    validate them first (:func:`~povmcoarse.operators.require_density`).
+    Probabilities are clamped to ``[0, 1]``; anything below
+    ``-BORN_NEGATIVE_TOL`` raises :class:`NegativeProbabilityError`. The
+    states are taken as given, so validate them first
+    (:func:`~povmcoarse.operators.require_density`).
     Each ``Tr[Π_i ρ_s]`` is one sum over the contiguous element axes, so row
     ``s`` does not depend on the rest of the stack.
     """
     transposed = np.swapaxes(_checked_state_stack(measurement, states), 1, 2)
     probs = np.sum(measurement.stacked() * transposed[:, None], axis=(2, 3)).real
-    if np.any(probs < -1e-9):
+    if np.any(probs < -BORN_NEGATIVE_TOL):
         raise NegativeProbabilityError(
             f"outcome probability {probs.min():.3e} is negative beyond tolerance"
         )
@@ -229,18 +219,16 @@ def outcome_probability_stack(measurement: GeneralizedMeasurement, states) -> np
 
 
 def compose_measurements(
-    first: GeneralizedMeasurement,
-    second: GeneralizedMeasurement,
-    *,
-    atol: float = DEFAULT_ATOL,
-    zero_tol: float = DEFAULT_ATOL,
+    first: GeneralizedMeasurement, second: GeneralizedMeasurement
 ) -> GeneralizedMeasurement:
     """Measurement obtained by performing ``first`` and then ``second``.
 
     Outcomes are pairs ``(i, j)`` (stored in ``labels``) with elements
     ``Π_(i,j) = sum_n K†_in Π^(2)_j K_in`` built from the Kraus operators of the
-    first measurement. Numerically-zero products are dropped; the marginal over
-    ``j`` of the kept elements reproduces ``Π^(1)_i`` up to the dropped dust.
+    first measurement. Products of Frobenius norm at most ``ZERO_NORM_TOL``
+    are dropped; the marginal over ``j`` of the kept elements reproduces
+    ``Π^(1)_i`` up to the dropped dust. The result is validated within
+    ``BUILD_ATOL``.
     """
     if first.kraus is None:
         raise MissingKrausError("composition needs Kraus operators on the first measurement")
@@ -252,25 +240,23 @@ def compose_measurements(
     for i, ops in enumerate(first.kraus):
         for j, target in enumerate(second.elements):
             block = sum(dagger(k) @ target @ k for k in ops)
-            if frobenius(block) <= zero_tol:
+            if frobenius(block) <= ZERO_NORM_TOL:
                 continue
             elements.append(block)
             labels.append((first.labels[i], second.labels[j]))
             if kraus is not None:
                 kraus.append(tuple(k2 @ k1 for k1 in ops for k2 in second.kraus[j]))
-    return GeneralizedMeasurement(elements, kraus, labels=labels, atol=max(atol, 1e-9), zero_tol=zero_tol)
+    return GeneralizedMeasurement(elements, kraus, labels=labels, atol=BUILD_ATOL)
 
 
 def post_measurement_state(
-    measurement: GeneralizedMeasurement,
-    outcome: int,
-    rho: DensityMatrix,
-    *,
-    zero_tol: float = 1e-12,
+    measurement: GeneralizedMeasurement, outcome: int, rho: DensityMatrix
 ) -> tuple[DensityMatrix, float]:
     """State update after observing ``outcome``: ``ρ → sum_m K ρ K† / p``.
 
-    Returns the updated state together with the outcome probability.
+    Returns the updated state together with the outcome probability; an
+    outcome of probability at most ``UPDATE_PROB_TOL`` raises
+    :class:`ZeroProbabilityOutcomeError`.
     ``outcome`` must be an integer in ``[0, n_outcomes)``, not a ``bool``,
     else :class:`InvalidRangeError` is raised.
     """
@@ -288,28 +274,23 @@ def post_measurement_state(
     ops = measurement.kraus[outcome]
     updated = sum(k @ rho.matrix @ dagger(k) for k in ops)
     prob = float(np.trace(updated).real)
-    if prob <= zero_tol:
+    if prob <= UPDATE_PROB_TOL:
         raise ZeroProbabilityOutcomeError(
             f"outcome {outcome} has probability {prob:.3e}; no post-measurement state"
         )
-    return DensityMatrix(updated / prob, atol=1e-9), prob
+    return DensityMatrix(updated / prob, atol=BUILD_ATOL), prob
 
 
-def trace_pairing(
-    positive_op,
-    projector,
-    *,
-    tol: float = DEFAULT_ATOL,
-) -> tuple[float, bool]:
+def trace_pairing(positive_op, projector) -> tuple[float, bool]:
     """``Tr[Π P]`` for a PSD operator and a projector, with a zero flag.
 
     The trace of such a pairing is non-negative, and it vanishes exactly when
     the operator products ``ΠP`` and ``PΠ`` vanish; the flag reports
-    ``trace <= tol``.
+    ``trace <= ZERO_TRACE_TOL``.
     """
     pi = np.asarray(positive_op.matrix if hasattr(positive_op, "matrix") else positive_op, dtype=complex)
     pr = np.asarray(projector.matrix if isinstance(projector, Projector) else projector, dtype=complex)
     if pi.shape != pr.shape:
         raise DimensionMismatchError(f"shapes differ: {pi.shape} vs {pr.shape}")
     value = float(np.einsum("ab,ba->", pi, pr).real)
-    return value, value <= tol
+    return value, value <= ZERO_TRACE_TOL

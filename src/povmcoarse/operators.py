@@ -7,8 +7,10 @@ functions provide the Hermitian/PSD checks and eigendecompositions everything
 else is built on.
 
 Default tolerances: structural checks (Hermiticity, positivity, idempotency,
-traces) use ``DEFAULT_ATOL = 1e-10``; eigenvalue grouping uses
-``DEFAULT_DEGENERACY_TOL = 1e-8`` relative to the spectral scale.
+traces) use ``DEFAULT_ATOL`` and eigenvalue grouping uses
+``DEFAULT_DEGENERACY_TOL``, relative to the spectral scale; operators built
+from validated ones (a subspace basis, eigenprojectors) are checked within
+``BUILD_ATOL``. The values are in :mod:`povmcoarse.tolerances`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .errors import (
     NotProjectiveError,
     ValidationError,
 )
-
-DEFAULT_ATOL = 1e-10
-DEFAULT_DEGENERACY_TOL = 1e-8
+from .tolerances import BUILD_ATOL, DEFAULT_ATOL, DEFAULT_DEGENERACY_TOL, RANK_TOL, RANK_TRACE_TOL
 
 
 def _square_stack(a, name: str) -> np.ndarray:
@@ -137,16 +137,16 @@ def matrix_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _eigenspace_ids(eigvals: np.ndarray, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> np.ndarray:
+def _eigenspace_ids(eigvals: np.ndarray) -> np.ndarray:
     """Eigenspace index of each eigenvalue, for one descending spectrum or a ``(..., d)`` stack of them.
 
-    A gap above ``degeneracy_tol`` times the spectral scale (max of spectral
-    range and largest magnitude) starts a new eigenspace, so the ids run
+    A gap above ``DEFAULT_DEGENERACY_TOL`` times the spectral scale (max of
+    spectral range and largest magnitude) starts a new eigenspace, so the ids run
     ``0, 1, ...`` down the spectrum. This is the one grouping rule of
     :func:`eigendecompose` and of the entropy joints.
     """
     scale = np.maximum(eigvals[..., 0] - eigvals[..., -1], np.max(np.abs(eigvals), axis=-1))
-    starts = eigvals[..., :-1] - eigvals[..., 1:] > degeneracy_tol * scale[..., None]
+    starts = eigvals[..., :-1] - eigvals[..., 1:] > DEFAULT_DEGENERACY_TOL * scale[..., None]
     ids = np.zeros(eigvals.shape, dtype=int)
     np.cumsum(starts, axis=-1, out=ids[..., 1:])
     return ids
@@ -172,7 +172,7 @@ class Projector:
         inferred = int(round(trace))
         if rank is None:
             rank = inferred
-        if abs(trace - rank) > max(atol, 1e-8):
+        if abs(trace - rank) > max(atol, RANK_TRACE_TOL):
             raise ValidationError(f"projector trace {trace!r} does not match rank {rank}")
         arr.setflags(write=False)
         self.matrix = arr
@@ -228,13 +228,14 @@ class DensityMatrix:
 class Subspace:
     """Subspace given by an orthonormal basis, with its derived projector.
 
-    The projector is built and validated on first access to :attr:`projector`;
+    The basis must be orthonormal within ``BUILD_ATOL``. The projector is built
+    and validated, within the same bound, on first access to :attr:`projector`;
     :meth:`compress`, :meth:`embed` and the outcome checks read only the basis.
     """
 
-    __slots__ = ("basis", "_atol", "_projector")
+    __slots__ = ("basis", "_projector")
 
-    def __init__(self, basis, *, atol: float = DEFAULT_ATOL):
+    def __init__(self, basis):
         arr = np.array(basis, dtype=complex)  # a copy: the caller's array stays writable
         if arr.ndim != 2 or arr.shape[1] < 1 or arr.shape[0] < arr.shape[1]:
             raise DimensionMismatchError(
@@ -242,13 +243,12 @@ class Subspace:
             )
         gram = dagger(arr) @ arr
         defect = frobenius(gram - np.eye(arr.shape[1]))
-        if defect > max(atol, 1e-9):
+        if defect > BUILD_ATOL:
             raise ValidationError(
                 f"subspace basis is not orthonormal: ||G - I||_F = {defect:.3e}"
             )
         arr.setflags(write=False)
         self.basis = arr
-        self._atol = max(atol, 1e-9)
         self._projector = None
 
     @property
@@ -256,7 +256,7 @@ class Subspace:
         """The orthogonal projector ``B B†`` onto the subspace."""
         if self._projector is None:
             self._projector = Projector(
-                self.basis @ dagger(self.basis), rank=self.rank, atol=self._atol
+                self.basis @ dagger(self.basis), rank=self.rank, atol=BUILD_ATOL
             )
         return self._projector
 
@@ -270,16 +270,23 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def span(cls, vectors: Sequence, *, atol: float = DEFAULT_ATOL) -> "Subspace":
-        """Subspace spanned by linearly independent vectors (orthonormalized)."""
+    def span(cls, vectors: Sequence) -> "Subspace":
+        """Subspace spanned by linearly independent vectors (orthonormalized).
+
+        The vectors are dependent when there are more of them than entries
+        in each, or when the smallest ``|R_kk|`` of their QR factorization is
+        at most ``RANK_TOL`` times the largest, so the test does not depend on
+        their scale.
+        """
         cols = _vector_columns(vectors)
         q, r = np.linalg.qr(cols)
         diag = np.diag(r)
-        if np.any(np.abs(diag) < 1e-10):
+        size = np.abs(diag)
+        if cols.shape[1] > cols.shape[0] or not size.min() > RANK_TOL * size.max():
             raise ValidationError("span vectors are numerically linearly dependent")
         # make the QR phases deterministic
-        q = q * (diag.conj() / np.abs(diag))
-        return cls(q, atol=atol)
+        q = q * (diag.conj() / size)
+        return cls(q)
 
     @classmethod
     def full(cls, dim: int) -> "Subspace":
@@ -311,28 +318,24 @@ class Subspace:
         return f"Subspace(dim={self.dim}, rank={self.rank})"
 
 
-def eigendecompose(
-    a,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    *,
-    atol: float = DEFAULT_ATOL,
-) -> list[tuple[float, Projector]]:
+def eigendecompose(a) -> list[tuple[float, Projector]]:
     """Spectral decomposition into eigenvalue/eigenprojector pairs.
 
-    Eigenvalues closer than ``degeneracy_tol`` times the spectral scale
-    (max of spectral range and largest magnitude) are merged into a single
-    eigenspace projector; the reported eigenvalue is the group mean. Pairs are
-    returned in descending eigenvalue order and their projectors sum to the
-    identity.
+    ``a`` must be Hermitian within ``DEFAULT_ATOL``. Eigenvalues closer than
+    ``DEFAULT_DEGENERACY_TOL`` times the spectral scale (max of spectral range
+    and largest magnitude) are merged into a single eigenspace projector,
+    validated within ``BUILD_ATOL``; the reported eigenvalue is the group
+    mean. Pairs are returned in descending eigenvalue order and their
+    projectors sum to the identity.
     """
-    w, v = np.linalg.eigh(_one_matrix(require_hermitian(a, atol=atol), "operator"))
+    w, v = np.linalg.eigh(_one_matrix(require_hermitian(a), "operator"))
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
-    ids = _eigenspace_ids(w, degeneracy_tol)
+    ids = _eigenspace_ids(w)
     pairs = []
     for g in range(ids[-1] + 1):
         members = ids == g
         block = v[:, members]
-        proj = Projector(block @ dagger(block), rank=block.shape[1], atol=max(atol, 1e-9))
+        proj = Projector(block @ dagger(block), rank=block.shape[1], atol=BUILD_ATOL)
         pairs.append((float(np.mean(w[members])), proj))
     return pairs

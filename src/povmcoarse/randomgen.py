@@ -19,6 +19,7 @@ from .distributions import StochasticMatrix, WeightedDistribution
 from .errors import InvalidRangeError, InvalidRankError, SingularSumError, ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DensityMatrix, Subspace, dagger, matrix_sqrt_psd, require_density
+from .tolerances import BUILD_ATOL, NORMALIZER_TOL
 
 # draws of a random POVM's normalizer before a singular sum is an error
 _POVM_DRAWS = 5
@@ -88,7 +89,7 @@ def random_density_stack(dim: int, ranks, seed=0) -> np.ndarray:
     ``seed`` gives every state, and the stack passes the checks of
     :class:`DensityMatrix` once, through ``require_density``.
     """
-    return require_density(_state_draws(dim, ranks, seed), atol=1e-9)
+    return require_density(_state_draws(dim, ranks, seed), atol=BUILD_ATOL)
 
 
 def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityMatrix:
@@ -96,7 +97,7 @@ def random_density_matrix(dim: int, rank: int | None = None, seed=0) -> DensityM
 
     Equal bit for bit to ``random_density_stack(dim, [rank], seed)[0]``.
     """
-    return DensityMatrix(_state_draws(dim, [dim if rank is None else rank], seed)[0], atol=1e-9)
+    return DensityMatrix(_state_draws(dim, [dim if rank is None else rank], seed)[0], atol=BUILD_ATOL)
 
 
 def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -> GeneralizedMeasurement:
@@ -121,12 +122,12 @@ def random_povm(dim: int, n_outcomes: int, seed=0, *, with_kraus: bool = True) -
         raw = blocks @ blocks.conj().swapaxes(1, 2)
         # sum() adds in draw order; raw.sum(axis=0) may add pairwise and change the bits
         w, v = np.linalg.eigh(sum(raw))
-        if w[0] <= 1e-10 * w[-1]:
+        if w[0] <= NORMALIZER_TOL * w[-1]:
             continue
         inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
         elements = inv_sqrt @ raw @ inv_sqrt
         kraus = matrix_sqrt_psd(elements)[:, None] if with_kraus else None
-        return validate_measurement(elements, kraus, atol=1e-9)
+        return validate_measurement(elements, kraus, atol=BUILD_ATOL)
     raise SingularSumError(f"no well-conditioned normalizer after {_POVM_DRAWS} draws")
 
 
@@ -142,7 +143,7 @@ def random_projective(dim: int, n_blocks: int, seed=0) -> GeneralizedMeasurement
     for k in range(n_blocks):
         cols = u[:, bounds[k] : bounds[k + 1]]
         projectors.append(cols @ dagger(cols))
-    return validate_measurement(projectors, [[p] for p in projectors], atol=1e-9)
+    return validate_measurement(projectors, [[p] for p in projectors], atol=BUILD_ATOL)
 
 
 def random_left_stochastic(
@@ -213,10 +214,10 @@ def random_subspace_of(parent: Subspace, rank: int, seed=0) -> Subspace:
 
 def random_subspace_state_stack(subspace: Subspace, ranks, seed=0) -> np.ndarray:
     """The draw of :func:`random_density_stack` on the subspace, embedded and validated once."""
-    return require_density(subspace.embed(_state_draws(subspace.rank, ranks, seed)), atol=1e-9)
+    return require_density(subspace.embed(_state_draws(subspace.rank, ranks, seed)), atol=BUILD_ATOL)
 
 
 def random_state_in_subspace(subspace: Subspace, seed=0, rank: int | None = None) -> DensityMatrix:
     """One random state supported exactly inside the subspace: the one-row subspace stack draw."""
     small = _state_draws(subspace.rank, [subspace.rank if rank is None else rank], seed)[0]
-    return DensityMatrix(subspace.embed(small), atol=1e-9)
+    return DensityMatrix(subspace.embed(small), atol=BUILD_ATOL)

@@ -30,6 +30,7 @@ from .distributions import JointDistribution, WeightedDistribution
 from .errors import ValidationError
 from .measurements import GeneralizedMeasurement, validate_measurement
 from .operators import DensityMatrix, Subspace, _vector_columns
+from .tolerances import BUILD_ATOL
 
 
 def complex_matrix_to_json(mat) -> list:
@@ -95,7 +96,7 @@ def _json_list(value, name: str) -> list:
     return value
 
 
-def measurement_from_dict(payload: dict, *, atol: float = 1e-9) -> GeneralizedMeasurement:
+def measurement_from_dict(payload: dict, *, atol: float = BUILD_ATOL) -> GeneralizedMeasurement:
     if not isinstance(payload, dict) or "elements" not in payload:
         raise ValidationError("measurement file needs an 'elements' array")
     elements = [
@@ -120,7 +121,7 @@ def state_to_dict(rho: DensityMatrix) -> dict[str, Any]:
     return {"dim": rho.dim, "rho": complex_matrix_to_json(rho.matrix)}
 
 
-def state_from_dict(payload: dict, *, atol: float = 1e-9) -> DensityMatrix:
+def state_from_dict(payload: dict, *, atol: float = BUILD_ATOL) -> DensityMatrix:
     if not isinstance(payload, dict) or "rho" not in payload:
         raise ValidationError("state file needs a 'rho' matrix")
     mat = complex_matrix_from_json(payload["rho"], name="rho")
@@ -135,7 +136,7 @@ def subspace_to_dict(subspace: Subspace) -> dict[str, Any]:
     }
 
 
-def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
+def subspace_from_dict(payload: dict) -> Subspace:
     if not isinstance(payload, dict) or "basis" not in payload:
         raise ValidationError("subspace file needs a 'basis' array")
     vectors = [
@@ -144,7 +145,7 @@ def subspace_from_dict(payload: dict, *, atol: float = 1e-9) -> Subspace:
     ]
     basis = _vector_columns(vectors)
     _check_declared_dim(payload, basis.shape[0], "vectors of length")
-    return Subspace(basis, atol=atol)
+    return Subspace(basis)
 
 
 def distribution_to_dict(w: WeightedDistribution) -> dict[str, Any]:

@@ -72,16 +72,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRangeError, IterationLimitError, ShapeMismatchError, ValidationError
+from .tolerances import DEFAULT_FEAS_TOL, PROGRESS_TOL
+from .tolerances import ENTER_TOL as _ENTER_TOL, HARRIS_DELTA as _HARRIS_DELTA, PIVOT_TOL as _PIVOT_TOL
 
-_ENTER_TOL = 1e-9
-# entries below this never serve as pivots: dividing a tableau by a tiny pivot
-# amplifies accumulated round-off enough to corrupt later verdicts (the
-# constraint matrices handled here are O(1)-scaled, so 1e-7 loses nothing)
-_PIVOT_TOL = 1e-7
-# feasibility tolerance of Harris's ratio test: how far below zero a
-# right-hand side may be pushed so that a larger pivot can leave instead
-_HARRIS_DELTA = 1e-9
 _STALL_LIMIT = 200
+# the default pivot budget: this many pivots per row and column of the
+# tableau, artificial columns included, plus one stall run at the default
+# _STALL_LIMIT before the switch
+_PIVOTS_PER_LINE = 50
+_STALL_ALLOWANCE = _STALL_LIMIT
 # optima in (tol, _AMBIGUOUS_FACTOR * tol] are reported as ambiguous
 _AMBIGUOUS_FACTOR = 10.0
 # verdicts by band index, see _band
@@ -164,7 +163,7 @@ def lp_feasible(
     b_ub=None,
     *,
     n_vars: int,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_FEAS_TOL,
     max_iter: int | None = None,
 ) -> FeasibilityResult:
     """Decide whether ``{x >= 0 : a_eq x = b_eq, a_ub x <= b_ub}`` is non-empty.
@@ -178,8 +177,8 @@ def lp_feasible(
     column switches for good from Dantzig's rule to Bland's; the leaving row is
     the largest pivot among Harris's candidates in both phases. Termination is
     not guaranteed: a solve that needs more than ``max_iter`` pivots (default
-    ``10 * (rows + columns)**2``, counting slack and artificial columns) raises
-    :class:`IterationLimitError`.
+    ``_PIVOTS_PER_LINE * (rows + columns) + _STALL_ALLOWANCE``, counting slack
+    and artificial columns) raises :class:`IterationLimitError`.
     """
     _check_tol(tol)
     n_vars = _check_n_vars(n_vars)
@@ -219,7 +218,7 @@ def lp_feasible(
     rhs = C[0, :m]
 
     if max_iter is None:
-        max_iter = 10 * (m + n_struct + n_art) ** 2
+        max_iter = _PIVOTS_PER_LINE * (m + n_struct + n_art) + _STALL_ALLOWANCE
 
     bland = False
     stall = 0
@@ -285,7 +284,7 @@ def lp_feasible(
         barred = []  # the pivot changed every reduced cost
 
         value = float(rhs[art_basic].sum())
-        if value < best_value - 1e-12:
+        if value < best_value - PROGRESS_TOL:
             best_value = value
             stall = 0
         else:

@@ -129,9 +129,7 @@ from .serialization import (
     state_to_dict,
     subspace_to_dict,
 )
-
-INEQ_TOL = 1e-9
-EQ_TOL = 1e-8
+from .tolerances import BUILD_ATOL, EQ_TOL, INEQ_TOL, RESTRICTION_TOL, WITNESS_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def _sweep_states(statement, check, fine, coarse, subspace, states):
     if failing.size:
         s = failing[0]
         return _fail(statement, **{key: float(value[s]) for key, value in values.items()},
-                     state=state_to_dict(DensityMatrix(states[s], atol=1e-9)),
+                     state=state_to_dict(DensityMatrix(states[s], atol=BUILD_ATOL)),
                      **_pair_payload(coarse, fine, subspace))
 
 
@@ -355,7 +353,7 @@ def _random_subspace_coarser_pair(rng, dim):
         n_out = int(rng.integers(1, 4))
         elements = np.concatenate([_embedded_povm(inside, n_in, rng),
                                    _embedded_povm(Subspace(u[:, g:]), n_out, rng)])
-        fine = validate_measurement(elements[rng.permutation(len(elements))], atol=1e-9)
+        fine = validate_measurement(elements[rng.permutation(len(elements))], atol=BUILD_ATOL)
 
     o1 = possible_outcomes(fine, inside)
     m = int(rng.integers(1, len(o1) + 2))
@@ -369,7 +367,7 @@ def _random_subspace_coarser_pair(rng, dim):
     leftover = (dim - g) - float(deficits.sum())
     extra = deficits + max(leftover, 0.0) * random_simplex(m, rng)
     complement = np.eye(dim) - inside.projector.matrix
-    coarse = validate_measurement(mixed + (extra / (dim - g))[:, None, None] * complement, atol=1e-9)
+    coarse = validate_measurement(mixed + (extra / (dim - g))[:, None, None] * complement, atol=BUILD_ATOL)
     return fine, coarse, inside
 
 
@@ -459,7 +457,7 @@ def _projective_trial(rng, dim, t):
         eigenspace = Subspace(np.linalg.eigh(proj)[1][:, -rank:])
         parts.append(_embedded_povm(eigenspace, int(rng.integers(1, 4)), rng))
     fine_elements = np.concatenate(parts)
-    fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=1e-9)
+    fine = validate_measurement(fine_elements[rng.permutation(len(fine_elements))], atol=BUILD_ATOL)
     return fine, coarse, None, True
 
 
@@ -477,7 +475,7 @@ def _verify_lemma(fine, coarse, _, states):
     cert, record = _decide("constructed coarse-graining must be feasible", coarse, fine)
     if record is not None:
         return record
-    if cert.residual > 1e-7:
+    if cert.residual > WITNESS_RESIDUAL_TOL:
         return _fail("witness residual <= 1e-7", residual=cert.residual, **_pair_payload(coarse, fine))
     return _sweep_states("p_coarse == witness @ p_fine for every state",
                          _mapped_probabilities(cert.witness.matrix, INEQ_TOL), fine, coarse, None, states)
@@ -509,7 +507,7 @@ def _verify_restriction(fine, coarse, inside, smaller):
     source = smaller.compress(fine.stacked()[list(o1)])
     residual = _residual(restricted, source, smaller.compress(coarse.stacked()[list(o2)]))
     slack = coarse.volumes()[list(o2)] - restricted @ fine.volumes()[list(o1)]
-    if residual > 1e-6 or float(slack.min()) < -1e-6:
+    if residual > RESTRICTION_TOL or float(slack.min()) < -RESTRICTION_TOL:
         return _fail("restricted witness satisfies the smaller subspace relation",
                      residual=residual, volume_slack=slack.tolist(),
                      **_pair_payload(coarse, fine, smaller))
@@ -599,7 +597,7 @@ def _golden_vn_relation_failure() -> dict:
     w = outcome_probabilities(povm, rho)
     s_obs = observational_entropy(povm, rho).s_obs
     mixture = sum(p / v * e for p, v, e in zip(w.probs, w.volumes, povm.elements))
-    s_mixture = von_neumann_entropy(DensityMatrix(mixture, atol=1e-9))
+    s_mixture = von_neumann_entropy(DensityMatrix(mixture, atol=BUILD_ATOL))
     expected_s_obs = 0.5 * math.log(3.0)
     expected_mixture = math.log(3.0) - (2.0 / 3.0) * math.log(2.0)
     gap = abs(s_obs - s_mixture)

@@ -81,6 +81,17 @@ class TestKLDivergence:
         with pytest.raises(NotNormalizedError):
             kl_divergence([0.9, 0.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("excess, accepted", [(0.9e-8, True), (1.1e-8, False)])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_normalization_bound_is_1e_minus_8(self, excess, accepted, side):
+        off = [0.5 + excess, 0.5]
+        args = (off, [0.5, 0.5]) if side == "p" else ([0.5, 0.5], off)
+        if accepted:
+            assert kl_divergence(*args) == pytest.approx(0.0, abs=1e-7)
+        else:
+            with pytest.raises(NotNormalizedError):
+                kl_divergence(*args)
+
     @pytest.mark.parametrize(
         "bad, error",
         [

@@ -26,6 +26,7 @@ from povmcoarse.errors import (
     KrausMismatchError,
     MissingKrausError,
     NonHermitianError,
+    NotNormalizedError,
     NotPSDError,
     ZeroElementError,
     ZeroProbabilityOutcomeError,
@@ -197,6 +198,16 @@ class TestOutcomeProbabilities:
         with pytest.raises(DimensionMismatchError):
             outcome_probabilities(z_measurement, DensityMatrix.maximally_mixed(3))
 
+    @pytest.mark.parametrize("excess, accepted", [(0.9e-10, True), (1.1e-10, False)])
+    def test_normalization_bound_is_1e_minus_10(self, z_measurement, excess, accepted):
+        # a state of trace 1 + excess, admitted at a looser atol, gives p summing to 1 + excess
+        rho = DensityMatrix(np.diag([0.5 + excess, 0.5]), atol=1e-8)
+        if accepted:
+            assert outcome_probabilities(z_measurement, rho).probs[0] == 0.5 + excess
+        else:
+            with pytest.raises(NotNormalizedError):
+                outcome_probabilities(z_measurement, rho)
+
 
 class TestOutcomeProbabilityStack:
     def test_matches_outcome_probabilities(self):
@@ -288,6 +299,22 @@ class TestCompose:
         combined = compose_measurements(first, second)
         assert combined.kraus is not None  # validated on construction
 
+    @pytest.mark.parametrize("excess, accepted", [(0.9e-9, True), (1.1e-9, False)])
+    def test_completeness_bound_is_1e_minus_9(self, excess, accepted):
+        # a first measurement whose elements sum to I + excess |0><0|, admitted at
+        # a looser atol, passes its defect on to the composition
+        first = validate_measurement(
+            [np.diag([1.0 + excess, 0.0]), np.diag([0.0, 1.0])],
+            [[np.diag([math.sqrt(1.0 + excess), 0.0])], [np.diag([0.0, 1.0])]],
+            atol=1e-8,
+        )
+        trivial = validate_measurement([np.eye(2)])
+        if accepted:
+            assert compose_measurements(first, trivial).n_outcomes == 2
+        else:
+            with pytest.raises(IncompleteSumError):
+                compose_measurements(first, trivial)
+
 
 class TestPostMeasurementState:
     def test_projective_update(self, z_measurement):
@@ -308,6 +335,17 @@ class TestPostMeasurementState:
     def test_zero_probability_outcome(self, z_measurement):
         with pytest.raises(ZeroProbabilityOutcomeError):
             post_measurement_state(z_measurement, 0, DensityMatrix.pure(ket(0, 1)))
+
+    @pytest.mark.parametrize("prob, updated", [(0.9e-12, False), (1.1e-12, True)])
+    def test_zero_probability_bound_is_1e_minus_12(self, z_measurement, prob, updated):
+        rho = DensityMatrix(np.diag([1.0 - prob, prob]))
+        if updated:
+            state, got = post_measurement_state(z_measurement, 1, rho)
+            assert got == prob
+            np.testing.assert_allclose(state.matrix, proj(ket(0, 1)), atol=1e-12)
+        else:
+            with pytest.raises(ZeroProbabilityOutcomeError):
+                post_measurement_state(z_measurement, 1, rho)
 
     @pytest.mark.parametrize("outcome", [-1, 2, 1.0, "0", None, True])
     def test_outcome_out_of_range(self, z_measurement, outcome):

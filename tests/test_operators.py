@@ -71,15 +71,39 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Subspace(np.array([[1.0], [1.0]]))
 
+    @pytest.mark.parametrize("defect, accepted", [(0.9e-9, True), (1.1e-9, False)])
+    def test_subspace_orthonormality_bound_is_1e_minus_9(self, defect, accepted):
+        # ||G - I||_F = defect for the one column sqrt(1 + defect) |0>
+        basis = np.array([[math.sqrt(1.0 + defect)], [0.0]])
+        if accepted:
+            assert Subspace(basis).projector.rank == 1
+        else:
+            with pytest.raises(ValidationError, match="not orthonormal"):
+                Subspace(basis)
+
     def test_subspace_span_orthonormalizes(self):
         sub = Subspace.span([ket(1, 1), ket(1, 0)])
         assert sub.rank == 2
         gram = dagger(sub.basis) @ sub.basis
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
-    def test_subspace_span_rejects_dependent_vectors(self):
-        with pytest.raises(ValidationError):
-            Subspace.span([ket(1, 1), ket(2, 2)])
+    @pytest.mark.parametrize(
+        "vectors", [[ket(1, 1), ket(2, 2)], [ket(1, 0), ket(0, 1), ket(1, 1)]], ids=["parallel", "three-in-2d"]
+    )
+    def test_subspace_span_rejects_dependent_vectors(self, vectors):
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            Subspace.span(vectors)
+
+    def test_subspace_span_of_one_tiny_vector(self):
+        # the dependence test is relative to the longest R_kk, so scale alone does not fail it
+        sub = Subspace.span([[1e-11, 0.0]])
+        assert sub.rank == 1
+        np.testing.assert_allclose(sub.basis[:, 0], [1.0, 0.0])
+
+    def test_subspace_span_rejects_a_relative_gap_below_rank_tol(self):
+        # |R_11| / |R_00| = 1e-5 / 1e6 = 1e-11 is below RANK_TOL = 1e-10
+        with pytest.raises(ValidationError, match="linearly dependent"):
+            Subspace.span([[1e6, 0.0, 0.0], [1e6, 1e-5, 0.0]])
 
     def test_subspace_span_without_vectors_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="at least one vector"):

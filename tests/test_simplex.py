@@ -353,7 +353,8 @@ class TestLeavingRule:
     leaving choice), draw (14, 0) came back ``infeasible`` with phase-1
     optimum 74.4 after 16,533 pivots, and draw (15, 1) had no result after
     150,000. The largest pivot ends both in under 2,300 pivots; the cap keeps
-    a regression from running the default budget of about 5.5M pivots.
+    a regression below the default budget of 37,200 pivots (740 rows and
+    columns).
     """
 
     @pytest.mark.parametrize("seed, draw", [(14, 0), (15, 1)])
@@ -402,6 +403,24 @@ class TestIterationCap:
         with pytest.raises(IterationLimitError) as info:
             lp_feasible([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], n_vars=2, max_iter=1)
         assert info.value.iterations == 2
+
+    def test_default_cap_grows_linearly_with_the_system(self, monkeypatch):
+        """A solve that does not end stops after a budget linear in rows + columns.
+
+        Merge draw (9, 1) in equality form does not end with the switch at
+        the first stall. Its 132 rows, 160 structural and 112 artificial
+        columns give a budget of 50 * 404 + 200 = 20,400 pivots; the budget
+        ``10 * 404**2`` that it replaced ran 1,632,160 pivots, about a minute.
+        """
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+        coarse, fine = overcomplete_merge_pair(9, 1)
+        a_eq, b_eq, a_ub, b_ub = eliminated_processing_system(
+            _component_rows(fine.stacked()), _component_rows(coarse.stacked())
+        )
+        assert (len(a_eq) + len(a_ub), a_eq.shape[1] + len(a_ub)) == (132, 160)
+        with pytest.raises(IterationLimitError) as info:
+            lp_feasible(a_eq, b_eq, a_ub, b_ub, n_vars=a_eq.shape[1])
+        assert info.value.iterations == 50 * 404 + 200 + 1
 
 
 def full_tableau_feasible(a_eq, b_eq, a_ub, b_ub, n_vars):
