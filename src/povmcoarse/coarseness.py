@@ -105,10 +105,6 @@ from .tolerances import (
     ZERO_NORM_TOL,
 )
 
-# the relative-majorization kernel evaluates as many threshold rows at once as
-# keep rows x outcomes x candidates within this many cells
-_BLOCK_CELLS = 1 << 16
-
 OutcomeSet = tuple[int, ...]
 Partition = tuple[tuple[int, ...], ...]
 
@@ -469,22 +465,17 @@ def majorization_verdicts(
 
     The thresholds form a ``(1 + n + m, k)`` array, one row per threshold
     (``0``, the fine ratios, then the candidate's own) and one column per
-    candidate. ``f`` is evaluated on blocks of whole threshold rows: each
-    side's terms ``(p_i - t q_i)_+`` are written in place into one
-    ``(outcome, row, candidate)`` scratch array, allocated once per call and
-    shared by the two sides in turn, so a wide stack makes no 3-D temporary,
-    every inner loop runs along the candidates and every sum adds the
-    outcomes in order. A block holds as many rows as keep rows x outcomes x
-    candidates within ``_BLOCK_CELLS``, and at least one: a small stack is
-    one block, and a wide one goes one row at a time.
+    candidate, and ``f`` is evaluated on all of it in one pass. Each side's
+    sum adds its terms ``(p_i - t q_i)_+`` one outcome at a time, in order,
+    each written in place, so every inner loop runs along the whole
+    ``(threshold, candidate)`` array. The two sums and the term take one
+    allocation of ``3 x (1 + n + m) x k`` floats.
 
     Each candidate's slack is its first minimum in threshold order, as
-    ``argmin`` picks it (a ``nan`` counts as below every number): inside a
-    block, the first row that attains the block's minimum (a one-row block
-    is its own); across blocks, a later block replaces the running minimum
-    only when strictly below it, so an earlier threshold wins a tie. The
-    result does not depend on the block height, so a stack's row is
-    bit-identical to the one-candidate call.
+    ``argmin`` picks it: the first row that attains the column's minimum, or
+    the first ``nan`` (which counts as below every number). Each column is
+    computed alone, so a stack's row is bit-identical to the one-candidate
+    call.
 
     Returns ``(verdicts, thresholds, slacks, volume_gaps)``, each of shape
     ``(k,)``; see :class:`Separation` for the last three.
@@ -493,12 +484,16 @@ def majorization_verdicts(
     return _BANDS[bands], thresholds, slacks, gaps
 
 
-def _hinge_sums(p, q, block, out):
-    """``sum_i (p_i - block * q_i)_+`` over the first axis, with ``out`` as scratch for the terms."""
-    np.multiply(block, q, out=out)
-    np.subtract(p, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.add.reduce(out, axis=0)
+def _hinge_sums(p, q, t, out, term):
+    """``sum_i (p_i - t q_i)_+`` into ``out``, adding the outcomes in order, with ``term`` as scratch."""
+    for i in range(len(p)):
+        x = term if i else out
+        np.multiply(t, q[i], out=x)
+        np.subtract(p[i], x, out=x)
+        np.maximum(x, 0.0, out=x)
+        if i:
+            out += x
+    return out
 
 
 def _majorization(fine, probs, volumes, tol):
@@ -507,33 +502,21 @@ def _majorization(fine, probs, volumes, tol):
     total = fine.total_volume
     totals = _sums(volumes)
     (k, m), n = probs.shape, fine.n
-    p_f, q_f = fine.probs[:, None, None], (fine.volumes / total)[:, None, None]
-    p_c, q_c = probs.T.copy()[:, None], np.divide(volumes.T, totals, order="C")[:, None]
+    p_f, q_f = fine.probs[:, None], (fine.volumes / total)[:, None]
+    p_c, q_c = probs.T.copy(), np.divide(volumes.T, totals, order="C")
     t = np.empty((1 + n + m, k))
     t[0] = 0.0
-    t[1:n + 1] = (p_f / q_f)[:, 0]
-    np.divide(p_c[:, 0], q_c[:, 0], out=t[n + 1:])
-    rows = min(len(t), max(1, _BLOCK_CELLS // max((n + m) * k, 1)))
-    order = np.arange(len(t))[:, None]
-    # scratch for one block's terms, one side at a time
-    terms = np.empty((max(n, m), rows, k))
-    for start in range(0, len(t), rows):
-        block = t[start:start + rows]
-        height = len(block)
-        values = _hinge_sums(p_f, q_f, block, terms[:n, :height]) - _hinge_sums(p_c, q_c, block, terms[:m, :height])
-        if height == 1:
-            low, first = values[0], start
-        else:
-            low = np.minimum.reduce(values, axis=0)
-            # the first row at the block's minimum, or at its first nan
-            above = (values != low) & (values == values)
-            first = np.minimum.reduce(np.where(above, len(t), order[start:start + height]), axis=0)
-        if start:
-            # strictly below, or a first nan; a running nan stays
-            lower = ~(low >= slacks) & (slacks == slacks)
-            worst, slacks = np.where(lower, first, worst), np.minimum(slacks, low)
-        else:
-            worst, slacks = first, low
+    t[1:n + 1] = p_f / q_f
+    np.divide(p_c, q_c, out=t[n + 1:])
+    # the two sides' sums and the term being added, in one allocation: separate
+    # grid-sized arrays are mapped afresh, page by page, on many calls
+    values, coarse, term = np.empty((3, len(t), k))
+    _hinge_sums(p_f, q_f, t, values, term)
+    # a side without outcomes sums to 0, as numpy's empty sum does
+    values -= _hinge_sums(p_c, q_c, t, coarse, term) if m else 0.0
+    slacks = np.minimum.reduce(values, axis=0)
+    # the first row at the minimum, or at the first nan, as argmin picks it
+    worst = np.argmin((values != slacks) & (values == values), axis=0)
     thresholds = t[worst, np.arange(k)]
     gaps = np.abs(totals - total) / total
     return _band(np.maximum(-slacks, gaps), tol), thresholds, slacks, gaps

@@ -228,9 +228,10 @@ class DensityMatrix:
 class Subspace:
     """Subspace given by an orthonormal basis, with its derived projector.
 
-    The basis must be orthonormal within ``BUILD_ATOL``. The projector is built
-    and validated, within the same bound, on first access to :attr:`projector`;
-    :meth:`compress`, :meth:`embed` and the outcome checks read only the basis.
+    The basis must be finite and orthonormal within ``BUILD_ATOL``. The
+    projector is built and validated, within the same bound, on first access
+    to :attr:`projector`; :meth:`compress`, :meth:`embed` and the outcome
+    checks read only the basis.
     """
 
     __slots__ = ("basis", "_projector")
@@ -241,6 +242,8 @@ class Subspace:
             raise DimensionMismatchError(
                 f"subspace basis must be a d x r matrix with 1 <= r <= d, got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("subspace basis has non-finite entries")
         gram = dagger(arr) @ arr
         defect = frobenius(gram - np.eye(arr.shape[1]))
         if defect > BUILD_ATOL:

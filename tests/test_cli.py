@@ -107,6 +107,32 @@ class TestCheckCoarserCommand:
     def test_missing_file_exit_2(self, files):
         assert main(["check-coarser", files["x.json"], "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_subspace_exit_2(self, files, tmp_path, capsys, token):
+        bad = tmp_path / "basis.json"
+        bad.write_text(f'{{"dim": 2, "basis": [[[{token}, 0], [0, 0]]]}}')
+        code = main(["check-coarser", files["x.json"], files["z.json"], "--subspace", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: ValidationError: subspace basis has non-finite entries\n"
+
+    def test_span_gap_inside_the_band_exit_3(self, tmp_path, capsys):
+        """A coarse pair 5e-8 off the fine span lies in (tol, 10 tol]: neither feasible nor refuted."""
+        eps = 5e-8
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        coarse = validate_measurement([0.5 * np.eye(2) + eps * x, 0.5 * np.eye(2) - eps * x])
+        fine = validate_measurement([proj(ket(1, 0)), proj(ket(0, 1))])
+        paths = []
+        for name, povm in (("coarse.json", coarse), ("fine.json", fine)):
+            dump_json(measurement_to_dict(povm), tmp_path / name)
+            paths.append(str(tmp_path / name))
+        code = main(["check-coarser", *paths])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert out["verdict"] == "ambiguous"
+        assert out["P"] is None
+
 
 class TestMalformedFiles:
     """A field that must be a JSON array but is not is a validation error (exit 2), not a verdict."""

@@ -32,7 +32,6 @@ from povmcoarse import (
     weighted_rows,
 )
 from povmcoarse.coarseness import (
-    _BLOCK_CELLS,
     Separation,
     _component_index,
     _component_rows,
@@ -1158,14 +1157,13 @@ class TestMajorizationKernel:
             assert_matches_loop(fine, probs, volumes)
 
     def test_default_region_grid_matches_the_loop_reference(self):
-        """The 101 x 101 grid of ``region-scan``'s defaults, one threshold row per block."""
+        """The 101 x 101 grid of ``region-scan``'s defaults."""
         base = WeightedDistribution([0.75, 0.25], [1.0, 1.0])
         p_values, v_values = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0, 101)
         v_values[0], v_values[-1] = 0.01, 1.99
         p_cells, v_cells = np.repeat(p_values, 101), np.tile(v_values, 101)
         probs, volumes = weighted_rows(np.stack([p_cells, 1.0 - p_cells], axis=1),
                                        np.stack([v_cells, 2.0 - v_cells], axis=1))
-        assert _BLOCK_CELLS // (4 * len(probs)) == 1
         assert_matches_loop(base, probs, volumes)
 
     def test_forty_outcome_pair_matches_the_loop_reference(self):
@@ -1175,14 +1173,11 @@ class TestMajorizationKernel:
                        random_weighted_distribution(40, rng)):
             assert_matches_loop(fine, coarse.probs[None], coarse.volumes[None])
 
-    @pytest.mark.parametrize("past", [-1, 0, 1], ids=["one-block-less-1", "one-block", "two-blocks"])
-    def test_rows_across_a_block_boundary_match_single_calls(self, past):
-        """A stack one candidate past the widest one-block stack splits its thresholds in two blocks."""
+    def test_wide_stack_rows_match_single_calls(self):
+        """Every row of a wide stack is bit-identical to its one-candidate call."""
         rng = np.random.default_rng(4164)
         n = m = 12
-        widest = _BLOCK_CELLS // ((n + m) * (1 + n + m))
-        k = widest + past
-        assert (_BLOCK_CELLS // ((n + m) * k) >= 1 + n + m) == (past <= 0)
+        k = 300
         fine = random_weighted_distribution(n, rng)
         # the fine pair itself has slack 0 at every threshold, so t = 0 must win;
         # a relabelling of it comes within rounding of 0 everywhere
@@ -1201,6 +1196,13 @@ class TestMajorizationKernel:
         out = majorization_verdicts(fine, np.zeros((0, 3)), np.ones((0, 3)))
         assert [a.shape for a in out] == [(0,)] * 4
 
+    def test_candidates_without_outcomes_have_slack_zero(self):
+        """An empty side sums to 0, so only the volume gap separates."""
+        fine = WeightedDistribution([0.5, 0.5], [1.0, 1.0])
+        verdicts, _, slacks, gaps = majorization_verdicts(fine, np.zeros((2, 0)), np.ones((2, 0)))
+        assert list(verdicts) == ["infeasible"] * 2
+        assert slacks.tolist() == [0.0, 0.0] and gaps.tolist() == [1.0, 1.0]
+
     def test_first_nan_wins_as_argmin_picks_it(self):
         """A quota that underflows to zero makes nan values; the first nan row is the minimum."""
         fine = WeightedDistribution([0.5, 0.5], [1.0, 1.0])
@@ -1209,8 +1211,7 @@ class TestMajorizationKernel:
         volumes = np.array([[1e-320, 1e-320, 1e12], [1e-320, 1e-320, 1e12], [1.0, 1.0, 1.0]])
         with np.errstate(divide="ignore", invalid="ignore"):
             singles = [majorization_verdicts(fine, probs[c:c + 1], volumes[c:c + 1]) for c in range(3)]
-            # 2 x 3 outcomes and this many candidates leave one threshold row per block
-            repeat = _BLOCK_CELLS // 5 + 1
+            repeat = 4
             stack = majorization_verdicts(fine, np.tile(probs, (repeat, 1)), np.tile(volumes, (repeat, 1)))
         verdicts, thresholds, slacks, _ = (np.concatenate(column) for column in zip(*singles))
         assert list(verdicts[:2]) == ["ambiguous", "ambiguous"]

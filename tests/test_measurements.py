@@ -25,6 +25,7 @@ from povmcoarse.errors import (
     InvalidRangeError,
     KrausMismatchError,
     MissingKrausError,
+    NegativeProbabilityError,
     NonHermitianError,
     NotNormalizedError,
     NotPSDError,
@@ -226,6 +227,11 @@ class TestOutcomeProbabilityStack:
             outcome_probability_stack(z_measurement, np.eye(3)[None] / 3)
         with pytest.raises(DimensionMismatchError):
             outcome_probability_stack(z_measurement, np.eye(2) / 2)
+
+    def test_negative_probability_of_an_unvalidated_state(self, z_measurement):
+        """The states are taken as given, so a negative eigenvalue shows up as a negative probability."""
+        with pytest.raises(NegativeProbabilityError, match="-5.000e-01"):
+            outcome_probability_stack(z_measurement, np.diag([1.5, -0.5])[None])
 
 
 class TestMeasurementFromState:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from povmcoarse import DensityMatrix, Projector, Subspace, eigendecompose
+from povmcoarse import DensityMatrix, Projector, Subspace, eigendecompose, validate_measurement
 from povmcoarse.errors import (
     DimensionMismatchError,
     InvalidRangeError,
@@ -17,7 +17,13 @@ from povmcoarse.errors import (
     NotProjectiveError,
     ValidationError,
 )
-from povmcoarse.operators import dagger, frobenius, matrix_sqrt_psd, require_density
+from povmcoarse.operators import (
+    dagger,
+    frobenius,
+    matrix_sqrt_psd,
+    require_density,
+    require_hermitian,
+)
 from povmcoarse.randomgen import (
     random_density_matrix,
     random_density_stack,
@@ -70,6 +76,26 @@ class TestValidation:
     def test_subspace_requires_orthonormal_basis(self):
         with pytest.raises(ValidationError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", ["measurement", "state", "hermitian"])
+    def test_non_finite_entries_are_a_validation_error(self, build, bad):
+        """Refused before any eigendecomposition, so no numpy ``LinAlgError`` escapes."""
+        m = np.diag([bad, 0.0])
+        make = {
+            "measurement": lambda: validate_measurement([m, np.eye(2) - m]),
+            "state": lambda: DensityMatrix(m),
+            "hermitian": lambda: require_hermitian(m),
+        }[build]
+        with pytest.raises(ValidationError, match="has non-finite entries"):
+            make()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_subspace_rejects_non_finite_entries(self, bad):
+        # a nan defect compares false against the orthonormality bound
+        with pytest.raises(ValidationError, match="subspace basis has non-finite entries"):
+            Subspace(np.array([[bad], [0.0]]))
 
     @pytest.mark.parametrize("defect, accepted", [(0.9e-9, True), (1.1e-9, False)])
     def test_subspace_orthonormality_bound_is_1e_minus_9(self, defect, accepted):

@@ -157,6 +157,13 @@ class TestStateAndSubspaceFiles:
         with pytest.raises(ValidationError):
             subspace_from_dict({"dim": 2, "basis": []})
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_basis_entry_is_a_validation_error(self, token):
+        # Python's json reads these tokens as floats
+        payload = json.loads(f'{{"basis": [[[{token}, 0], [0, 0]]]}}')
+        with pytest.raises(ValidationError, match="subspace basis has non-finite entries"):
+            subspace_from_dict(payload)
+
     def test_unequal_basis_vectors_are_a_dimension_mismatch(self):
         payload = {"basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]}
         with pytest.raises(DimensionMismatchError):

@@ -11,6 +11,7 @@ import pytest
 from povmcoarse import (
     DensityMatrix,
     check_coarser,
+    check_coarser_in_subspace,
     coarsen,
     counterexample_registry,
     observational_entropy,
@@ -19,7 +20,12 @@ from povmcoarse import (
     validate_measurement,
     von_neumann_entropy,
 )
-from povmcoarse.coarseness import CoarsenessCertificate, check_coarser_projective
+from povmcoarse.coarseness import (
+    CoarsenessCertificate,
+    _residual,
+    check_coarser_projective,
+    restrict_transition_matrix,
+)
 from povmcoarse.distributions import JointDistribution, push_forward
 from povmcoarse.entropy import kl_divergence, measurement_state_joint, mutual_information, s_obs_classical
 from povmcoarse.errors import InvalidRangeError, UnknownSuiteError
@@ -535,6 +541,107 @@ class TestFailurePayloads:
             assert record["verdict"] == verdict
             self.assert_same_measurement(record["coarse"], coarse)
             self.assert_same_measurement(record["fine"], fine)
+
+    def test_lemma_processing_residual_record(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "WITNESS_RESIDUAL_TOL", -1.0)
+        report = run_suite("lemma_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "residual", "coarse", "fine"]
+            assert record["trial"] == t and record["violated"] == "witness residual <= 1e-7"
+            fine, coarse, _, _ = self.replay(suites._lemma_trial, 9, 3, t)
+            assert record["residual"] == check_coarser(coarse, fine).residual
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
+    def test_subspace_processing_missing_extension_record(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        cert = CoarsenessCertificate("feasible", None, 0.0, 0.0)
+        monkeypatch.setattr(suites, "check_coarser_in_subspace", lambda *a, **k: cert)
+        report = run_suite("subspace_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "subspace", "coarse", "fine"]
+            assert record["trial"] == t
+            assert record["violated"] == "feasible certificate carries a stochastic extension"
+            fine, coarse, inside = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
+            assert np.array_equal(subspace_from_dict(record["subspace"]).basis, inside.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
+    def test_subspace_processing_volume_gap_record(self, monkeypatch):
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "EQ_TOL", -1.0)
+        report = run_suite("subspace_processing", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "gap", "subspace", "coarse", "fine"]
+            assert record["trial"] == t and record["violated"] == "extension maps volumes exactly"
+            fine, coarse, inside = suites._random_subspace_coarser_pair(trial_rng(9, t), 3)
+            extension = check_coarser_in_subspace(coarse, fine, inside).extension.matrix
+            assert record["gap"] == float(np.max(np.abs(coarse.volumes() - extension @ fine.volumes())))
+            assert np.array_equal(subspace_from_dict(record["subspace"]).basis, inside.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
+    def test_restriction_decision_record(self, monkeypatch):
+        """The second decision of a trial, on the smaller subspace, is forced infeasible."""
+        import povmcoarse.suites as suites
+
+        calls = []
+
+        def second_infeasible(coarse, fine, subspace, **kwargs):
+            calls.append(subspace)
+            if len(calls) % 2 == 0:
+                return self.INFEASIBLE
+            return check_coarser_in_subspace(coarse, fine, subspace, **kwargs)
+
+        monkeypatch.setattr(suites, "check_coarser_in_subspace", second_infeasible)
+        report = run_suite("restriction", trials=4, dim=3, seed=9)
+        assert report.failures == 4 and len(calls) == 8
+        for t, record in enumerate(report.details):
+            assert list(record) == ["trial", "violated", "verdict", "subspace", "coarse", "fine"]
+            assert record["trial"] == t
+            assert record["violated"] == "coarseness is preserved when the subspace shrinks"
+            assert record["verdict"] == "infeasible"
+            fine, coarse, inside, smaller = self.replay(suites._restriction_trial, 9, 3, t)
+            assert np.array_equal(calls[2 * t].basis, inside.basis)
+            assert np.array_equal(subspace_from_dict(record["subspace"]).basis, smaller.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
+    def test_restriction_witness_record(self, monkeypatch):
+        """The record carries the smaller subspace, on which the restricted witness is checked."""
+        import povmcoarse.suites as suites
+
+        monkeypatch.setattr(suites, "RESTRICTION_TOL", -1.0)
+        report = run_suite("restriction", trials=4, dim=3, seed=9)
+        assert report.failures == 4
+        for t, record in enumerate(report.details):
+            assert list(record) == [
+                "trial", "violated", "residual", "volume_slack", "subspace", "coarse", "fine",
+            ]
+            assert record["trial"] == t
+            assert record["violated"] == "restricted witness satisfies the smaller subspace relation"
+            fine, coarse, inside, smaller = self.replay(suites._restriction_trial, 9, 3, t)
+            big = check_coarser_in_subspace(coarse, fine, inside)
+            small = check_coarser_in_subspace(coarse, fine, smaller)
+            o2, o1 = list(small.coarse_outcomes), list(small.fine_outcomes)
+            restricted = restrict_transition_matrix(
+                big.witness, small.coarse_outcomes, small.fine_outcomes, big.coarse_outcomes, big.fine_outcomes
+            ).matrix
+            assert record["residual"] == _residual(
+                restricted, smaller.compress(fine.stacked()[o1]), smaller.compress(coarse.stacked()[o2])
+            )
+            assert record["volume_slack"] == (coarse.volumes()[o2] - restricted @ fine.volumes()[o1]).tolist()
+            assert np.array_equal(subspace_from_dict(record["subspace"]).basis, smaller.basis)
+            self.assert_same_measurement(record["coarse"], coarse)
+            self.assert_same_measurement(record["fine"], fine)
+
 
 class TestSweepStates:
     """One pass: the first state whose excess is not ``<= 0`` is reported with its values."""
